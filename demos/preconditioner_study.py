@@ -7,8 +7,6 @@ their iteration counts side by side.
 
 from fftddm import bench, ddm, krylov
 from fftddm.errors import ConvergenceError
-from fftddm.geometry import GridField
-from fftddm.rectsolver import solve_rect
 
 
 def run(k_n=16, tol=1e-7):
@@ -16,12 +14,7 @@ def run(k_n=16, tol=1e-7):
     op = ddm.build_schur_operator(case.composite)
 
     # modified right-hand side on the coupled subdomain
-    f = bench.rhs_fields(case)
-    f_prime = f[op.coupled_id].values.copy()
-    for nb in op.neighbors:
-        sid = nb.plan.subdomain.id
-        f_prime -= nb.to_center.apply(solve_rect(nb.plan, f[sid].values).values)
-    rhs = GridField(op.coupled_id, f_prime)
+    rhs, _ = ddm.eliminate_arms(op, bench.rhs_fields(case))
 
     print(f"cross k_n={k_n}, coupled system size {op.size}, tol={tol:g}")
     for mode in ("fft", "jacobi", "identity"):

@@ -6,21 +6,24 @@ gives a system on the center alone,
 
     (A_c - sum_i R_{c,i} A_i^{-1} R_{i,c}) p_c = f_c - sum_i R_{c,i} q_i,
 
-with A_i q_i = f_i.  Every A^{-1} application is one FFT rectangle solve,
-so the Schur operator is applied matrix-free.
+with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
+center's node line at the interface to the same line, so it is applied as
+a small line operator built from the arm's rectangle plan
+(`rectsolver.interface_operator`); the center and the arms' pre-solves
+and back-substitutions are FFT rectangle solves.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import CompositeDomain, GridField, Interface, RectSubdomain, line_indices
-from .rectsolver import RectPlan, apply_rect_operator, plan_rect, solve_rect
+from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
+                         plan_rect, rect_diagonal, solve_rect)
 from . import krylov
 
 
@@ -84,11 +87,9 @@ class _Neighbor:
     plan: RectPlan
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
-
-
-# below this many center nodes the thread-pool handoff costs more than
-# the neighbor solves it hides
-_PARALLEL_MIN_NODES = 16_384
+    line: np.ndarray            # center nodes paired with the arm's line
+    weight: float               # coupling of R_{c,i} times that of R_{i,c}
+    block: Callable             # A_i^{-1} restricted to the arm's line
 
 
 @dataclass(frozen=True)
@@ -99,28 +100,27 @@ class SchurOperator:
     center: RectSubdomain
     center_plan: RectPlan
     neighbors: tuple = field(default_factory=tuple)
-    pool: ThreadPoolExecutor | None = None
 
     @property
     def size(self) -> int:
         return self.center.size
 
-    def _neighbor_term(self, nb: _Neighbor, p: np.ndarray) -> np.ndarray:
-        q = solve_rect(nb.plan, nb.from_center.apply(p))
-        return nb.to_center.apply(q.values)
-
     def schur(self, p: np.ndarray) -> np.ndarray:
-        """sum_i R_{c,i} A_i^{-1} R_{i,c} p; one FFT solve per neighbor."""
+        """sum_i R_{c,i} A_i^{-1} R_{i,c} p; one line operator per neighbor."""
         p = np.asarray(p, dtype=float)
-        if self.pool is not None and len(self.neighbors) > 1:
-            parts = list(self.pool.map(lambda nb: self._neighbor_term(nb, p),
-                                       self.neighbors))
-        else:
-            parts = [self._neighbor_term(nb, p) for nb in self.neighbors]
         out = np.zeros(self.size)
-        for part in parts:
-            out += part
+        for nb in self.neighbors:
+            out[nb.line] += nb.weight * nb.block(p[nb.line])
         return out
+
+    def diagonal(self) -> np.ndarray:
+        """diag(A_c - sum S): the center stencil's closed form minus each
+        line operator's diagonal, probed with unit vectors on the line."""
+        d = rect_diagonal(self.center)
+        for nb in self.neighbors:
+            probes = [nb.block(e) for e in np.eye(nb.line.size)]
+            d[nb.line] -= nb.weight * np.diag(probes)
+        return d
 
     def center_solve(self, rhs: np.ndarray) -> np.ndarray:
         return solve_rect(self.center_plan, np.asarray(rhs, dtype=float)).values
@@ -149,20 +149,6 @@ def apply_preconditioned_operator(op: SchurOperator, p: GridField) -> GridField:
                      op.preconditioned(np.asarray(p.values, dtype=float)))
 
 
-def solver_threads() -> int:
-    """Worker count from SOLVER_THREADS (default: hardware concurrency)."""
-    raw = os.environ.get("SOLVER_THREADS", "")
-    if not raw.strip():
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValidationError(f"SOLVER_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValidationError(f"SOLVER_THREADS must be positive, got {count}")
-    return count
-
-
 def designate_center(comp: CompositeDomain) -> int:
     """Pick the coupled subdomain: the unique one with >= 2 interfaces.
 
@@ -179,32 +165,43 @@ def designate_center(comp: CompositeDomain) -> int:
     return min(s.id for s in comp.subdomains)
 
 
-def build_schur_operator(comp: CompositeDomain, coupled_id: int | None = None,
-                         threads: int | None = None) -> SchurOperator:
+def build_schur_operator(comp: CompositeDomain,
+                         coupled_id: int | None = None) -> SchurOperator:
     if coupled_id is None:
         coupled_id = designate_center(comp)
     center = comp.subdomain(coupled_id)
     neighbors = []
     for iface in comp.interfaces_of(coupled_id):
-        other = iface.other_side(coupled_id)[0]
+        other, edge = iface.other_side(coupled_id)
+        plan = plan_rect(comp.subdomain(other))
+        to_c, from_c = (make_coupling(comp, iface, sid)
+                        for sid in (other, coupled_id))
         neighbors.append(_Neighbor(
-            plan=plan_rect(comp.subdomain(other)),
-            to_center=make_coupling(comp, iface, other),
-            from_center=make_coupling(comp, iface, coupled_id)))
-    if threads is None:
-        threads = solver_threads()
-    pool = None
-    if threads > 1 and len(neighbors) > 1 and center.size >= _PARALLEL_MIN_NODES:
-        pool = ThreadPoolExecutor(max_workers=min(threads, len(neighbors)))
+            plan=plan, to_center=to_c, from_center=from_c,
+            line=from_c.from_idx[np.argsort(from_c.to_idx)],
+            weight=to_c.coupling * from_c.coupling,
+            block=interface_operator(plan, edge)))
     return SchurOperator(coupled_id=coupled_id, center=center,
                          center_plan=plan_rect(center),
-                         neighbors=tuple(neighbors), pool=pool)
+                         neighbors=tuple(neighbors))
 
 
-def _map_over(pool, fn, items):
-    if pool is None:
-        return [fn(it) for it in items]
-    return list(pool.map(fn, items))
+def eliminate_arms(op: SchurOperator, f: dict):
+    """Pre-solve every arm, A_i q_i = f_i, and reduce the center's
+    right-hand side to f' = f_c - sum_i R_{c,i} q_i.
+
+    `f` maps subdomain id to a GridField or flat array; returns
+    (f' as a GridField, {arm id: q_i}).
+    """
+    fc = f[op.coupled_id]
+    f_prime = np.array(fc.values if isinstance(fc, GridField) else fc,
+                       dtype=float)
+    qs = {}
+    for nb in op.neighbors:
+        sid = nb.plan.subdomain.id
+        qs[sid] = solve_rect(nb.plan, f[sid]).values
+        f_prime -= nb.to_center.apply(qs[sid])
+    return GridField(op.coupled_id, f_prime), qs
 
 
 def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
@@ -238,33 +235,14 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
                                     wall_time=0.0)
         return {sub.id: p}, report
 
-    threads = solver_threads()
-    op = build_schur_operator(comp, coupled_id=coupled_id, threads=threads)
-    arms = [nb for nb in op.neighbors]
-    big = sum(nb.plan.subdomain.size for nb in arms) >= _PARALLEL_MIN_NODES
-    pool = ThreadPoolExecutor(max_workers=min(threads, len(arms))) \
-        if threads > 1 and len(arms) > 1 and big else None
-    try:
-        # independent pre-solves: A_i q_i = f_i
-        qs = _map_over(pool, lambda nb: solve_rect(
-            nb.plan, rhs[nb.plan.subdomain.id]).values, arms)
-
-        f_prime = rhs[op.coupled_id].copy()
-        for nb, q in zip(arms, qs):
-            f_prime -= nb.to_center.apply(q)
-
-        p_c, report = krylov.solve_coupled(
-            op, GridField(op.coupled_id, f_prime), gmres_cfg)
-
-        # back-substitution: p_i = q_i - A_i^{-1} R_{i,c} p_c
-        corr = _map_over(pool, lambda nb: solve_rect(
-            nb.plan, nb.from_center.apply(p_c.values)).values, arms)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    op = build_schur_operator(comp, coupled_id=coupled_id)
+    f_prime, qs = eliminate_arms(op, rhs)
+    p_c, report = krylov.solve_coupled(op, f_prime, gmres_cfg)
 
     fields = {op.coupled_id: p_c}
-    for nb, q, c in zip(arms, qs, corr):
+    for nb in op.neighbors:
+        # back-substitution: p_i = q_i - A_i^{-1} R_{i,c} p_c
         sid = nb.plan.subdomain.id
-        fields[sid] = GridField(sid, q - c)
+        corr = solve_rect(nb.plan, nb.from_center.apply(p_c.values)).values
+        fields[sid] = GridField(sid, qs[sid] - corr)
     return fields, report

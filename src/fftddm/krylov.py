@@ -26,7 +26,6 @@ PRECONDITIONERS = ("identity", "jacobi", "fft")
 
 _BREAKDOWN = 1e-14
 _DIVERGENCE_FACTOR = 1e6
-_JACOBI_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -235,17 +234,6 @@ def fixed_point(op, f_prime: GridField, max_iters: int = 1000,
     return GridField(op.coupled_id, p), report
 
 
-def jacobi_diagonal(op, guard: int = _JACOBI_GUARD) -> np.ndarray:
-    """diag(A_c - S) by probing with unit vectors; desk scale only."""
-    N = op.size
-    if N > guard:
-        raise ValidationError(
-            f"coupled subdomain has {N} nodes; diagonal probing is guarded "
-            f"at {guard} (desk scale only)")
-    d = np.empty(N)
-    e = np.zeros(N)
-    for i in range(N):
-        e[i] = 1.0
-        d[i] = op.unpreconditioned(e)[i]
-        e[i] = 0.0
-    return d
+def jacobi_diagonal(op) -> np.ndarray:
+    """diag(A_c - S) of a Schur operator (see SchurOperator.diagonal)."""
+    return op.diagonal()

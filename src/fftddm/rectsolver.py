@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transforms
 from .errors import SingularOperatorError, ValidationError
-from .geometry import BoundaryKind, GridField, RectSubdomain
+from .geometry import BoundaryKind, GridField, RectSubdomain, edge_axis
 
 _PIVOT_RTOL = 1e-13
 
@@ -37,13 +37,11 @@ class RectPlan:
     transform_axis: str          # 'y' (default) or 'x' (field transposed)
     y_plan: transforms.SpectralPlan
     solve_pair: str              # BC pair along the sweep axis
-    off: float                   # off-diagonal coupling delta on the sweep axis
+    off: float                   # off-diagonal of the per-mode tridiagonal
     beta: np.ndarray             # (ms, nt) pivots of the per-mode LU
     lower: np.ndarray            # (ms, nt) subdiagonal multipliers
     cyclic: bool
-    sm_q: np.ndarray | None      # Sherman-Morrison correction solves (cyclic)
-    sm_denom: np.ndarray | None
-    sm_gamma: np.ndarray | None
+    sm: tuple | None             # cyclic wrap correction, see _factor
     singular_modes: tuple
     singular_dense: tuple
     pin_mean: bool
@@ -61,11 +59,21 @@ class RectPlan:
 
 def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
     """Vectorized LU of tridiag(off, diag[i], off) per column; returns
-    (beta, lower, bad-column mask)."""
+    (beta, lower, bad-column mask).
+
+    The plain recurrence runs first; only when a pivot ends up below tol
+    is the factorization redone with the bad columns held at unit pivots.
+    """
     ms, nt = diag.shape
     beta = np.empty_like(diag)
     lower = np.zeros_like(diag)
     beta[0] = diag[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, ms):
+            lower[i] = off / beta[i - 1]
+            beta[i] = diag[i] - off * lower[i]
+    if np.all(np.abs(beta) >= tol):
+        return beta, lower, np.zeros(nt, dtype=bool)
     bad = np.abs(beta[0]) < tol
     safe = np.where(bad, 1.0, beta[0])
     for i in range(1, ms):
@@ -88,6 +96,40 @@ def _tridiag_solve(beta, lower, off, rhs):
     x[ms - 1] = y[ms - 1] / beta[ms - 1]
     for i in range(ms - 2, -1, -1):
         x[i] = (y[i] - off * x[i + 1]) / beta[i]
+    return x
+
+
+def _factor(diag: np.ndarray, off: float, cyclic: bool, tol: float):
+    """Per-column factors of tridiag(off, diag, off), with wrap-around
+    corners `off` when cyclic; returns (beta, lower, off, sm, bad-column
+    mask), the first four for _factored_solve.
+
+    Two cyclic rows wrap onto each other, which doubles the coupling.
+    Past two rows the corners are a Sherman-Morrison rank-one correction,
+    sm = (q, denom, gamma); otherwise sm is None.
+    """
+    if not cyclic or diag.shape[0] <= 2:
+        off = 2.0 * off if cyclic else off
+        beta, lower, bad = _factor_tridiag(diag, off, tol)
+        return beta, lower, off, None, bad
+    gamma = np.where(np.abs(diag[0]) > tol, -diag[0], off)
+    bdiag = diag.copy()
+    bdiag[0] -= gamma
+    bdiag[-1] -= off * off / gamma
+    beta, lower, bad = _factor_tridiag(bdiag, off, tol)
+    u = np.zeros_like(diag)
+    u[0], u[-1] = gamma, off
+    q = _tridiag_solve(beta, lower, off, u)
+    denom = 1.0 + q[0] + (off / gamma) * q[-1]
+    return beta, lower, off, (q, denom, gamma), bad | (np.abs(denom) < 1e-12)
+
+
+def _factored_solve(beta, lower, off, sm, rhs):
+    """Solve with the factors from _factor; rhs is (ms, nt)."""
+    x = _tridiag_solve(beta, lower, off, rhs)
+    if sm is not None:
+        q, denom, gamma = sm
+        x = x - q * ((x[0] + (off / gamma) * x[-1]) / denom)
     return x
 
 
@@ -133,25 +175,7 @@ def plan_rect(subdomain: RectSubdomain, pin_mean: bool = False) -> RectPlan:
         diag[-1] += sub.end_modifier(hi)
 
     tol = _PIVOT_RTOL * max(np.abs(lam).max(), delta_s)
-    sm_q = sm_denom = sm_gamma = None
-    if cyclic and ms > 2:
-        # Sherman-Morrison rank-one correction of the wrap-around entries
-        gamma = np.where(np.abs(diag[0]) > tol, -diag[0], delta_s)
-        bdiag = diag.copy()
-        bdiag[0] -= gamma
-        bdiag[-1] -= delta_s * delta_s / gamma
-        beta, lower, bad = _factor_tridiag(bdiag, delta_s, tol)
-        u = np.zeros((ms, nt))
-        u[0] = gamma
-        u[-1] = delta_s
-        sm_q = _tridiag_solve(beta, lower, delta_s, u)
-        sm_denom = 1.0 + sm_q[0] + (delta_s / gamma) * sm_q[-1]
-        bad |= np.abs(sm_denom) < 1e-12
-        sm_gamma = gamma
-    elif cyclic:  # ms == 2: wrap doubles the coupling
-        beta, lower, bad = _factor_tridiag(diag, 2.0 * delta_s, tol)
-    else:
-        beta, lower, bad = _factor_tridiag(diag, delta_s, tol)
+    beta, lower, off, sm, bad = _factor(diag, delta_s, cyclic, tol)
 
     singular_modes: tuple = ()
     singular_dense: tuple = ()
@@ -174,9 +198,8 @@ def plan_rect(subdomain: RectSubdomain, pin_mean: bool = False) -> RectPlan:
         singular_dense = tuple(mats)
 
     return RectPlan(subdomain=sub, transform_axis=axis, y_plan=plan,
-                    solve_pair=s_pair, off=delta_s, beta=beta, lower=lower,
-                    cyclic=cyclic, sm_q=sm_q, sm_denom=sm_denom,
-                    sm_gamma=sm_gamma, singular_modes=singular_modes,
+                    solve_pair=s_pair, off=off, beta=beta, lower=lower,
+                    cyclic=cyclic, sm=sm, singular_modes=singular_modes,
                     singular_dense=singular_dense, pin_mean=pin_mean)
 
 
@@ -197,20 +220,56 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     grid = f.values.reshape(sub.m, sub.n)
     if plan.transform_axis == "x":
         grid = grid.T
-    fhat = transforms.apply_Qt(plan.y_plan, grid)        # (ms, nt)
-
-    off = 2.0 * plan.off if (plan.cyclic and fhat.shape[0] == 2) else plan.off
-    phat = _tridiag_solve(plan.beta, plan.lower, off, fhat)
-    if plan.cyclic and plan.sm_q is not None:
-        vy = phat[0] + (plan.off / plan.sm_gamma) * phat[-1]
-        phat = phat - plan.sm_q * (vy / plan.sm_denom)
-    for k, M in zip(plan.singular_modes, plan.singular_dense):
-        phat[:, k] = np.linalg.lstsq(M, fhat[:, k], rcond=None)[0]
-
+    phat = _sweep(plan, transforms.apply_Qt(plan.y_plan, grid))
     out = transforms.apply_Q(plan.y_plan, phat)
     if plan.transform_axis == "x":
         out = out.T
     return GridField(subdomain_id=sub.id, values=out.reshape(-1))
+
+
+def _sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
+    """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
+    phat = _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
+    for k, M in zip(plan.singular_modes, plan.singular_dense):
+        phat[:, k] = np.linalg.lstsq(M, fhat[:, k], rcond=None)[0]
+    return phat
+
+
+def interface_operator(plan: RectPlan, edge: str):
+    """Block of A^{-1} on the node line next to the interface `edge`.
+
+    Returns a function taking values on that line, in tangential order,
+    to the same line of A^{-1} applied to them, without a full solve:
+
+    * line along the transform axis (a sweep row j): Q diag(t) Q^T with
+      t_k = (T_k^{-1})_jj, two line transforms per apply.  For the last
+      row t = 1/beta[-1]; for row 0 it is the last pivot of the same
+      elimination run from the far end.  An interface row is never on a
+      periodic sweep axis, so no cyclic correction enters.
+    * line across the transform axis (a transform column j): the line
+      values v are swept as v (x) Q[j, :] and contracted with Q[j, :],
+      one transform-free sweep per apply.
+    """
+    if plan.singular:
+        raise SingularOperatorError("plan is singular")
+    ms, nt = plan.beta.shape
+    first = edge in ("west", "south")
+    if edge_axis(edge) == plan.transform_axis:
+        unit = np.zeros(nt)
+        unit[0 if first else -1] = 1.0
+        q = transforms.apply_Qt(plan.y_plan, unit)           # row j of Q
+        return lambda v: _sweep(plan, np.outer(v, q)) @ q
+    if first:
+        lam = plan.y_plan.eigenvalues
+        far = "east" if edge == "west" else "north"
+        piv = lam + plan.subdomain.end_modifier(far)
+        for _ in range(ms - 1):     # an interface edge has no end modifier
+            piv = lam - plan.off * plan.off / piv
+        t = 1.0 / piv
+    else:
+        t = 1.0 / plan.beta[-1]
+    return lambda v: transforms.apply_Q(
+        plan.y_plan, t * transforms.apply_Qt(plan.y_plan, v))
 
 
 def thomas_solve(diag: np.ndarray, off: float, rhs: np.ndarray,
@@ -228,37 +287,24 @@ def thomas_solve(diag: np.ndarray, off: float, rhs: np.ndarray,
     if kind == "corner":
         diag[0] += off
         diag[-1] += off
+    elif kind == "cyclic" and m == 1:
+        diag[0] += 2.0 * off          # both wrap-around entries land here
     tol = _PIVOT_RTOL * max(np.abs(diag).max(), abs(off), 1.0)
-
-    if kind == "cyclic":
-        if m <= 3:
-            M = np.diag(diag)
-            for i in range(m):
-                M[i, (i - 1) % m] += off
-                M[i, (i + 1) % m] += off
-            if abs(np.linalg.det(M)) < tol:
-                raise SingularOperatorError("cyclic system is singular")
-            return np.linalg.solve(M, rhs)
-        gamma = -diag[0] if abs(diag[0]) > tol else off
-        bdiag = diag.copy()
-        bdiag[0] -= gamma
-        bdiag[-1] -= off * off / gamma
-        beta, lower, bad = _factor_tridiag(bdiag[:, None], off, tol)
-        if bad[0]:
-            raise SingularOperatorError("zero pivot in cyclic solve")
-        u = np.zeros(m)
-        u[0], u[-1] = gamma, off
-        q = _tridiag_solve(beta, lower, off, u[:, None])[:, 0]
-        y = _tridiag_solve(beta, lower, off, rhs[:, None])[:, 0]
-        denom = 1.0 + q[0] + (off / gamma) * q[-1]
-        if abs(denom) < 1e-12:
-            raise SingularOperatorError("cyclic system is singular")
-        return y - q * ((y[0] + (off / gamma) * y[-1]) / denom)
-
-    beta, lower, bad = _factor_tridiag(diag[:, None], off, tol)
+    beta, lower, off, sm, bad = _factor(diag[:, None], off,
+                                        kind == "cyclic" and m > 1, tol)
     if bad[0]:
-        raise SingularOperatorError("zero pivot in tridiagonal solve")
-    return _tridiag_solve(beta, lower, off, rhs[:, None])[:, 0]
+        raise SingularOperatorError(f"singular {kind} tridiagonal system")
+    return _factored_solve(beta, lower, off, sm, rhs[:, None])[:, 0]
+
+
+def rect_diagonal(sub: RectSubdomain) -> np.ndarray:
+    """Diagonal of the rectangle operator, in closed form (flat)."""
+    d = np.full((sub.m, sub.n), -2.0 * (sub.delta_x + sub.delta_y) + sub.kappa)
+    d[0] += sub.end_modifier("west")
+    d[-1] += sub.end_modifier("east")
+    d[:, 0] += sub.end_modifier("south")
+    d[:, -1] += sub.end_modifier("north")
+    return d.reshape(-1)
 
 
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:

@@ -6,11 +6,13 @@ import pytest
 from fftddm import bench, ddm, krylov, oracle, rectsolver
 from fftddm.errors import ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, GridField,
-                             make_interface, validate)
+                             RectSubdomain, make_interface, validate)
 
 from conftest import make_rect
 
 D = BoundaryKind.DIRICHLET
+N = BoundaryKind.NEUMANN
+P = BoundaryKind.PERIODIC
 I = BoundaryKind.INTERFACE
 
 
@@ -193,23 +195,153 @@ class TestDdmSolve:
             ddm.ddm_solve(comp, f)
 
 
-class TestSolverThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SOLVER_THREADS", "3")
-        assert ddm.solver_threads() == 3
+def star_composite(arms, m=4, n=6, dx=0.25, dy=0.2, kappa=-3.0,
+                   center_half=()):
+    """Center m x n with an arm on each edge named in `arms`.
 
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SOLVER_THREADS", "many")
-        with pytest.raises(ValidationError):
-            ddm.solver_threads()
+    `arms` maps a center edge to (depth, outer kind, flank kind, half-cell
+    edges of the arm).  Center edges without an arm are Dirichlet.
+    """
+    def rect(sid, origin, mm, nn, bc, half=()):
+        return RectSubdomain(id=sid, origin=origin, m=mm, n=nn, dx=dx, dy=dy,
+                             edge_bc=bc, kappa=kappa,
+                             half_cell_dirichlet=frozenset(half))
 
-    def test_threaded_solve_matches_sequential(self, rng, monkeypatch):
+    facing = {"west": "east", "east": "west", "south": "north",
+              "north": "south"}
+    flanks = {"west": ("south", "north"), "east": ("south", "north"),
+              "south": ("west", "east"), "north": ("west", "east")}
+    center = rect(0, (0.0, 0.0), m, n,
+                  {e: I if e in arms else D for e in facing}, center_half)
+    subs, ifaces = [center], []
+    for sid, (edge, (depth, outer, flank, half)) in enumerate(
+            sorted(arms.items()), start=1):
+        bc = {edge: outer, facing[edge]: I}
+        bc.update({e: flank for e in flanks[edge]})
+        origin = {"west": (-depth * dx, 0.0), "east": (m * dx, 0.0),
+                  "south": (0.0, -depth * dy), "north": (0.0, n * dy)}[edge]
+        mm, nn = (depth, n) if edge in ("west", "east") else (m, depth)
+        arm = rect(sid, origin, mm, nn, bc, half)
+        subs.append(arm)
+        ifaces.append(make_interface(len(ifaces), center, edge, arm,
+                                     facing[edge]))
+    comp = CompositeDomain(subdomains=subs, interfaces=ifaces)
+    validate(comp).require()
+    return comp
+
+
+def star_mixed(k):
+    """The benchmark's mixed star: x-transformed center, PP-flanked west
+    arm, NN-flanked east arm, all-Dirichlet south arm transformed across
+    its interface, dy = 0.75 dx, kappa = -50."""
+    dx = 1.0 / (4 * k)
+    return star_composite(
+        {"west": (k, D, P, ("west",)), "east": (3 * k, D, N, ("east",)),
+         "south": (k, D, D, ())},
+        m=2 * k, n=2 * k, dx=dx, dy=0.75 * dx, kappa=-50.0,
+        center_half=("north",))
+
+
+# composites covering the arm orientations the cross never takes
+LINE_OPERATOR_CASES = {
+    # all-DD arm on the center's south edge: transformed across its line
+    "perpendicular": ({"south": (3, D, D, ()),
+                       "west": (2, D, N, ())}, {}),
+    # west arm's line is its last sweep row, east arm's its row 0
+    "sweep-rows-0-and-last": ({"west": (3, D, N, ("west",)),
+                               "east": (4, D, N, ("east",))}, {}),
+    # half-cell outer edges force the transposed x transform
+    "x-transform": ({"south": (3, D, N, ("south",)),
+                     "north": (2, D, N, ("north",)),
+                     "east": (3, D, D, ("south", "north"))}, {}),
+    # periodic flanks: a cyclic sweep along the south line, and a PP
+    # transform along the west line
+    "cyclic-sweep": ({"south": (3, D, P, ()), "west": (2, D, P, ())}, {}),
+    # an isotropic grid without shift, center transformed along x
+    "x-center": ({"west": (2, D, N, ()), "east": (2, D, N, ()),
+                  "south": (2, D, N, ())},
+                 {"dx": 0.25, "dy": 0.25, "kappa": 0.0,
+                  "center_half": ("north",)}),
+}
+
+
+def full_arm_schur(op, p):
+    """The Schur term as one full rectangle solve per arm."""
+    out = np.zeros(op.size)
+    for nb in op.neighbors:
+        q = rectsolver.solve_rect(nb.plan, nb.from_center.apply(p))
+        out += nb.to_center.apply(q.values)
+    return out
+
+
+class TestLineOperators:
+    @pytest.mark.parametrize("name", sorted(LINE_OPERATOR_CASES))
+    def test_dense_parity(self, name):
+        arms, kw = LINE_OPERATOR_CASES[name]
+        comp = star_composite(arms, **kw)
+        op = ddm.build_schur_operator(comp, coupled_id=0)
+        A2, S = dense_schur_blocks(comp, 0)
+        eye = np.eye(op.size)
+        Sn = np.column_stack([op.schur(eye[:, j]) for j in range(op.size)])
+        assert np.abs(Sn - S).max() <= 1e-12 * np.abs(S).max()
+        np.testing.assert_allclose(op.diagonal(), np.diag(A2 - S),
+                                   rtol=1e-12, atol=0)
+
+    def test_cases_cover_every_orientation(self):
+        kinds = set()
+        for arms, kw in LINE_OPERATOR_CASES.values():
+            comp = star_composite(arms, **kw)
+            for iface in comp.interfaces:
+                arm, edge = iface.other_side(0)
+                plan = rectsolver.plan_rect(comp.subdomain(arm))
+                across = (edge in ("west", "east")) == (
+                    plan.transform_axis == "x")
+                row = "first" if edge in ("west", "south") else "last"
+                kinds.add((plan.transform_axis,
+                           "across" if across else row, plan.cyclic))
+        assert kinds >= {("y", "first", False), ("y", "last", False),
+                         ("x", "first", False), ("x", "last", False),
+                         ("y", "across", False), ("x", "across", False),
+                         ("y", "across", True)}
+
+    @pytest.mark.parametrize("comp", [
+        pytest.param(bench.build_cross(k_n=16).composite, id="cross-k16"),
+        pytest.param(star_mixed(8), id="star-k8"),
+    ])
+    def test_matches_full_arm_solves(self, comp, rng):
+        op = ddm.build_schur_operator(comp)
+        for _ in range(3):
+            p = rng.standard_normal(op.size)
+            want = full_arm_schur(op, p)
+            assert np.abs(op.schur(p) - want).max() \
+                <= 1e-12 * np.abs(want).max()
+
+    def test_eliminate_arms_takes_fields_or_arrays(self, rng):
         comp = bench.build_cross(k_n=2).composite
+        op = ddm.build_schur_operator(comp)
         f = {s.id: rng.standard_normal(s.size) for s in comp.subdomains}
-        monkeypatch.setenv("SOLVER_THREADS", "1")
-        seq, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        monkeypatch.setenv("SOLVER_THREADS", "4")
-        par, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        for sid in seq:
-            np.testing.assert_allclose(par[sid].values, seq[sid].values,
-                                       atol=1e-12)
+        a, qa = ddm.eliminate_arms(op, f)
+        b, qb = ddm.eliminate_arms(
+            op, {sid: GridField(sid, v) for sid, v in f.items()})
+        want = f[op.coupled_id].copy()
+        for nb in op.neighbors:
+            sid = nb.plan.subdomain.id
+            want -= nb.to_center.apply(
+                rectsolver.solve_rect(nb.plan, f[sid]).values)
+        np.testing.assert_allclose(a.values, want, atol=1e-13)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert qa.keys() == qb.keys() == {s.id for s in comp.subdomains} \
+            - {op.coupled_id}
+
+    @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep"])
+    def test_ddm_solve_matches_global_dense_lu(self, name, rng):
+        comp = star_composite(LINE_OPERATOR_CASES[name][0])
+        G = oracle.assemble_global_matrix(comp)
+        offs = oracle.global_offsets(comp)
+        fvec = rng.standard_normal(G.shape[0])
+        f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
+        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12),
+                                  coupled_id=0)
+        want = oracle.dense_lu_solve(G, fvec)
+        got = np.concatenate([fields[s.id].values for s in comp.subdomains])
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()

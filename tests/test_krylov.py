@@ -5,7 +5,7 @@ import pytest
 
 from fftddm import bench, ddm, krylov, oracle
 from fftddm.errors import ConvergenceError, ValidationError
-from fftddm.geometry import GridField
+from fftddm.geometry import GridField, line_indices
 
 
 def dense_schur(comp, cid):
@@ -210,8 +210,18 @@ class TestJacobiDiagonal:
         np.testing.assert_allclose(krylov.jacobi_diagonal(op),
                                    np.diag(A2 - S), atol=tol)
 
-    def test_size_guard(self):
+    def test_sampled_entries_at_kn32(self, rng):
         comp = bench.build_cross(k_n=32).composite  # center 64 x 128 nodes
         op = ddm.build_schur_operator(comp)
-        with pytest.raises(ValidationError):
-            krylov.jacobi_diagonal(op)
+        d = krylov.jacobi_diagonal(op)
+        lines = [line_indices(op.center, e)
+                 for e in ("west", "east", "south", "north")]
+        sample = np.concatenate(
+            [rng.choice(op.size, 8, replace=False)]
+            + [line[[0, len(line) // 2, -1]] for line in lines])
+        e = np.zeros(op.size)
+        for i in sample:
+            e[i] = 1.0
+            assert d[i] == pytest.approx(op.unpreconditioned(e)[i],
+                                         rel=1e-12)
+            e[i] = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from fftddm import oracle, rectsolver
 from fftddm.errors import SingularOperatorError
-from fftddm.geometry import GridField
+from fftddm.geometry import GridField, line_indices
 
 from conftest import make_rect
 
@@ -42,7 +42,7 @@ class TestThomasSolve:
                                     kind="cyclic")
         np.testing.assert_allclose(x, [-1.0, -1.0, -1.0, -1.0])
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
     def test_cyclic_matches_dense(self, m, rng):
         diag = -3.0 + 0.1 * rng.standard_normal(m)
         rhs = rng.standard_normal(m)
@@ -59,6 +59,13 @@ class TestThomasSolve:
         x = rectsolver.thomas_solve(diag, 1.0, np.ones(3), kind="corner")
         M = np.array([[-3.0, 1, 0], [1, -4.0, 1], [0, 1, -3.0]])
         np.testing.assert_allclose(x, np.linalg.solve(M, np.ones(3)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_singular_cyclic_raises(self, m):
+        # the periodic second difference has the constant null vector
+        with pytest.raises(SingularOperatorError):
+            rectsolver.thomas_solve(np.full(m, -2.0), 1.0, np.ones(m),
+                                    kind="cyclic")
 
     def test_zero_pivot_raises(self):
         with pytest.raises(SingularOperatorError):
@@ -175,3 +182,47 @@ class TestLiftDirichlet:
         sub = make_rect(2, 2, x_pair="NN")
         with pytest.raises(ValueError):
             rectsolver.lift_dirichlet(sub, np.zeros(4), "west", np.ones(2))
+
+
+def interface_cases(max_mn=5):
+    """Every pair case with an interface-like (plain DD) edge, with and
+    without a half-cell modifier on the opposite end of that axis."""
+    opposite = {"west": "east", "east": "west", "south": "north",
+                "north": "south"}
+    for x_pair, y_pair, m, n, kappa in pair_cases(max_mn):
+        edges = (("west", "east") if x_pair == "DD" else ()) \
+            + (("south", "north") if y_pair == "DD" else ())
+        for edge in edges:
+            for half in ((), (opposite[edge],)):
+                yield x_pair, y_pair, m, n, kappa, edge, half
+
+
+class TestInterfaceOperator:
+    @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa,edge,half",
+                             list(interface_cases()))
+    def test_matches_dense_inverse_block(self, x_pair, y_pair, m, n, kappa,
+                                         edge, half):
+        sub = make_rect(m, n, x_pair, y_pair, dx=0.3, dy=0.2, kappa=kappa,
+                        half=half)
+        plan = rectsolver.plan_rect(sub)
+        line = line_indices(sub, edge)
+        want = np.linalg.inv(oracle.assemble_rect_matrix(sub))[
+            np.ix_(line, line)]
+        block = rectsolver.interface_operator(plan, edge)
+        got = np.column_stack([block(e) for e in np.eye(line.size)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_plan_rejected(self):
+        plan = rectsolver.plan_rect(make_rect(4, 4, "NN", "NN"),
+                                    pin_mean=True)
+        with pytest.raises(SingularOperatorError):
+            rectsolver.interface_operator(plan, "west")
+
+
+class TestFactorTridiag:
+    def test_flags_only_the_bad_column(self):
+        diag = np.array([[-2.0, 0.0], [-2.0, -2.0]])
+        beta, lower, bad = rectsolver._factor_tridiag(diag, 1.0, 1e-12)
+        assert list(bad) == [False, True]
+        np.testing.assert_array_equal(beta[:, 0], [-2.0, -1.5])
+        np.testing.assert_array_equal(lower[:, 0], [0.0, -0.5])
