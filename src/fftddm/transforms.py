@@ -2,8 +2,13 @@
 
 For each axis BC pair ('DD', 'NN', 'PP') the axis matrix A has a known
 orthonormal eigenvector matrix Q (sine, shifted-cosine and real Fourier
-bases respectively).  Applying Q and Q^T through complex FFTs costs
-O(n log n) and diagonalizes the axis operator:  Q^T A Q = diag(lambda).
+bases respectively).  Applying Q and Q^T costs O(n log n) and
+diagonalizes the axis operator:  Q^T A Q = diag(lambda).  Each kernel runs
+one FFT of about n points on real data: the sine transform (DST-I) reads
+its length-2(n+1) odd extension as n+1 complex pairs and takes one
+half-length complex FFT, the cosine transforms use Makhoul's length-n
+reordering with a real FFT, and the real Fourier basis is one real FFT.
+Twiddle factors are computed once per `SpectralPlan`.
 
 Sign and ordering conventions match `oracle.assemble_eigvector_matrix`
 column for column; the eigenvalue array from `eigenvalues` is ordered the
@@ -43,7 +48,8 @@ class SpectralPlan:
     """Prepared eigenbasis transform for one axis of one rectangle.
 
     Immutable; apply_Q / apply_Qt allocate their own scratch, so one plan
-    may be shared across threads.
+    may be shared across threads.  `twiddles` holds the read-only kernel
+    factors for (Q^T, Q), with the orthonormal scaling folded in.
     """
 
     bc: str
@@ -52,6 +58,27 @@ class SpectralPlan:
     delta_o: float
     kappa: float
     eigenvalues: np.ndarray
+    twiddles: tuple
+
+
+def _twiddles(bc: str, n: int) -> tuple:
+    """Kernel factors (for Q^T, for Q) of one transform; see the kernels."""
+    if bc == "DD":
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        s = 0.25 * np.sqrt(2.0 / (n + 1))
+        tw = np.stack([s * (np.sin(theta) - 1.0), s * (np.sin(theta) + 1.0),
+                       2.0 * s * np.cos(theta)])
+        return tw, tw                                  # Q is symmetric
+    half = np.arange(n // 2 + 1)
+    if bc == "NN":
+        scale = np.where(half == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+        phase = np.exp(0.5j * np.pi * half / n)
+        return (scale * phase.conj(),
+                np.where(half == 0, n, 0.5 * n) * scale * phase)
+    # PP: weights of the cosine amplitudes; the sine ones equal the interior
+    ends = (half == 0) | (half == n // 2)
+    weight = np.where(ends, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return weight, np.where(ends, n, 0.5 * n) * weight
 
 
 def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
@@ -63,86 +90,118 @@ def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
     if bc == "PP" and n % 2:
         raise ValueError("periodic transforms need an even length")
     lam = eigenvalues(bc, n, delta_t, delta_o, kappa)
-    lam.setflags(write=False)
+    twiddles = _twiddles(bc, n)
+    for a in (lam, *twiddles):
+        a.setflags(write=False)
     return SpectralPlan(bc=bc, n=n, delta_t=delta_t, delta_o=delta_o,
-                        kappa=kappa, eigenvalues=lam)
+                        kappa=kappa, eigenvalues=lam, twiddles=twiddles)
 
 
 # ---------------------------------------------------------------------------
-# kernels; all operate along the last axis of a (..., n) array
+# kernels; all operate along the last axis of a (..., n) array and return
+# Q @ v or Q^T @ v with the scaling carried by the twiddles
 
-def _dst1(v: np.ndarray) -> np.ndarray:
-    """sum_k v_k sin(j k pi / (n+1)) via one length-2(n+1) complex FFT."""
+def _dst1(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """sqrt(2/M) sum_k v_k sin(pi j k / M), M = n + 1, via one length-M
+    complex FFT of the odd extension w read as pairs z_t = w_2t + i w_2t+1.
+
+    With Z = FFT(z), the even and odd samples transform to
+    E_j = (Z_j + conj Z_M-j) / 2 (imaginary, as they are odd themselves, so
+    Re Z_M-j = -Re Z_j) and O_j = (Z_j - conj Z_M-j) / 2i; the sine sum is
+    -Im(E_j + exp(-i pi j / M) O_j) / 2, a real combination of Im Z_j,
+    Im Z_M-j and Re Z_j with the cos/sin(pi j / M) weights in tw.
+    """
     n = v.shape[-1]
-    w = np.zeros(v.shape[:-1] + (2 * (n + 1),))
-    w[..., 1:n + 1] = v
-    w[..., n + 2:] = -v[..., ::-1]
-    return -0.5 * np.fft.fft(w, axis=-1).imag[..., 1:n + 1]
+    m = n + 1
+    w = np.zeros(v.shape[:-1] + (2 * m,))
+    w[..., 1:m] = v
+    w[..., m + 1:] = -v[..., ::-1]
+    z = np.fft.fft(w.view(np.complex128), axis=-1)
+    zj = z[..., 1:]
+    out = tw[0] * zj.imag
+    out += tw[1] * z[..., :0:-1].imag
+    out += tw[2] * zj.real
+    return out
 
 
-def _dct2(v: np.ndarray) -> np.ndarray:
-    """sum_k v_k cos(pi j (2k+1) / (2n)), j = 0..n-1, via a length-2n FFT."""
+def _dct2(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Scaled sum_k v_k cos(pi j (2k+1) / (2n)) via one length-n real FFT.
+
+    Makhoul's reordering u = (v_0, v_2, ..., v_3, v_1) gives
+    X_j = exp(-i pi j / 2n) U_j with the sum at j equal to Re X_j and the
+    sum at n - j equal to -Im X_j; tw carries the phase and the scale.
+    """
     n = v.shape[-1]
-    w = np.concatenate([v, v[..., ::-1]], axis=-1)
-    spec = np.fft.fft(w, axis=-1)[..., :n]
-    phase = np.exp(-0.5j * np.pi * np.arange(n) / n)
-    return 0.5 * (phase * spec).real
+    u = np.concatenate([v[..., ::2], v[..., 1::2][..., ::-1]], axis=-1)
+    x = np.fft.rfft(u, axis=-1) * tw
+    out = np.empty(v.shape)
+    out[..., :n // 2 + 1] = x.real
+    out[..., n // 2 + 1:] = -x.imag[..., (n - 1) // 2:0:-1]
+    return out
 
 
-def _dct3(a: np.ndarray) -> np.ndarray:
-    """sum_j a_j cos(pi j (2k+1) / (2n)), k = 0..n-1, via a length-2n FFT."""
+def _dct3(a: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Scaled sum_j a_j cos(pi j (2k+1) / (2n)), the transpose of _dct2,
+    via one length-n inverse real FFT: U_j = tw_j (a_j - i a_n-j), then
+    Makhoul's reordering undone."""
     n = a.shape[-1]
-    z = np.zeros(a.shape[:-1] + (2 * n,), dtype=complex)
-    z[..., :n] = a * np.exp(0.5j * np.pi * np.arange(n) / n)
-    return 2 * n * np.fft.ifft(z, axis=-1).real[..., :n]
+    spec = np.zeros(a.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spec.real = a[..., :n // 2 + 1]
+    spec.imag[..., 1:] = -a[..., :n - n // 2 - 1:-1]
+    u = np.fft.irfft(spec * tw, n, axis=-1)
+    out = np.empty(a.shape)
+    out[..., ::2] = u[..., :(n + 1) // 2]
+    out[..., 1::2] = u[..., :(n + 1) // 2 - 1:-1]
+    return out
 
 
-def _nn_scale(n: int) -> np.ndarray:
-    scale = np.full(n, np.sqrt(2.0 / n))
-    scale[0] = np.sqrt(1.0 / n)
-    return scale
+def _rdft(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Real Fourier coefficients (cosines, then sines by descending
+    frequency) via one length-n real FFT."""
+    h = v.shape[-1] // 2
+    spec = np.fft.rfft(v, axis=-1)
+    out = np.empty(v.shape)
+    out[..., :h + 1] = tw * spec.real
+    out[..., h + 1:] = tw[1:h] * spec.imag[..., h - 1:0:-1]
+    return out
+
+
+def _irdft(a: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Transpose of _rdft: the amplitudes packed into a half spectrum,
+    then one length-n inverse real FFT."""
+    n = a.shape[-1]
+    h = n // 2
+    spec = np.zeros(a.shape[:-1] + (h + 1,), dtype=complex)
+    spec.real = tw * a[..., :h + 1]
+    spec.imag[..., 1:h] = tw[1:h] * a[..., :h:-1]
+    return np.fft.irfft(spec, n, axis=-1)
+
+
+def _checked(plan: SpectralPlan, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != plan.n:
+        raise ValueError(
+            f"length mismatch: expected {plan.n}, got {v.shape[-1]}")
+    return v
 
 
 def apply_Q(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     """Q @ v along the last axis (spectral coefficients -> nodal values)."""
-    v = np.asarray(v, dtype=float)
-    n = plan.n
-    if v.shape[-1] != n:
-        raise ValueError(f"length mismatch: expected {n}, got {v.shape[-1]}")
+    v = _checked(plan, v)
+    tw = plan.twiddles[1]
     if plan.bc == "DD":
-        return np.sqrt(2.0 / (n + 1)) * _dst1(v)
+        return _dst1(v, tw)
     if plan.bc == "NN":
-        return _dct3(_nn_scale(n) * v)
-    # PP: pack cosine amplitudes into the real part and sine amplitudes into
-    # the imaginary part of a half spectrum, then one inverse FFT
-    spec = np.zeros(v.shape[:-1] + (n,), dtype=complex)
-    root = np.sqrt(1.0 / n)
-    spec[..., 0] = v[..., 0] * root
-    spec[..., n // 2] = v[..., n // 2] * root
-    if n > 2:
-        amp = np.sqrt(2.0 / n)
-        spec[..., 1:n // 2] = amp * v[..., 1:n // 2]
-        spec[..., n // 2 + 1:] = -1j * amp * v[..., n // 2 + 1:]
-    return n * np.fft.ifft(spec, axis=-1).real
+        return _dct3(v, tw)
+    return _irdft(v, tw)
 
 
 def apply_Qt(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     """Q^T @ v along the last axis (nodal values -> spectral coefficients)."""
-    v = np.asarray(v, dtype=float)
-    n = plan.n
-    if v.shape[-1] != n:
-        raise ValueError(f"length mismatch: expected {n}, got {v.shape[-1]}")
+    v = _checked(plan, v)
+    tw = plan.twiddles[0]
     if plan.bc == "DD":
-        return np.sqrt(2.0 / (n + 1)) * _dst1(v)     # Q is symmetric
+        return _dst1(v, tw)
     if plan.bc == "NN":
-        return _nn_scale(n) * _dct2(v)
-    spec = np.fft.fft(v, axis=-1)
-    out = np.empty_like(v)
-    root = np.sqrt(1.0 / n)
-    out[..., 0] = spec[..., 0].real * root
-    out[..., n // 2] = spec[..., n // 2].real * root
-    if n > 2:
-        amp = np.sqrt(2.0 / n)
-        out[..., 1:n // 2] = amp * spec[..., 1:n // 2].real
-        out[..., n // 2 + 1:] = -amp * spec[..., n // 2 + 1:].imag
-    return out
+        return _dct2(v, tw)
+    return _rdft(v, tw)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -187,13 +189,17 @@ class TestEmitters:
 
 
 class TestCli:
-    def test_solve_writes_outputs(self, tmp_path):
+    def test_solve_writes_outputs(self, tmp_path, capsys):
         rc = cli.main(["solve", "--case", "cross", "--kn", "4",
                        "--m", "40", "--tol", "1e-9",
                        "--out", str(tmp_path)])
         assert rc == 0
         for name in ("solution.csv", "report.csv", "residual_history.csv"):
             assert (tmp_path / name).exists()
+        with open(tmp_path / "report.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert 0.0 < float(row["true_relative_residual"]) < 1e-7
+        assert "true relative residual" in capsys.readouterr().out
 
     def test_convergence_subcommand(self, tmp_path, capsys):
         rc = cli.main(["convergence", "--kn-list", "2,4",

@@ -102,6 +102,45 @@ class TestGmres:
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-9)
 
 
+class TestOrthogonalization:
+    @pytest.mark.parametrize("kn,iters", [(8, 19), (16, 26), (32, 35)])
+    def test_fft_iteration_counts_on_cross(self, kn, iters):
+        cfg = krylov.GmresConfig(m=80, tol=1e-7)
+        _, rep = bench.solve_case(bench.build_cross(k_n=kn), cfg)
+        assert rep.converged and rep.iterations == iters
+
+    def test_grcar_restarted(self, rng):
+        N, m = 300, 30
+        A = np.eye(N) - np.eye(N, k=-1) + sum(np.eye(N, k=j)
+                                              for j in (1, 2, 3))
+        b = rng.standard_normal(N)
+        cfg = krylov.GmresConfig(m=m, tol=1e-12, max_restarts=100)
+        x, rep = krylov.gmres(lambda v: A @ v, b, cfg=cfg)
+        assert rep.converged and rep.iterations > m
+        want = np.linalg.solve(A, b)
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+        hist = rep.residual_history[1:]
+        for start in range(0, hist.size, m):
+            assert np.all(np.diff(hist[start:start + m]) <= 0.0)
+
+    def test_basis_orthonormal_to_working_precision(self, rng):
+        # eigenvalues over eight decades: a single Gram-Schmidt pass,
+        # classical or modified, leaves |V V^T - I| at 2e-14 to 4e-14 here
+        N, m = 300, 30
+        A = np.diag(np.logspace(0, 8, N))
+        basis = []
+
+        def operator(v):
+            basis.append(v.copy())
+            return A @ v
+
+        cfg = krylov.GmresConfig(m=m, tol=1e-15, max_restarts=1)
+        with pytest.raises(ConvergenceError):
+            krylov.gmres(operator, rng.standard_normal(N), cfg=cfg)
+        V = np.array(basis[:m])
+        assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
+
+
 @pytest.fixture(scope="module")
 def cross2():
     comp = bench.build_cross(k_n=2).composite
@@ -115,6 +154,7 @@ class TestSolveCoupled:
             op, GridField(op.coupled_id, np.zeros(op.size)))
         assert rep.converged and rep.iterations == 0
         assert not p.values.any()
+        assert rep.true_relative_residual == 0.0
 
     @pytest.mark.parametrize("mode", krylov.PRECONDITIONERS)
     def test_all_modes_match_dense(self, cross2, mode, rng):
@@ -139,6 +179,8 @@ class TestSolveCoupled:
                                       krylov.GmresConfig(tol=1e-11))
         assert np.isfinite(rep.true_residual)
         assert rep.true_residual <= 1e-8 * np.linalg.norm(f)
+        assert rep.true_relative_residual == pytest.approx(
+            rep.true_residual / np.linalg.norm(f), rel=1e-12)
 
     @pytest.mark.parametrize("kn", [8, 16])
     def test_fft_iterations_nonincreasing_in_m(self, kn):
@@ -199,6 +241,9 @@ class TestFixedPoint:
         p, rep = krylov.fixed_point(op, f, max_iters=50, tol=1e-10)
         assert rep.residual_history.size == rep.iterations + 1
         assert np.all(np.isfinite(rep.residual_history))
+        res = op.unpreconditioned(p.values) - f.values
+        assert rep.true_relative_residual == pytest.approx(
+            np.linalg.norm(res) / np.linalg.norm(f.values), rel=1e-12)
 
 
 class TestJacobiDiagonal:

@@ -122,14 +122,24 @@ class TestDiagonalization:
         assert err <= 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
+# every small length, plus 64, and 192 and 256, whose n + 1 is prime
+PARITY_NS = list(range(1, 34)) + [64, 192, 256]
+
+
 class TestFftMatchesDense:
-    @pytest.mark.parametrize("bc", transforms.BC_PAIRS)
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n,bc", [(n, bc) for n in PARITY_NS
+                                      for bc in transforms.BC_PAIRS
+                                      if bc != "PP" or n % 2 == 0])
     def test_apply_q_equals_dense_q(self, bc, n, rng):
         plan = transforms.make_plan(bc, n, 1.0, 1.0)
         Q = oracle.assemble_eigvector_matrix(bc, n)
-        v = rng.standard_normal(n)
-        np.testing.assert_allclose(transforms.apply_Q(plan, v), Q @ v,
-                                   atol=1e-11)
-        np.testing.assert_allclose(transforms.apply_Qt(plan, v), Q.T @ v,
-                                   atol=1e-11)
+        batch = rng.standard_normal((3, n))
+        # the transposed view is what a transform along x receives
+        transposed = rng.standard_normal((n, 3)).T
+        assert not transposed.flags.c_contiguous or n == 1
+        for V in (batch, transposed):
+            for got, want in ((transforms.apply_Q(plan, V), V @ Q.T),
+                              (transforms.apply_Qt(plan, V), V @ Q)):
+                assert got.shape == V.shape
+                err = np.abs(got - want).max()
+                assert err <= 1e-12 * np.abs(want).max()
