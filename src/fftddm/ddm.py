@@ -9,22 +9,32 @@ gives a system on the center alone,
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, so it is applied as
 a small line operator built from the arm's rectangle plan
-(`rectsolver.interface_operator`); the center and the arms' pre-solves
-and back-substitutions are FFT rectangle solves.
+(`rectsolver.interface_operator`); the arms' pre-solves and
+back-substitutions are FFT rectangle solves.
+
+The center's transform Q is orthogonal, so the fft-preconditioned system
+(I - A_c^{-1} S) p = A_c^{-1} f' is solved on the spectral coefficients
+p_hat = Q^T p, where it reads (I - T^{-1} Q^T S Q) p_hat = T^{-1} Q^T f'
+with T^{-1} the per-mode sweep.  Only the interface lines leave the
+Fourier basis there: a line along the transform axis is one line
+transform each way, a line across it one product with a row of Q and a
+rank-one update back.  Full-field transforms run twice per solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CompositeDomain, GridField, Interface, RectSubdomain, line_indices
+from .geometry import (CompositeDomain, GridField, Interface, RectSubdomain,
+                       edge_axis, line_indices)
 from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
-                         plan_rect, rect_diagonal, solve_rect)
-from . import krylov
+                         plan_rect, q_row, rect_diagonal, solve_rect, sweep)
+from . import krylov, rectsolver, transforms
 
 
 @dataclass(frozen=True)
@@ -90,16 +100,26 @@ class _Neighbor:
     line: np.ndarray            # center nodes paired with the arm's line
     weight: float               # coupling of R_{c,i} times that of R_{i,c}
     block: Callable             # A_i^{-1} restricted to the arm's line
+    across: bool                # line across the center's transform axis
+    slot: int                   # the line's place in SchurOperator's batch
 
 
 @dataclass(frozen=True)
 class SchurOperator:
-    """Matrix-free (A_c - sum S) on the coupled subdomain, FFT-backed."""
+    """Matrix-free (A_c - sum S) on the coupled subdomain, FFT-backed.
+
+    Each interface line is a whole center edge.  In the center's spectral
+    rows (ms, nt), a line along the transform axis is sweep row
+    `along_rows[slot]`; a line across it is transform column j, read
+    through `across_q[slot]`, row j of Q.
+    """
 
     coupled_id: int
     center: RectSubdomain
     center_plan: RectPlan
-    neighbors: tuple = field(default_factory=tuple)
+    neighbors: tuple
+    along_rows: np.ndarray
+    across_q: np.ndarray
 
     @property
     def size(self) -> int:
@@ -131,9 +151,42 @@ class SchurOperator:
         return apply_rect_operator(self.center, p) - self.schur(p)
 
     def preconditioned(self, p: np.ndarray) -> np.ndarray:
-        """(I - A_c^{-1} sum S) p."""
-        p = np.asarray(p, dtype=float)
-        return p - self.center_solve(self.schur(p))
+        """(I - A_c^{-1} sum S) p = Q M_hat Q^T p; see spectral_preconditioned."""
+        return self.to_nodal(self.spectral_preconditioned(self.to_spectral(p)))
+
+    def to_spectral(self, p: np.ndarray) -> np.ndarray:
+        """Q^T p: the center's spectral coefficients, flat."""
+        return rectsolver.to_spectral(self.center_plan, p).reshape(-1)
+
+    def to_nodal(self, p_hat: np.ndarray) -> np.ndarray:
+        """Q p_hat: the center's nodal values, flat."""
+        return rectsolver.to_nodal(self.center_plan, p_hat)
+
+    def spectral_rhs(self, f: np.ndarray) -> np.ndarray:
+        """Q^T A_c^{-1} f = T^{-1} Q^T f, flat."""
+        plan = self.center_plan
+        return sweep(plan, rectsolver.to_spectral(plan, f)).reshape(-1)
+
+    def spectral_preconditioned(self, p_hat: np.ndarray) -> np.ndarray:
+        """M_hat p_hat = p_hat - T^{-1} Q^T (sum S) Q p_hat on flat spectral
+        coefficients.  The lines along the transform axis are read and
+        written back by one batch of line transforms each way, the lines
+        across it by one product with their rows of Q each way; then one
+        sweep."""
+        plan = self.center_plan
+        p_hat = np.asarray(p_hat, dtype=float)
+        rows = p_hat.reshape(plan.beta.shape)
+        lines = (transforms.apply_Q(plan.y_plan, rows[self.along_rows]),
+                 (rows @ self.across_q.T).T)
+        out = tuple(np.empty_like(v) for v in lines)
+        for nb in self.neighbors:       # batch 0 along, batch 1 across
+            v = lines[nb.across][nb.slot]
+            out[nb.across][nb.slot] = nb.weight * nb.block(v)
+        s_hat = out[1].T @ self.across_q
+        for row, s in zip(self.along_rows,
+                          transforms.apply_Qt(plan.y_plan, out[0])):
+            s_hat[row] += s
+        return p_hat - sweep(plan, s_hat).reshape(-1)
 
 
 def apply_schur(op: SchurOperator, p: GridField) -> GridField:
@@ -170,20 +223,30 @@ def build_schur_operator(comp: CompositeDomain,
     if coupled_id is None:
         coupled_id = designate_center(comp)
     center = comp.subdomain(coupled_id)
-    neighbors = []
+    center_plan = plan_rect(center)
+    ms, nt = center_plan.beta.shape
+    neighbors, along_rows, across_q = [], [], []
     for iface in comp.interfaces_of(coupled_id):
         other, edge = iface.other_side(coupled_id)
         plan = plan_rect(comp.subdomain(other))
         to_c, from_c = (make_coupling(comp, iface, sid)
                         for sid in (other, coupled_id))
+        across = edge_axis(edge) == center_plan.transform_axis
+        batch = across_q if across else along_rows
         neighbors.append(_Neighbor(
             plan=plan, to_center=to_c, from_center=from_c,
             line=from_c.from_idx[np.argsort(from_c.to_idx)],
             weight=to_c.coupling * from_c.coupling,
-            block=interface_operator(plan, edge)))
-    return SchurOperator(coupled_id=coupled_id, center=center,
-                         center_plan=plan_rect(center),
-                         neighbors=tuple(neighbors))
+            block=interface_operator(plan, edge), across=across,
+            slot=len(batch)))
+        # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
+        first = iface.other_side(other)[1] in ("west", "south")
+        index = 0 if first else (nt if across else ms) - 1
+        batch.append(q_row(center_plan, index) if across else index)
+    return SchurOperator(
+        coupled_id=coupled_id, center=center, center_plan=center_plan,
+        neighbors=tuple(neighbors), along_rows=np.array(along_rows, dtype=int),
+        across_q=np.reshape(across_q, (len(across_q), nt)))
 
 
 def eliminate_arms(op: SchurOperator, f: dict):
@@ -229,10 +292,16 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
 
     if not comp.interfaces:
         (sub,) = comp.subdomains
-        p = solve_rect(plan_rect(sub), rhs[sub.id])
-        report = krylov.SolveReport(converged=True, iterations=0,
-                                    residual_history=np.zeros(1),
-                                    wall_time=0.0)
+        plan = plan_rect(sub)
+        start = time.perf_counter()
+        p = solve_rect(plan, rhs[sub.id])
+        wall_time = time.perf_counter() - start
+        res = np.linalg.norm(apply_rect_operator(sub, p.values) - rhs[sub.id])
+        f_norm = np.linalg.norm(rhs[sub.id])
+        report = krylov.SolveReport(
+            converged=True, iterations=0, residual_history=np.zeros(1),
+            wall_time=wall_time, true_residual=res,
+            true_relative_residual=res / f_norm if f_norm else 0.0)
         return {sub.id: p}, report
 
     op = build_schur_operator(comp, coupled_id=coupled_id)

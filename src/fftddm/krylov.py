@@ -5,7 +5,9 @@ classical Gram-Schmidt Arnoldi (each pass two matrix-vector products
 with the basis) and Givens-rotation least squares.  `solve_coupled`
 wires it to a Schur operator under one of three preconditioners:
 
-  * fft       solve (I - A_c^{-1} S) p = A_c^{-1} f'  (transformed system)
+  * fft       solve (I - A_c^{-1} S) p = A_c^{-1} f'  (transformed system),
+              on the center's spectral coefficients Q^T p; Q is orthogonal,
+              so iterates and residual norms are those of the nodal form
   * identity  solve (A_c - S) p = f'
   * jacobi    diagonally scale (A_c - S) by its probed diagonal
 
@@ -180,9 +182,11 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         raise ValidationError("right-hand side is not on the coupled subdomain")
     f = np.asarray(f_prime.values, dtype=float)
 
+    to_nodal = lambda x: x
     if cfg.preconditioner == "fft":
-        operator = op.preconditioned
-        rhs = op.center_solve(f)
+        operator = op.spectral_preconditioned
+        rhs = op.spectral_rhs(f)
+        to_nodal = op.to_nodal
     elif cfg.preconditioner == "identity":
         operator = op.unpreconditioned
         rhs = f
@@ -191,7 +195,12 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         operator = lambda v: op.unpreconditioned(v) / d
         rhs = f / d
 
-    x, report = gmres(operator, rhs, cfg=cfg)
+    try:
+        x, report = gmres(operator, rhs, cfg=cfg)
+    except ConvergenceError as err:
+        err.solution = to_nodal(err.solution)
+        raise
+    x = to_nodal(x)
     # log the untransformed residual as well
     true_res = np.linalg.norm(op.unpreconditioned(x) - f)
     f_norm = np.linalg.norm(f)

@@ -86,16 +86,24 @@ def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
 
 
 def _tridiag_solve(beta, lower, off, rhs):
-    """Solve with the factors from _factor_tridiag; rhs is (ms, nt)."""
-    ms = rhs.shape[0]
-    y = np.empty_like(rhs)
-    y[0] = rhs[0]
-    for i in range(1, ms):
-        y[i] = rhs[i] - lower[i] * y[i - 1]
-    x = np.empty_like(rhs)
-    x[ms - 1] = y[ms - 1] / beta[ms - 1]
-    for i in range(ms - 2, -1, -1):
-        x[i] = (y[i] - off * x[i + 1]) / beta[i]
+    """Solve with the factors from _factor_tridiag; rhs is (ms, nt).
+
+    Both sweeps update row views in place, two ufunc calls per row with
+    positional outputs and no temporaries; the pivots divide the whole
+    array once, between them.
+    """
+    x = np.array(rhs, dtype=float)
+    tmp = np.empty(x.shape[1:])
+    mul, sub = np.multiply, np.subtract
+    prev = x[0]
+    for row, mult in zip(x[1:], lower[1:]):
+        sub(row, mul(mult, prev, tmp), row)
+        prev = row
+    x /= beta
+    prev = x[-1]
+    for row, mult in zip(x[-2::-1], (off / beta)[-2::-1]):
+        sub(row, mul(mult, prev, tmp), row)
+        prev = row
     return x
 
 
@@ -217,17 +225,37 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     if plan.singular and not plan.pin_mean:
         raise SingularOperatorError("plan is singular")
 
-    grid = f.values.reshape(sub.m, sub.n)
+    values = to_nodal(plan, sweep(plan, to_spectral(plan, f.values)))
+    return GridField(subdomain_id=sub.id, values=values)
+
+
+def to_spectral(plan: RectPlan, values: np.ndarray) -> np.ndarray:
+    """Q^T of flat nodal values: spectral rows (ms, nt), one per sweep
+    position, each holding the nt transform coefficients."""
+    grid = np.asarray(values, dtype=float).reshape(plan.subdomain.m,
+                                                   plan.subdomain.n)
     if plan.transform_axis == "x":
         grid = grid.T
-    phat = _sweep(plan, transforms.apply_Qt(plan.y_plan, grid))
-    out = transforms.apply_Q(plan.y_plan, phat)
+    return transforms.apply_Qt(plan.y_plan, grid)
+
+
+def to_nodal(plan: RectPlan, phat: np.ndarray) -> np.ndarray:
+    """Q of spectral rows (ms, nt), or their flat form: flat nodal values."""
+    out = transforms.apply_Q(plan.y_plan, np.reshape(phat, plan.beta.shape))
     if plan.transform_axis == "x":
         out = out.T
-    return GridField(subdomain_id=sub.id, values=out.reshape(-1))
+    return out.reshape(-1)
 
 
-def _sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
+def q_row(plan: RectPlan, j: int) -> np.ndarray:
+    """Row j of the transform matrix Q: the coefficients that give the
+    nodal value at transform position j, Q^T e_j."""
+    unit = np.zeros(plan.y_plan.n)
+    unit[j] = 1.0
+    return transforms.apply_Qt(plan.y_plan, unit)
+
+
+def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
     phat = _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
     for k, M in zip(plan.singular_modes, plan.singular_dense):
@@ -255,10 +283,8 @@ def interface_operator(plan: RectPlan, edge: str):
     ms, nt = plan.beta.shape
     first = edge in ("west", "south")
     if edge_axis(edge) == plan.transform_axis:
-        unit = np.zeros(nt)
-        unit[0 if first else -1] = 1.0
-        q = transforms.apply_Qt(plan.y_plan, unit)           # row j of Q
-        return lambda v: _sweep(plan, np.outer(v, q)) @ q
+        q = q_row(plan, 0 if first else nt - 1)
+        return lambda v: sweep(plan, np.outer(v, q)) @ q
     if first:
         lam = plan.y_plan.eigenvalues
         far = "east" if edge == "west" else "north"

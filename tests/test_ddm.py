@@ -176,6 +176,13 @@ class TestDdmSolve:
         assert report.converged
         want = oracle.dense_lu_solve(oracle.assemble_rect_matrix(sub), f[0])
         np.testing.assert_allclose(fields[0].values, want, atol=1e-11)
+        assert report.wall_time > 0.0
+        res = np.linalg.norm(
+            rectsolver.apply_rect_operator(sub, fields[0].values) - f[0])
+        assert report.true_residual == pytest.approx(res, rel=1e-12)
+        assert report.true_relative_residual == pytest.approx(
+            res / np.linalg.norm(f[0]), rel=1e-12)
+        assert report.true_relative_residual <= 1e-12
 
     def test_two_rectangle_composite(self, rng):
         comp = two_rect_composite()
@@ -345,3 +352,57 @@ class TestLineOperators:
         want = oracle.dense_lu_solve(G, fvec)
         got = np.concatenate([fields[s.id].values for s in comp.subdomains])
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def spectral_cases():
+    """Composites covering both center transform axes and center lines
+    along and across the transform axis."""
+    cases = [pytest.param(star_composite(arms, **kw), 0, id=name)
+             for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())]
+    cases.append(pytest.param(star_mixed(8), 0, id="star-k8"))
+    cases.append(pytest.param(bench.build_cross(k_n=4).composite,
+                              bench.CENTER, id="cross-k4"))
+    return cases
+
+
+def nodal_preconditioned(op, p):
+    """(I - A_c^{-1} S) p by a full center solve, in nodal values."""
+    return p - op.center_solve(op.schur(p))
+
+
+class TestSpectralOperator:
+    @pytest.mark.parametrize("comp,cid", spectral_cases())
+    def test_matches_nodal_form(self, comp, cid, rng):
+        op = ddm.build_schur_operator(comp, coupled_id=cid)
+        for _ in range(3):
+            p_hat = rng.standard_normal(op.size)
+            want = op.to_spectral(nodal_preconditioned(op, op.to_nodal(p_hat)))
+            got = op.spectral_preconditioned(p_hat)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            p = rng.standard_normal(op.size)
+            want = nodal_preconditioned(op, p)
+            assert np.abs(op.preconditioned(p) - want).max() \
+                <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("comp,cid", spectral_cases())
+    def test_transform_is_orthogonal(self, comp, cid, rng):
+        op = ddm.build_schur_operator(comp, coupled_id=cid)
+        p = rng.standard_normal(op.size)
+        p_hat = op.to_spectral(p)
+        assert np.linalg.norm(p_hat) == pytest.approx(np.linalg.norm(p),
+                                                      rel=1e-13)
+        np.testing.assert_allclose(op.to_nodal(p_hat), p, rtol=0, atol=1e-13)
+        want = op.to_spectral(op.center_solve(p))
+        assert np.abs(op.spectral_rhs(p) - want).max() \
+            <= 1e-12 * np.abs(want).max()
+
+    def test_cases_cover_both_axes_and_line_kinds(self):
+        kinds = set()
+        for param in spectral_cases():
+            comp, cid = param.values
+            op = ddm.build_schur_operator(comp, coupled_id=cid)
+            kinds |= {(op.center_plan.transform_axis,
+                       "across" if nb.across else "along")
+                      for nb in op.neighbors}
+        assert kinds == {(axis, kind) for axis in ("x", "y")
+                         for kind in ("along", "across")}

@@ -7,6 +7,8 @@ from fftddm import bench, ddm, krylov, oracle
 from fftddm.errors import ConvergenceError, ValidationError
 from fftddm.geometry import GridField, line_indices
 
+from test_ddm import nodal_preconditioned, star_mixed
+
 
 def dense_schur(comp, cid):
     A2 = oracle.assemble_rect_matrix(comp.subdomain(cid))
@@ -209,6 +211,37 @@ class TestSolveCoupled:
             except ConvergenceError as exc:
                 iters[mode] = exc.report.iterations
         assert iters["fft"] < iters["jacobi"] <= iters["identity"]
+
+
+class TestSpectralGmres:
+    @pytest.mark.parametrize("comp,m", [
+        pytest.param(bench.build_cross(k_n=8).composite, 80, id="cross-k8"),
+        pytest.param(star_mixed(8), 10, id="star-k8-restarted"),
+    ])
+    def test_history_matches_nodal_form(self, comp, m):
+        op = ddm.build_schur_operator(comp)
+        f = GridField(op.coupled_id, np.random.default_rng(3).standard_normal(
+            op.size))
+        cfg = krylov.GmresConfig(m=m, tol=1e-10, max_restarts=50)
+        p, rep = krylov.solve_coupled(op, f, cfg)
+        want, ref = krylov.gmres(lambda p: nodal_preconditioned(op, p),
+                                 op.center_solve(f.values), cfg=cfg)
+        assert rep.iterations == ref.iterations
+        np.testing.assert_allclose(rep.residual_history, ref.residual_history,
+                                   rtol=1e-6)
+        assert np.abs(p.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_convergence_error_carries_nodal_solution(self, cross2, rng):
+        _, op = cross2
+        f = GridField(op.coupled_id, rng.standard_normal(op.size))
+        cfg = krylov.GmresConfig(m=2, tol=1e-15, max_restarts=1)
+        with pytest.raises(ConvergenceError) as got:
+            krylov.solve_coupled(op, f, cfg)
+        with pytest.raises(ConvergenceError) as want:
+            krylov.gmres(lambda p: nodal_preconditioned(op, p),
+                         op.center_solve(f.values), cfg=cfg)
+        np.testing.assert_allclose(got.value.solution, want.value.solution,
+                                   rtol=0, atol=1e-12)
 
 
 class TestFixedPoint:
