@@ -270,7 +270,7 @@ def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
     for kn in kn_list:
         case = build_cross(L=L, k_n=kn)
         op = ddm.build_schur_operator(case.composite)
-        rhs, _ = ddm.eliminate_arms(op, rhs_fields(case))
+        rhs = ddm.eliminate_arms(op, rhs_fields(case))
         for m in m_list:
             for precond in preconditioners:
                 cfg = krylov.GmresConfig(m=m, tol=tol,
@@ -328,7 +328,7 @@ def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5,
     for kn in kn_list:
         case = build_cross(L=L, k_n=kn)
         op = ddm.build_schur_operator(case.composite)
-        rhs, _ = ddm.eliminate_arms(op, rhs_fields(case))
+        rhs = ddm.eliminate_arms(op, rhs_fields(case))
         cfg = krylov.GmresConfig(m=m, tol=tol, preconditioner="fft")
         krylov.solve_coupled(op, rhs, cfg)  # warm-up
         per_iter = []

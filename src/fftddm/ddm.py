@@ -9,8 +9,9 @@ gives a system on the center alone,
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, so it is applied as
 a small line operator built from the arm's rectangle plan
-(`rectsolver.interface_operator`); the arms' pre-solves and
-back-substitutions are FFT rectangle solves.
+(`rectsolver.interface_operator`).  Each arm takes two FFT rectangle
+solves per composite solve: A_i^{-1} f_i to reduce the center's
+right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
 
 The center's transform Q is orthogonal, so the fft-preconditioned system
 (I - A_c^{-1} S) p = A_c^{-1} f' is solved on the spectral coefficients
@@ -45,7 +46,6 @@ class CouplingMap:
     adjacent node lines; every carried weight is the same `coupling`.
     """
 
-    interface: Interface
     from_id: int
     to_id: int
     from_size: int
@@ -77,19 +77,10 @@ def make_coupling(comp: CompositeDomain, iface: Interface,
     else:
         from_line = line_indices(sub_f, iface.side_b[1])[perm]
         to_line = line_indices(sub_t, iface.side_a[1])
-    return CouplingMap(interface=iface, from_id=from_id, to_id=to_id,
+    return CouplingMap(from_id=from_id, to_id=to_id,
                        from_size=sub_f.size, to_size=sub_t.size,
                        from_idx=from_line, to_idx=to_line,
                        coupling=iface.coupling)
-
-
-def apply_R(cmap: CouplingMap, v: GridField) -> GridField:
-    """R v: nonzeros only on the node line adjacent to the interface."""
-    if v.subdomain_id != cmap.from_id:
-        raise ValidationError(
-            f"field lives on subdomain {v.subdomain_id}, coupling expects "
-            f"{cmap.from_id}")
-    return GridField(cmap.to_id, cmap.apply(np.asarray(v.values, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -189,19 +180,6 @@ class SchurOperator:
         return p_hat - sweep(plan, s_hat).reshape(-1)
 
 
-def apply_schur(op: SchurOperator, p: GridField) -> GridField:
-    if p.subdomain_id != op.coupled_id:
-        raise ValidationError("field is not on the coupled subdomain")
-    return GridField(op.coupled_id, op.schur(np.asarray(p.values, dtype=float)))
-
-
-def apply_preconditioned_operator(op: SchurOperator, p: GridField) -> GridField:
-    if p.subdomain_id != op.coupled_id:
-        raise ValidationError("field is not on the coupled subdomain")
-    return GridField(op.coupled_id,
-                     op.preconditioned(np.asarray(p.values, dtype=float)))
-
-
 def designate_center(comp: CompositeDomain) -> int:
     """Pick the coupled subdomain: the unique one with >= 2 interfaces.
 
@@ -249,22 +227,19 @@ def build_schur_operator(comp: CompositeDomain,
         across_q=np.reshape(across_q, (len(across_q), nt)))
 
 
-def eliminate_arms(op: SchurOperator, f: dict):
-    """Pre-solve every arm, A_i q_i = f_i, and reduce the center's
-    right-hand side to f' = f_c - sum_i R_{c,i} q_i.
+def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
+    """The center's reduced right-hand side,
+    f' = f_c - sum_i R_{c,i} A_i^{-1} f_i.
 
-    `f` maps subdomain id to a GridField or flat array; returns
-    (f' as a GridField, {arm id: q_i}).
+    `f` maps subdomain id to a GridField or flat array.
     """
     fc = f[op.coupled_id]
     f_prime = np.array(fc.values if isinstance(fc, GridField) else fc,
                        dtype=float)
-    qs = {}
     for nb in op.neighbors:
-        sid = nb.plan.subdomain.id
-        qs[sid] = solve_rect(nb.plan, f[sid]).values
-        f_prime -= nb.to_center.apply(qs[sid])
-    return GridField(op.coupled_id, f_prime), qs
+        f_prime -= nb.to_center.apply(
+            solve_rect(nb.plan, f[nb.plan.subdomain.id]).values)
+    return GridField(op.coupled_id, f_prime)
 
 
 def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
@@ -281,6 +256,8 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
 
     rhs = {}
     for sub in comp.subdomains:
+        if sub.id not in f:
+            raise ValidationError(f"no right-hand side for subdomain {sub.id}")
         fi = f[sub.id]
         vals = np.asarray(fi.values if isinstance(fi, GridField) else fi,
                           dtype=float)
@@ -305,13 +282,12 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
         return {sub.id: p}, report
 
     op = build_schur_operator(comp, coupled_id=coupled_id)
-    f_prime, qs = eliminate_arms(op, rhs)
-    p_c, report = krylov.solve_coupled(op, f_prime, gmres_cfg)
+    p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
 
     fields = {op.coupled_id: p_c}
     for nb in op.neighbors:
-        # back-substitution: p_i = q_i - A_i^{-1} R_{i,c} p_c
+        # back-substitution: p_i = A_i^{-1} (f_i - R_{i,c} p_c)
         sid = nb.plan.subdomain.id
-        corr = solve_rect(nb.plan, nb.from_center.apply(p_c.values)).values
-        fields[sid] = GridField(sid, qs[sid] - corr)
+        fields[sid] = solve_rect(
+            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values))
     return fields, report

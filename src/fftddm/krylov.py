@@ -9,7 +9,8 @@ wires it to a Schur operator under one of three preconditioners:
               on the center's spectral coefficients Q^T p; Q is orthogonal,
               so iterates and residual norms are those of the nodal form
   * identity  solve (A_c - S) p = f'
-  * jacobi    diagonally scale (A_c - S) by its probed diagonal
+  * jacobi    diagonally scale (A_c - S) by its diagonal,
+              `SchurOperator.diagonal`
 
 `fixed_point` is the plain iteration p <- A_c^{-1}(S p + f'), kept for
 comparison runs; it may diverge and says so instead of raising.
@@ -191,22 +192,25 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         operator = op.unpreconditioned
         rhs = f
     else:  # jacobi
-        d = jacobi_diagonal(op)
+        d = op.diagonal()
         operator = lambda v: op.unpreconditioned(v) / d
         rhs = f / d
 
-    try:
-        x, report = gmres(operator, rhs, cfg=cfg)
-    except ConvergenceError as err:
-        err.solution = to_nodal(err.solution)
-        raise
-    x = to_nodal(x)
-    # log the untransformed residual as well
-    true_res = np.linalg.norm(op.unpreconditioned(x) - f)
     f_norm = np.linalg.norm(f)
-    report = replace(
-        report, true_residual=true_res,
-        true_relative_residual=true_res / f_norm if f_norm else 0.0)
+
+    def nodal(x, report):
+        """x in nodal values, and the report with ||(A_c - S) x - f'||."""
+        x = to_nodal(x)
+        res = np.linalg.norm(op.unpreconditioned(x) - f)
+        return x, replace(report, true_residual=res,
+                          true_relative_residual=res / f_norm if f_norm
+                          else 0.0)
+
+    try:
+        x, report = nodal(*gmres(operator, rhs, cfg=cfg))
+    except ConvergenceError as err:
+        err.solution, err.report = nodal(err.solution, err.report)
+        raise
     return GridField(op.coupled_id, x), report
 
 
@@ -250,7 +254,3 @@ def fixed_point(op, f_prime: GridField, max_iters: int = 1000,
                          true_relative_residual=history[-1])
     return GridField(op.coupled_id, p), report
 
-
-def jacobi_diagonal(op) -> np.ndarray:
-    """diag(A_c - S) of a Schur operator (see SchurOperator.diagonal)."""
-    return op.diagonal()

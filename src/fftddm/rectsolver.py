@@ -42,9 +42,6 @@ class RectPlan:
     lower: np.ndarray            # (ms, nt) subdiagonal multipliers
     cyclic: bool
     sm: tuple | None             # cyclic wrap correction, see _factor
-    singular_modes: tuple
-    singular_dense: tuple
-    pin_mean: bool
 
     @property
     def x_solver_kind(self) -> str:
@@ -52,37 +49,20 @@ class RectPlan:
             return "cyclic"
         return "corner-modified" if self.solve_pair == "NN" else "standard-tridiagonal"
 
-    @property
-    def singular(self) -> bool:
-        return bool(self.singular_modes)
-
 
 def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
     """Vectorized LU of tridiag(off, diag[i], off) per column; returns
-    (beta, lower, bad-column mask).
-
-    The plain recurrence runs first; only when a pivot ends up below tol
-    is the factorization redone with the bad columns held at unit pivots.
+    (beta, lower, bad-column mask), a column being bad when one of its
+    pivots is below tol.
     """
-    ms, nt = diag.shape
     beta = np.empty_like(diag)
     lower = np.zeros_like(diag)
     beta[0] = diag[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, ms):
+        for i in range(1, diag.shape[0]):
             lower[i] = off / beta[i - 1]
             beta[i] = diag[i] - off * lower[i]
-    if np.all(np.abs(beta) >= tol):
-        return beta, lower, np.zeros(nt, dtype=bool)
-    bad = np.abs(beta[0]) < tol
-    safe = np.where(bad, 1.0, beta[0])
-    for i in range(1, ms):
-        lower[i] = off / safe
-        beta[i] = diag[i] - off * lower[i]
-        bad |= np.abs(beta[i]) < tol
-        safe = np.where(bad, 1.0, beta[i])
-        beta[i] = safe
-    return beta, lower, bad
+    return beta, lower, ~np.all(np.abs(beta) >= tol, axis=0)
 
 
 def _tridiag_solve(beta, lower, off, rhs):
@@ -141,12 +121,11 @@ def _factored_solve(beta, lower, off, sm, rhs):
     return x
 
 
-def plan_rect(subdomain: RectSubdomain, pin_mean: bool = False) -> RectPlan:
+def plan_rect(subdomain: RectSubdomain) -> RectPlan:
     """Build the spectral plan and the per-mode tridiagonal factorizations.
 
     Raises SingularOperatorError for a singular operator (e.g. an
-    all-Neumann rectangle with kappa = 0) unless pin_mean is set, in which
-    case singular modes are solved in the minimum-norm sense.
+    all-Neumann rectangle with kappa = 0).
     """
     sub = subdomain
     if _transformable(sub, "y"):
@@ -185,30 +164,14 @@ def plan_rect(subdomain: RectSubdomain, pin_mean: bool = False) -> RectPlan:
     tol = _PIVOT_RTOL * max(np.abs(lam).max(), delta_s)
     beta, lower, off, sm, bad = _factor(diag, delta_s, cyclic, tol)
 
-    singular_modes: tuple = ()
-    singular_dense: tuple = ()
     if np.any(bad):
-        singular_modes = tuple(int(k) for k in np.nonzero(bad)[0])
-        if not pin_mean:
-            raise SingularOperatorError(
-                f"subdomain {sub.id}: operator singular in spectral modes "
-                f"{singular_modes} (all-Neumann/periodic with kappa = 0?)")
-        mats = []
-        for k in singular_modes:
-            M = np.diag(diag[:, k])
-            idx = np.arange(ms - 1)
-            M[idx, idx + 1] += delta_s
-            M[idx + 1, idx] += delta_s
-            if cyclic:
-                M[0, ms - 1] += delta_s
-                M[ms - 1, 0] += delta_s
-            mats.append(M)
-        singular_dense = tuple(mats)
-
+        raise SingularOperatorError(
+            f"subdomain {sub.id}: operator singular in spectral modes "
+            f"{np.nonzero(bad)[0].tolist()} (all-Neumann/periodic with "
+            f"kappa = 0?)")
     return RectPlan(subdomain=sub, transform_axis=axis, y_plan=plan,
                     solve_pair=s_pair, off=off, beta=beta, lower=lower,
-                    cyclic=cyclic, sm=sm, singular_modes=singular_modes,
-                    singular_dense=singular_dense, pin_mean=pin_mean)
+                    cyclic=cyclic, sm=sm)
 
 
 def solve_rect(plan: RectPlan, f: GridField) -> GridField:
@@ -222,8 +185,6 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     if f.values.size != sub.size:
         raise ValueError(
             f"field length {f.values.size} != {sub.m} x {sub.n}")
-    if plan.singular and not plan.pin_mean:
-        raise SingularOperatorError("plan is singular")
 
     values = to_nodal(plan, sweep(plan, to_spectral(plan, f.values)))
     return GridField(subdomain_id=sub.id, values=values)
@@ -257,10 +218,7 @@ def q_row(plan: RectPlan, j: int) -> np.ndarray:
 
 def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
-    phat = _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
-    for k, M in zip(plan.singular_modes, plan.singular_dense):
-        phat[:, k] = np.linalg.lstsq(M, fhat[:, k], rcond=None)[0]
-    return phat
+    return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
 
 
 def interface_operator(plan: RectPlan, edge: str):
@@ -278,8 +236,6 @@ def interface_operator(plan: RectPlan, edge: str):
       values v are swept as v (x) Q[j, :] and contracted with Q[j, :],
       one transform-free sweep per apply.
     """
-    if plan.singular:
-        raise SingularOperatorError("plan is singular")
     ms, nt = plan.beta.shape
     first = edge in ("west", "south")
     if edge_axis(edge) == plan.transform_axis:
@@ -296,31 +252,6 @@ def interface_operator(plan: RectPlan, edge: str):
         t = 1.0 / plan.beta[-1]
     return lambda v: transforms.apply_Q(
         plan.y_plan, t * transforms.apply_Qt(plan.y_plan, v))
-
-
-def thomas_solve(diag: np.ndarray, off: float, rhs: np.ndarray,
-                 kind: str = "standard") -> np.ndarray:
-    """Direct solve of a (possibly corner-modified or cyclic) tridiagonal
-    system with constant off-diagonal `off`.
-
-    kind 'standard': tridiag(off, diag, off).
-    kind 'corner':   diagonal gains +off at both ends (Neumann sweep axis).
-    kind 'cyclic':   additional wrap-around entries `off` in the corners.
-    """
-    diag = np.asarray(diag, dtype=float).copy()
-    rhs = np.asarray(rhs, dtype=float)
-    m = diag.size
-    if kind == "corner":
-        diag[0] += off
-        diag[-1] += off
-    elif kind == "cyclic" and m == 1:
-        diag[0] += 2.0 * off          # both wrap-around entries land here
-    tol = _PIVOT_RTOL * max(np.abs(diag).max(), abs(off), 1.0)
-    beta, lower, off, sm, bad = _factor(diag[:, None], off,
-                                        kind == "cyclic" and m > 1, tol)
-    if bad[0]:
-        raise SingularOperatorError(f"singular {kind} tridiagonal system")
-    return _factored_solve(beta, lower, off, sm, rhs[:, None])[:, 0]
 
 
 def rect_diagonal(sub: RectSubdomain) -> np.ndarray:

@@ -54,9 +54,6 @@ class SpectralPlan:
 
     bc: str
     n: int
-    delta_t: float
-    delta_o: float
-    kappa: float
     eigenvalues: np.ndarray
     twiddles: tuple
 
@@ -93,8 +90,7 @@ def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
     twiddles = _twiddles(bc, n)
     for a in (lam, *twiddles):
         a.setflags(write=False)
-    return SpectralPlan(bc=bc, n=n, delta_t=delta_t, delta_o=delta_o,
-                        kappa=kappa, eigenvalues=lam, twiddles=twiddles)
+    return SpectralPlan(bc=bc, n=n, eigenvalues=lam, twiddles=twiddles)
 
 
 # ---------------------------------------------------------------------------

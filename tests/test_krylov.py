@@ -243,6 +243,21 @@ class TestSpectralGmres:
         np.testing.assert_allclose(got.value.solution, want.value.solution,
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("precond", ["fft", "jacobi"])
+    def test_convergence_error_reports_nodal_residuals(self, precond):
+        case = bench.build_cross(k_n=8)
+        op = ddm.build_schur_operator(case.composite)
+        f = ddm.eliminate_arms(op, bench.rhs_fields(case))
+        cfg = krylov.GmresConfig(m=3, max_restarts=2, preconditioner=precond)
+        with pytest.raises(ConvergenceError) as err:
+            krylov.solve_coupled(op, f, cfg)
+        res = np.linalg.norm(op.unpreconditioned(err.value.solution)
+                             - f.values)
+        rep = err.value.report
+        assert rep.true_residual == pytest.approx(res, rel=1e-12)
+        assert rep.true_relative_residual == pytest.approx(
+            res / np.linalg.norm(f.values), rel=1e-12)
+
 
 class TestFixedPoint:
     def test_zero_rhs(self):
@@ -285,13 +300,13 @@ class TestJacobiDiagonal:
         comp = bench.build_cross(k_n=kn).composite
         op = ddm.build_schur_operator(comp)
         A2, S = dense_schur(comp, op.coupled_id)
-        np.testing.assert_allclose(krylov.jacobi_diagonal(op),
+        np.testing.assert_allclose(op.diagonal(),
                                    np.diag(A2 - S), atol=tol)
 
     def test_sampled_entries_at_kn32(self, rng):
         comp = bench.build_cross(k_n=32).composite  # center 64 x 128 nodes
         op = ddm.build_schur_operator(comp)
-        d = krylov.jacobi_diagonal(op)
+        d = op.diagonal()
         lines = [line_indices(op.center, e)
                  for e in ("west", "east", "south", "north")]
         sample = np.concatenate(

@@ -27,52 +27,6 @@ def pair_cases(max_mn=8):
             yield x_pair, y_pair, m, n, kappa
 
 
-class TestThomasSolve:
-    def test_standard_example(self):
-        x = rectsolver.thomas_solve(np.full(3, -2.0), 1.0,
-                                    np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(x, [-0.75, -0.5, -0.25])
-
-    def test_zero_rhs(self):
-        x = rectsolver.thomas_solve(np.full(6, -2.0), 1.0, np.zeros(6))
-        assert not x.any()
-
-    def test_cyclic_m4(self):
-        x = rectsolver.thomas_solve(np.full(4, -3.0), 1.0, np.ones(4),
-                                    kind="cyclic")
-        np.testing.assert_allclose(x, [-1.0, -1.0, -1.0, -1.0])
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
-    def test_cyclic_matches_dense(self, m, rng):
-        diag = -3.0 + 0.1 * rng.standard_normal(m)
-        rhs = rng.standard_normal(m)
-        M = np.diag(diag)
-        for i in range(m):
-            M[i, (i - 1) % m] += 1.0
-            M[i, (i + 1) % m] += 1.0
-        x = rectsolver.thomas_solve(diag, 1.0, rhs, kind="cyclic")
-        np.testing.assert_allclose(x, np.linalg.solve(M, rhs), atol=1e-11)
-
-    def test_corner_modification(self):
-        # corner kind adds +off at both diagonal ends
-        diag = np.array([-4.0, -4.0, -4.0])
-        x = rectsolver.thomas_solve(diag, 1.0, np.ones(3), kind="corner")
-        M = np.array([[-3.0, 1, 0], [1, -4.0, 1], [0, 1, -3.0]])
-        np.testing.assert_allclose(x, np.linalg.solve(M, np.ones(3)))
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_singular_cyclic_raises(self, m):
-        # the periodic second difference has the constant null vector
-        with pytest.raises(SingularOperatorError):
-            rectsolver.thomas_solve(np.full(m, -2.0), 1.0, np.ones(m),
-                                    kind="cyclic")
-
-    def test_zero_pivot_raises(self):
-        with pytest.raises(SingularOperatorError):
-            rectsolver.thomas_solve(np.zeros(2), 1.0, np.ones(2),
-                                    kind="corner")
-
-
 class TestPlanRect:
     def test_1x1_dd_scalar(self):
         plan = rectsolver.plan_rect(make_rect(1, 1))
@@ -92,14 +46,13 @@ class TestPlanRect:
         with pytest.raises(SingularOperatorError):
             rectsolver.plan_rect(make_rect(3, 3, "NN", "NN"))
 
-    def test_pin_mean_returns_zero_mean_solution(self):
-        sub = make_rect(3, 3, "NN", "NN")
-        plan = rectsolver.plan_rect(sub, pin_mean=True)
-        f = np.arange(9.0) - 4.0  # mean-zero RHS
-        p = rectsolver.solve_rect(plan, f)
-        res = rectsolver.apply_rect_operator(sub, p.values) - f
-        assert np.abs(res).max() < 1e-10
-        assert abs(p.values.mean()) < 1e-12
+    @pytest.mark.parametrize("x_pair,y_pair,m", [
+        ("PP", "PP", 2), ("PP", "PP", 4), ("PP", "NN", 4)])
+    def test_periodic_sweep_kappa_zero_is_singular(self, x_pair, y_pair, m):
+        # the constant mode of a periodic sweep: a doubled wrap at m = 2,
+        # the Sherman-Morrison denominator past that
+        with pytest.raises(SingularOperatorError):
+            rectsolver.plan_rect(make_rect(m, 4, x_pair, y_pair))
 
 
 class TestSolveRect:
@@ -211,12 +164,6 @@ class TestInterfaceOperator:
         block = rectsolver.interface_operator(plan, edge)
         got = np.column_stack([block(e) for e in np.eye(line.size)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_singular_plan_rejected(self):
-        plan = rectsolver.plan_rect(make_rect(4, 4, "NN", "NN"),
-                                    pin_mean=True)
-        with pytest.raises(SingularOperatorError):
-            rectsolver.interface_operator(plan, "west")
 
 
 class TestFactorTridiag:
