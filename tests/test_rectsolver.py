@@ -173,3 +173,83 @@ class TestFactorTridiag:
         assert list(bad) == [False, True]
         np.testing.assert_array_equal(beta[:, 0], [-2.0, -1.5])
         np.testing.assert_array_equal(lower[:, 0], [0.0, -0.5])
+
+
+def column_factors(diag, off, cyclic=False):
+    """_factor of one column; returns (beta, lower, off, sm, bad)."""
+    return rectsolver._factor(np.asarray(diag, dtype=float)[:, None], off,
+                              cyclic, 1e-13)
+
+
+def factored(diag, off, rhs, cyclic=False):
+    """One-column solve through _factor and _factored_solve, the path
+    every sweep takes."""
+    beta, lower, off, sm, bad = column_factors(diag, off, cyclic)
+    assert not bad.any()
+    x = rectsolver._factored_solve(beta, lower, off, sm,
+                                   np.asarray(rhs, dtype=float)[:, None])
+    return x[:, 0]
+
+
+def dense_tridiag(diag, off, cyclic):
+    m = len(diag)
+    M = np.diag(np.asarray(diag, dtype=float))
+    for i in range(m):
+        if cyclic or i > 0:
+            M[i, (i - 1) % m] += off
+        if cyclic or i < m - 1:
+            M[i, (i + 1) % m] += off
+    return M
+
+
+class TestFactoredSolve:
+    def test_standard_example(self):
+        x = factored(np.full(3, -2.0), 1.0, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(x, [-0.75, -0.5, -0.25])
+
+    def test_zero_rhs(self):
+        x = factored(np.full(6, -2.0), 1.0, np.zeros(6))
+        assert not x.any()
+
+    def test_cyclic_m4(self):
+        x = factored(np.full(4, -3.0), 1.0, np.ones(4), cyclic=True)
+        np.testing.assert_allclose(x, [-1.0, -1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
+    def test_cyclic_matches_dense(self, m, rng):
+        # m = 2 wraps both corners onto the single off-diagonal pair
+        diag = -3.0 + 0.1 * rng.standard_normal(m)
+        rhs = rng.standard_normal(m)
+        x = factored(diag, 1.0, rhs, cyclic=True)
+        np.testing.assert_allclose(
+            x, np.linalg.solve(dense_tridiag(diag, 1.0, True), rhs),
+            atol=1e-11)
+
+    def test_corner_modified_ends(self):
+        # a Neumann sweep axis adds +off at both diagonal ends
+        x = factored([-3.0, -4.0, -3.0], 1.0, np.ones(3))
+        M = np.array([[-3.0, 1, 0], [1, -4.0, 1], [0, 1, -3.0]])
+        np.testing.assert_allclose(x, np.linalg.solve(M, np.ones(3)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_singular_cyclic_flagged(self, m):
+        # the periodic second difference has the constant null vector
+        assert column_factors(np.full(m, -2.0), 1.0, cyclic=True)[-1].all()
+
+    def test_zero_pivot_flagged(self):
+        assert column_factors([1.0, 1.0], 1.0)[-1].all()
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_columns_solve_independently(self, cyclic, rng):
+        m, nt = 6, 5
+        diag = -3.0 + 0.2 * rng.standard_normal((m, nt))
+        rhs = rng.standard_normal((m, nt))
+        beta, lower, off, sm, bad = rectsolver._factor(diag, 0.7, cyclic,
+                                                       1e-13)
+        assert not bad.any()
+        x = rectsolver._factored_solve(beta, lower, off, sm, rhs)
+        for k in range(nt):
+            M = dense_tridiag(diag[:, k], 0.7, cyclic)
+            np.testing.assert_allclose(x[:, k],
+                                       np.linalg.solve(M, rhs[:, k]),
+                                       atol=1e-12)
