@@ -1,8 +1,7 @@
 """Compare GMRES preconditioners on the coupled interface system.
 
 Runs the Schur-complement solve of the cross benchmark under the three
-available preconditioners and the plain fixed-point iteration, and prints
-their iteration counts side by side.
+available preconditioners and prints their iteration counts side by side.
 """
 
 from fftddm import bench, ddm, krylov
@@ -28,10 +27,6 @@ def run(k_n=16, tol=1e-7):
             iters = exc.report.iterations
             note = "  (cap reached)"
         print(f"  {mode:<9s} {iters:>5d} iterations{note}")
-
-    _, rep = krylov.fixed_point(op, rhs, max_iters=2000, tol=tol)
-    state = "converged" if rep.converged else "did not converge"
-    print(f"  fixed-point iteration: {rep.iterations} steps, {state}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Layers, bottom up:
   transforms  FFT-realized eigenbasis transforms per boundary pair
   rectsolver  direct solver on a single rectangle (transform + tridiagonal)
   ddm         interface couplings and the matrix-free Schur operator
-  krylov      restarted GMRES, fixed-point iteration, preconditioners
+  krylov      restarted GMRES and its preconditioners
   oracle      dense brute-force references used by the tests
   bench       cross-shaped benchmark with a manufactured solution, CLI studies
 """

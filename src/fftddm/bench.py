@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import (BoundaryKind, CompositeDomain, GridField,
@@ -123,42 +125,29 @@ def build_cross(L: float = 1.0 / 7.0, k_n: int = 1, kappa: float = 0.0,
 # ---------------------------------------------------------------------------
 # manufactured solution
 
-def _psi_x(case: CrossCase, x):
-    A1, A2, A3, *_ = case.psi_coeffs
+def _psi(case: CrossCase, t, axis: str, order: int = 0):
+    """The order-th derivative of the phase cubic psi_x or psi_y at t,
+
+        psi(t) = t (c1 + c2 (t - r1) + c3 (t - r1) (t - r2)),
+
+    with (c1, c2, c3) = (A1, A2, A3) and r = (L, 3L) on x, (B1, B2, B3)
+    and r = (2L, 6L) on y."""
     L = case.L
-    return x * (A1 + A2 * (x - L) + A3 * (x * x - 4 * L * x + 3 * L * L))
+    c1, c2, c3 = case.psi_coeffs[:3] if axis == "x" else case.psi_coeffs[3:]
+    r1, r2 = (L, 3 * L) if axis == "x" else (2 * L, 6 * L)
+    s = Polynomial([0.0, 1.0])
+    psi = s * (c1 + c2 * (s - r1) + c3 * (s - r1) * (s - r2))
+    return psi.deriv(order)(t)
 
 
-def _psi_x_prime(case: CrossCase, x):
-    A1, A2, A3, *_ = case.psi_coeffs
-    L = case.L
-    return A1 + A2 * (2 * x - L) + A3 * (3 * x * x - 8 * L * x + 3 * L * L)
+_psi_x = partial(_psi, axis="x")
+_psi_x_prime = partial(_psi, axis="x", order=1)
+_psi_y = partial(_psi, axis="y")
+_psi_y_prime = partial(_psi, axis="y", order=1)
 
 
-def _psi_x_second(case: CrossCase, x):
-    _, A2, A3, *_ = case.psi_coeffs
-    return 2 * A2 + A3 * (6 * x - 8 * case.L)
-
-
-def _psi_y(case: CrossCase, y):
-    *_, B1, B2, B3 = case.psi_coeffs
-    L = case.L
-    return y * (B1 + B2 * (y - 2 * L) + B3 * (y * y - 8 * L * y + 12 * L * L))
-
-
-def _psi_y_prime(case: CrossCase, y):
-    *_, B1, B2, B3 = case.psi_coeffs
-    L = case.L
-    return B1 + B2 * (2 * y - 2 * L) + B3 * (3 * y * y - 16 * L * y + 12 * L * L)
-
-
-def _psi_y_second(case: CrossCase, y):
-    *_, _B1, B2, B3 = case.psi_coeffs
-    return 2 * B2 + B3 * (6 * y - 16 * case.L)
-
-
-def inside_cross(case: CrossCase, x, y, tol: float = 1e-12) -> np.ndarray:
-    """True where (x, y) lies in the closed cross-shaped union."""
+def _require_inside(case: CrossCase, x, y, tol: float = 1e-12):
+    """Raise unless every (x, y) lies in the closed cross-shaped union."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok = np.zeros(np.broadcast(x, y).shape, dtype=bool)
@@ -166,11 +155,7 @@ def inside_cross(case: CrossCase, x, y, tol: float = 1e-12) -> np.ndarray:
         x0, x1, y0, y1 = sub.extent()
         ok |= ((x >= x0 - tol) & (x <= x1 + tol)
                & (y >= y0 - tol) & (y <= y1 + tol))
-    return ok
-
-
-def _require_inside(case, x, y):
-    if not np.all(inside_cross(case, x, y)):
+    if not ok.all():
         raise ValidationError("point lies outside the cross domain")
 
 
@@ -183,10 +168,10 @@ def manufactured_solution(case: CrossCase, x, y):
 def manufactured_rhs(case: CrossCase, x, y):
     """Laplacian of the analytic solution, plus kappa * p if shifted."""
     _require_inside(case, x, y)
-    sx, cx = np.sin(_psi_x(case, x)), np.cos(_psi_x(case, x))
-    sy, cy = np.sin(_psi_y(case, y)), np.cos(_psi_y(case, y))
-    px, ppx = _psi_x_prime(case, x), _psi_x_second(case, x)
-    py, ppy = _psi_y_prime(case, y), _psi_y_second(case, y)
+    ax, px, ppx = (_psi(case, x, "x", k) for k in range(3))
+    ay, py, ppy = (_psi(case, y, "y", k) for k in range(3))
+    sx, cx = np.sin(ax), np.cos(ax)
+    sy, cy = np.sin(ay), np.cos(ay)
     f = (ppx * cx - px * px * sx) * sy + sx * (ppy * cy - py * py * sy)
     if case.kappa:
         f = f + case.kappa * sx * sy

@@ -133,9 +133,6 @@ class SchurOperator:
             d[nb.line] -= nb.weight * np.diag(probes)
         return d
 
-    def center_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_rect(self.center_plan, np.asarray(rhs, dtype=float)).values
-
     def unpreconditioned(self, p: np.ndarray) -> np.ndarray:
         """(A_c - sum S) p."""
         p = np.asarray(p, dtype=float)
@@ -196,10 +193,9 @@ def designate_center(comp: CompositeDomain) -> int:
     return min(s.id for s in comp.subdomains)
 
 
-def build_schur_operator(comp: CompositeDomain,
-                         coupled_id: int | None = None) -> SchurOperator:
-    if coupled_id is None:
-        coupled_id = designate_center(comp)
+def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
+    """The Schur operator on the center, `designate_center`'s choice."""
+    coupled_id = designate_center(comp)
     center = comp.subdomain(coupled_id)
     center_plan = plan_rect(center)
     ms, nt = center_plan.beta.shape
@@ -242,12 +238,12 @@ def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
     return GridField(op.coupled_id, f_prime)
 
 
-def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
-              coupled_id: int | None = None):
+def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
 
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides.  Single-rectangle composites bypass the Schur machinery.
+    sides.  The coupled subdomain is `designate_center`'s choice.
+    Single-rectangle composites bypass the Schur machinery.
     """
     from .geometry import validate
     validate(comp).require()
@@ -281,7 +277,7 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None,
             true_relative_residual=res / f_norm if f_norm else 0.0)
         return {sub.id: p}, report
 
-    op = build_schur_operator(comp, coupled_id=coupled_id)
+    op = build_schur_operator(comp)
     p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
 
     fields = {op.coupled_id: p_c}

@@ -139,22 +139,6 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float).ravel()
 
 
-def linear_index(subdomain: RectSubdomain, i: int, j: int) -> int:
-    """Flat index of node (i, j), 1-based, i along x, j along y."""
-    if not (1 <= i <= subdomain.m and 1 <= j <= subdomain.n):
-        raise IndexError(
-            f"node ({i}, {j}) outside grid {subdomain.m} x {subdomain.n}"
-        )
-    return (i - 1) * subdomain.n + (j - 1)
-
-
-def node_of(subdomain: RectSubdomain, flat: int) -> tuple[int, int]:
-    """Inverse of linear_index."""
-    if not (0 <= flat < subdomain.size):
-        raise IndexError(f"flat index {flat} outside [0, {subdomain.size})")
-    return flat // subdomain.n + 1, flat % subdomain.n + 1
-
-
 def line_indices(subdomain: RectSubdomain, edge: str) -> np.ndarray:
     """Flat indices of the node line adjacent to `edge`, in tangential order."""
     m, n = subdomain.m, subdomain.n
@@ -223,10 +207,6 @@ class CompositeDomain:
     @property
     def coupled_ids(self) -> set:
         return {s.id for s in self.subdomains if len(self.interfaces_of(s.id)) >= 2}
-
-    @property
-    def independent_ids(self) -> set:
-        return {s.id for s in self.subdomains if len(self.interfaces_of(s.id)) == 1}
 
 
 def _edge_line_geometry(sub: RectSubdomain, edge: str):
@@ -394,53 +374,83 @@ def make_interface(iface_id: int, sub_a: RectSubdomain, edge_a: str,
 _BC_NAMES = {k.value: k for k in BoundaryKind}
 
 
+def _values(sec, key: str, kinds: tuple) -> list:
+    """The whitespace-separated values of `key`, one per type in `kinds`."""
+    tokens = sec[key].split()
+    if len(tokens) != len(kinds):
+        raise ValueError(f"{key} = {sec[key]!r} needs {len(kinds)} values")
+    return [kind(t) for kind, t in zip(kinds, tokens)]
+
+
+def _edge(name: str) -> str:
+    if name not in EDGES:
+        raise ValueError(f"unknown edge {name!r}")
+    return name
+
+
 def load_composite(path) -> CompositeDomain:
     """Read a composite domain from a plain-text key-value config file.
 
     See README for the schema: one ``[subdomain <id>]`` section per
     rectangle and one ``[interface <id>]`` section per shared edge.
     Coupling strengths and node pairings are derived from the geometry.
+    A malformed file raises ValidationError naming the section.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
         parser.read_file(fh)
 
-    default_kappa = parser.getfloat("domain", "kappa", fallback=0.0) \
-        if parser.has_section("domain") else 0.0
+    try:
+        default_kappa = parser.getfloat("domain", "kappa", fallback=0.0)
+    except ValueError as exc:
+        raise ValidationError(f"config section [domain]: {exc}") from None
 
     subdomains = []
     iface_specs = []
     for section in parser.sections():
-        parts = section.split()
-        if parts[0] == "subdomain":
-            sid = int(parts[1])
-            sec = parser[section]
-            ox, oy = (float(t) for t in sec["origin"].split())
-            m, n = (int(t) for t in sec["cells"].split())
-            dx, dy = (float(t) for t in sec["spacing"].split())
+        kind, *ids = section.split() or [""]
+        if kind == "domain":
+            continue
+        if kind not in ("subdomain", "interface"):
+            raise ValidationError(f"unknown config section {section!r}")
+        sec = parser[section]
+        try:
+            if len(ids) != 1:
+                raise ValueError("the section name needs one id")
+            sid = int(ids[0])
+            if kind == "interface":
+                iface_specs.append((section, sid) + tuple(
+                    _values(sec, key, (int, _edge))
+                    for key in ("first", "second")))
+                continue
+            ox, oy = _values(sec, "origin", (float, float))
+            m, n = _values(sec, "cells", (int, int))
+            dx, dy = _values(sec, "spacing", (float, float))
             bc = {}
             for edge in EDGES:
                 name = sec[edge].strip().lower()
                 if name not in _BC_NAMES:
-                    raise ValidationError(
-                        f"subdomain {sid}: unknown boundary kind {name!r}")
+                    raise ValueError(f"unknown boundary kind {name!r}")
                 bc[edge] = _BC_NAMES[name]
-            half = frozenset(sec.get("half_cell_dirichlet", "").split())
-            subdomains.append(RectSubdomain(
-                id=sid, origin=(ox, oy), m=m, n=n, dx=dx, dy=dy,
-                edge_bc=bc, kappa=sec.getfloat("kappa", default_kappa),
-                half_cell_dirichlet=half))
-        elif parts[0] == "interface":
-            sec = parser[section]
-            fa = sec["first"].split()
-            fb = sec["second"].split()
-            iface_specs.append((int(parts[1]), (int(fa[0]), fa[1]),
-                                (int(fb[0]), fb[1])))
-        elif parts[0] != "domain":
-            raise ValidationError(f"unknown config section {section!r}")
+            half = frozenset(map(_edge, sec.get("half_cell_dirichlet",
+                                                "").split()))
+            kappa = sec.getfloat("kappa", default_kappa)
+        except KeyError as exc:
+            raise ValidationError(
+                f"config section [{section}]: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValidationError(
+                f"config section [{section}]: {exc}") from None
+        subdomains.append(RectSubdomain(
+            id=sid, origin=(ox, oy), m=m, n=n, dx=dx, dy=dy, edge_bc=bc,
+            kappa=kappa, half_cell_dirichlet=half))
 
     comp = CompositeDomain(subdomains=subdomains, interfaces=[])
-    for iid, (sa, ea), (sb, eb) in iface_specs:
-        comp.interfaces.append(
-            make_interface(iid, comp.subdomain(sa), ea, comp.subdomain(sb), eb))
+    for section, iid, (sa, ea), (sb, eb) in iface_specs:
+        try:
+            sub_a, sub_b = comp.subdomain(sa), comp.subdomain(sb)
+        except KeyError as exc:
+            raise ValidationError(
+                f"config section [{section}]: {exc.args[0]}") from None
+        comp.interfaces.append(make_interface(iid, sub_a, ea, sub_b, eb))
     return comp

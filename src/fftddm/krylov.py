@@ -11,9 +11,6 @@ wires it to a Schur operator under one of three preconditioners:
   * identity  solve (A_c - S) p = f'
   * jacobi    diagonally scale (A_c - S) by its diagonal,
               `SchurOperator.diagonal`
-
-`fixed_point` is the plain iteration p <- A_c^{-1}(S p + f'), kept for
-comparison runs; it may diverge and says so instead of raising.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .geometry import GridField
 PRECONDITIONERS = ("identity", "jacobi", "fft")
 
 _BREAKDOWN = 1e-14
-_DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class SolveReport:
     residual_history: np.ndarray
     wall_time: float
     true_residual: float = field(default=float("nan"))
-    # ||(A_c - S) p - f'|| / ||f'||, set by solve_coupled and fixed_point
+    # ||(A_c - S) p - f'|| / ||f'||, set by solve_coupled
     true_relative_residual: float = field(default=float("nan"))
 
 
@@ -212,45 +208,3 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         err.solution, err.report = nodal(err.solution, err.report)
         raise
     return GridField(op.coupled_id, x), report
-
-
-def fixed_point(op, f_prime: GridField, max_iters: int = 1000,
-                tol: float = 1e-10):
-    """Plain iteration p <- A_c^{-1}(S p + f'); returns (GridField, SolveReport).
-
-    Divergence (residual growth beyond 1e6x the initial) is reported via
-    converged=False, never raised.
-    """
-    if f_prime.subdomain_id != op.coupled_id:
-        raise ValidationError("right-hand side is not on the coupled subdomain")
-    f = np.asarray(f_prime.values, dtype=float)
-    start = time.perf_counter()
-    f_norm = np.linalg.norm(f)
-    if f_norm == 0.0:
-        report = SolveReport(converged=True, iterations=0,
-                             residual_history=np.zeros(1),
-                             wall_time=time.perf_counter() - start,
-                             true_residual=0.0, true_relative_residual=0.0)
-        return GridField(op.coupled_id, np.zeros(op.size)), report
-
-    base = op.center_solve(f)
-    p = np.zeros(op.size)
-    history = [1.0]
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        p = op.center_solve(op.schur(p)) + base
-        res = np.linalg.norm(op.unpreconditioned(p) - f) / f_norm
-        history.append(res)
-        if res <= tol:
-            converged = True
-            break
-        if not np.isfinite(res) or res > _DIVERGENCE_FACTOR * history[0]:
-            break
-    report = SolveReport(converged=converged, iterations=iters,
-                         residual_history=np.asarray(history),
-                         wall_time=time.perf_counter() - start,
-                         true_residual=history[-1] * f_norm,
-                         true_relative_residual=history[-1])
-    return GridField(op.coupled_id, p), report
-

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transforms
 from .errors import SingularOperatorError, ValidationError
-from .geometry import BoundaryKind, GridField, RectSubdomain, edge_axis
+from .geometry import GridField, RectSubdomain, edge_axis
 
 _PIVOT_RTOL = 1e-13
 
@@ -180,10 +180,10 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     if not isinstance(f, GridField):
         f = GridField(sub.id, f)
     if f.subdomain_id != sub.id:
-        raise ValueError(
+        raise ValidationError(
             f"field belongs to subdomain {f.subdomain_id}, plan to {sub.id}")
     if f.values.size != sub.size:
-        raise ValueError(
+        raise ValidationError(
             f"field length {f.values.size} != {sub.m} x {sub.n}")
 
     values = to_nodal(plan, sweep(plan, to_spectral(plan, f.values)))
@@ -290,27 +290,3 @@ def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
         out[0, :] += sub.end_modifier("west") * G[0, :]
         out[-1, :] += sub.end_modifier("east") * G[-1, :]
     return out.reshape(-1)
-
-
-def lift_dirichlet(sub: RectSubdomain, rhs: np.ndarray, edge: str,
-                   boundary_values: np.ndarray) -> np.ndarray:
-    """Move nonhomogeneous Dirichlet data on `edge` into the right-hand side.
-
-    Ghost-node edges subtract delta * g at the adjacent node line; half-cell
-    edges subtract 2 * delta * g (the ghost value is the reflection
-    2g - p).  Returns a new flat RHS array.
-    """
-    if sub.edge_bc[edge] is not BoundaryKind.DIRICHLET:
-        raise ValueError(f"edge {edge} of subdomain {sub.id} is not Dirichlet")
-    G = np.asarray(rhs, dtype=float).reshape(sub.m, sub.n).copy()
-    g = np.asarray(boundary_values, dtype=float)
-    factor = 2.0 if edge in sub.half_cell_dirichlet else 1.0
-    if edge == "west":
-        G[0, :] -= factor * sub.delta_x * g
-    elif edge == "east":
-        G[-1, :] -= factor * sub.delta_x * g
-    elif edge == "south":
-        G[:, 0] -= factor * sub.delta_y * g
-    else:
-        G[:, -1] -= factor * sub.delta_y * g
-    return G.reshape(-1)

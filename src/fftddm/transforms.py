@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 BC_PAIRS = ("DD", "NN", "PP")
 
 
@@ -39,7 +41,7 @@ def eigenvalues(bc: str, n: int, delta_t: float, delta_o: float,
     elif bc == "PP":
         lam = -2.0 * (delta_t + delta_o) + 2.0 * delta_t * np.cos(2.0 * np.pi * (j - 1) / n)
     else:
-        raise ValueError(f"unknown BC pair {bc!r}")
+        raise ValidationError(f"unknown BC pair {bc!r}")
     return lam + kappa
 
 
@@ -81,11 +83,11 @@ def _twiddles(bc: str, n: int) -> tuple:
 def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
               kappa: float = 0.0) -> SpectralPlan:
     if n < 1:
-        raise ValueError("transform length must be >= 1")
+        raise ValidationError("transform length must be >= 1")
     if bc not in BC_PAIRS:
-        raise ValueError(f"unknown BC pair {bc!r}")
+        raise ValidationError(f"unknown BC pair {bc!r}")
     if bc == "PP" and n % 2:
-        raise ValueError("periodic transforms need an even length")
+        raise ValidationError("periodic transforms need an even length")
     lam = eigenvalues(bc, n, delta_t, delta_o, kappa)
     twiddles = _twiddles(bc, n)
     for a in (lam, *twiddles):
@@ -176,7 +178,7 @@ def _irdft(a: np.ndarray, tw: np.ndarray) -> np.ndarray:
 def _checked(plan: SpectralPlan, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != plan.n:
-        raise ValueError(
+        raise ValidationError(
             f"length mismatch: expected {plan.n}, got {v.shape[-1]}")
     return v
 

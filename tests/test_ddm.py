@@ -118,7 +118,7 @@ class TestSchurOperator:
         iface = comp.interfaces[0]
         zeroed = dataclasses.replace(iface, coupling=0.0)
         rig = CompositeDomain(subdomains=comp.subdomains, interfaces=[zeroed])
-        op = ddm.build_schur_operator(rig, coupled_id=0)
+        op = ddm.build_schur_operator(rig)
         v = rng.standard_normal(op.size)
         np.testing.assert_allclose(op.preconditioned(v), v, atol=1e-13)
 
@@ -298,7 +298,7 @@ class TestLineOperators:
     def test_dense_parity(self, name):
         arms, kw = LINE_OPERATOR_CASES[name]
         comp = star_composite(arms, **kw)
-        op = ddm.build_schur_operator(comp, coupled_id=0)
+        op = ddm.build_schur_operator(comp)
         A2, S = dense_schur_blocks(comp, 0)
         eye = np.eye(op.size)
         Sn = np.column_stack([op.schur(eye[:, j]) for j in range(op.size)])
@@ -358,8 +358,7 @@ class TestLineOperators:
         offs = oracle.global_offsets(comp)
         fvec = rng.standard_normal(G.shape[0])
         f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
-        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12),
-                                  coupled_id=0)
+        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
         want = oracle.dense_lu_solve(G, fvec)
         got = np.concatenate([fields[s.id].values for s in comp.subdomains])
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
@@ -368,23 +367,23 @@ class TestLineOperators:
 def spectral_cases():
     """Composites covering both center transform axes and center lines
     along and across the transform axis."""
-    cases = [pytest.param(star_composite(arms, **kw), 0, id=name)
+    cases = [pytest.param(star_composite(arms, **kw), id=name)
              for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())]
-    cases.append(pytest.param(star_mixed(8), 0, id="star-k8"))
+    cases.append(pytest.param(star_mixed(8), id="star-k8"))
     cases.append(pytest.param(bench.build_cross(k_n=4).composite,
-                              bench.CENTER, id="cross-k4"))
+                              id="cross-k4"))
     return cases
 
 
 def nodal_preconditioned(op, p):
     """(I - A_c^{-1} S) p by a full center solve, in nodal values."""
-    return p - op.center_solve(op.schur(p))
+    return p - rectsolver.solve_rect(op.center_plan, op.schur(p)).values
 
 
 class TestSpectralOperator:
-    @pytest.mark.parametrize("comp,cid", spectral_cases())
-    def test_matches_nodal_form(self, comp, cid, rng):
-        op = ddm.build_schur_operator(comp, coupled_id=cid)
+    @pytest.mark.parametrize("comp", spectral_cases())
+    def test_matches_nodal_form(self, comp, rng):
+        op = ddm.build_schur_operator(comp)
         for _ in range(3):
             p_hat = rng.standard_normal(op.size)
             want = op.to_spectral(nodal_preconditioned(op, op.to_nodal(p_hat)))
@@ -395,23 +394,24 @@ class TestSpectralOperator:
             assert np.abs(op.preconditioned(p) - want).max() \
                 <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("comp,cid", spectral_cases())
-    def test_transform_is_orthogonal(self, comp, cid, rng):
-        op = ddm.build_schur_operator(comp, coupled_id=cid)
+    @pytest.mark.parametrize("comp", spectral_cases())
+    def test_transform_is_orthogonal(self, comp, rng):
+        op = ddm.build_schur_operator(comp)
         p = rng.standard_normal(op.size)
         p_hat = op.to_spectral(p)
         assert np.linalg.norm(p_hat) == pytest.approx(np.linalg.norm(p),
                                                       rel=1e-13)
         np.testing.assert_allclose(op.to_nodal(p_hat), p, rtol=0, atol=1e-13)
-        want = op.to_spectral(op.center_solve(p))
+        want = op.to_spectral(
+            rectsolver.solve_rect(op.center_plan, p).values)
         assert np.abs(op.spectral_rhs(p) - want).max() \
             <= 1e-12 * np.abs(want).max()
 
     def test_cases_cover_both_axes_and_line_kinds(self):
         kinds = set()
         for param in spectral_cases():
-            comp, cid = param.values
-            op = ddm.build_schur_operator(comp, coupled_id=cid)
+            (comp,) = param.values
+            op = ddm.build_schur_operator(comp)
             kinds |= {(op.center_plan.transform_axis,
                        "across" if nb.across else "along")
                       for nb in op.neighbors}

@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from fftddm import bench, ddm, krylov, oracle
+from fftddm import bench, ddm, krylov, oracle, rectsolver
 from fftddm.errors import ConvergenceError, ValidationError
 from fftddm.geometry import GridField, line_indices
 
@@ -224,8 +222,9 @@ class TestSpectralGmres:
             op.size))
         cfg = krylov.GmresConfig(m=m, tol=1e-10, max_restarts=50)
         p, rep = krylov.solve_coupled(op, f, cfg)
-        want, ref = krylov.gmres(lambda p: nodal_preconditioned(op, p),
-                                 op.center_solve(f.values), cfg=cfg)
+        rhs = rectsolver.solve_rect(op.center_plan, f.values).values
+        want, ref = krylov.gmres(lambda p: nodal_preconditioned(op, p), rhs,
+                                 cfg=cfg)
         assert rep.iterations == ref.iterations
         np.testing.assert_allclose(rep.residual_history, ref.residual_history,
                                    rtol=1e-6)
@@ -237,9 +236,9 @@ class TestSpectralGmres:
         cfg = krylov.GmresConfig(m=2, tol=1e-15, max_restarts=1)
         with pytest.raises(ConvergenceError) as got:
             krylov.solve_coupled(op, f, cfg)
+        rhs = rectsolver.solve_rect(op.center_plan, f.values).values
         with pytest.raises(ConvergenceError) as want:
-            krylov.gmres(lambda p: nodal_preconditioned(op, p),
-                         op.center_solve(f.values), cfg=cfg)
+            krylov.gmres(lambda p: nodal_preconditioned(op, p), rhs, cfg=cfg)
         np.testing.assert_allclose(got.value.solution, want.value.solution,
                                    rtol=0, atol=1e-12)
 
@@ -257,41 +256,6 @@ class TestSpectralGmres:
         assert rep.true_residual == pytest.approx(res, rel=1e-12)
         assert rep.true_relative_residual == pytest.approx(
             res / np.linalg.norm(f.values), rel=1e-12)
-
-
-class TestFixedPoint:
-    def test_zero_rhs(self):
-        comp = bench.build_cross(k_n=1).composite
-        op = ddm.build_schur_operator(comp)
-        p, rep = krylov.fixed_point(
-            op, GridField(op.coupled_id, np.zeros(op.size)))
-        assert rep.converged and rep.iterations == 0
-        assert not p.values.any()
-
-    def test_zero_coupling_converges_in_one_step(self, rng):
-        comp = bench.build_cross(k_n=1).composite
-        rig_ifaces = [dataclasses.replace(i, coupling=0.0)
-                      for i in comp.interfaces]
-        from fftddm.geometry import CompositeDomain
-        rig = CompositeDomain(subdomains=comp.subdomains,
-                              interfaces=rig_ifaces)
-        op = ddm.build_schur_operator(rig)
-        f = rng.standard_normal(op.size)
-        p, rep = krylov.fixed_point(op, GridField(op.coupled_id, f))
-        assert rep.converged and rep.iterations == 1
-        np.testing.assert_allclose(p.values, op.center_solve(f), atol=1e-12)
-
-    def test_cross_kn8_runs_and_reports(self, rng):
-        # no asserted outcome beyond a finite recorded history
-        comp = bench.build_cross(k_n=8).composite
-        op = ddm.build_schur_operator(comp)
-        f = GridField(op.coupled_id, rng.standard_normal(op.size))
-        p, rep = krylov.fixed_point(op, f, max_iters=50, tol=1e-10)
-        assert rep.residual_history.size == rep.iterations + 1
-        assert np.all(np.isfinite(rep.residual_history))
-        res = op.unpreconditioned(p.values) - f.values
-        assert rep.true_relative_residual == pytest.approx(
-            np.linalg.norm(res) / np.linalg.norm(f.values), rel=1e-12)
 
 
 class TestJacobiDiagonal:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fftddm import oracle, rectsolver
-from fftddm.errors import SingularOperatorError
+from fftddm.errors import SingularOperatorError, ValidationError
 from fftddm.geometry import GridField, line_indices
 
 from conftest import make_rect
@@ -70,7 +70,7 @@ class TestSolveRect:
 
     def test_wrong_subdomain_rejected(self):
         plan = rectsolver.plan_rect(make_rect(2, 2, sid=3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             rectsolver.solve_rect(plan, GridField(7, np.zeros(4)))
 
     @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa",
@@ -111,30 +111,6 @@ class TestSolveRect:
             + b * rectsolver.solve_rect(plan, g).values
         scale = max(np.abs(rhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() <= 1e-11 * scale
-
-
-class TestLiftDirichlet:
-    def test_ghost_node_lift_recovers_boundary_data(self):
-        # solve with constant Dirichlet data g on the east edge; the exact
-        # discrete solution of Laplace's equation with constant data is p = g
-        sub = make_rect(3, 3)
-        g = 2.5
-        f = np.zeros(9)
-        for edge in ("west", "east", "south", "north"):
-            f = rectsolver.lift_dirichlet(sub, f, edge, np.full(3, g))
-        p = rectsolver.solve_rect(rectsolver.plan_rect(sub), f)
-        np.testing.assert_allclose(p.values, g, atol=1e-12)
-
-    def test_half_cell_factor(self):
-        sub = make_rect(2, 2, half=("west",))
-        f = rectsolver.lift_dirichlet(sub, np.zeros(4), "west",
-                                      np.array([1.0, 1.0]))
-        np.testing.assert_allclose(f.reshape(2, 2)[0], -2.0 * sub.delta_x)
-
-    def test_non_dirichlet_edge_rejected(self):
-        sub = make_rect(2, 2, x_pair="NN")
-        with pytest.raises(ValueError):
-            rectsolver.lift_dirichlet(sub, np.zeros(4), "west", np.ones(2))
 
 
 def interface_cases(max_mn=5):

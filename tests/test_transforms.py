@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fftddm import oracle, transforms
+from fftddm.errors import ValidationError
 
 NS = [2, 3, 4, 8, 16, 32]
 
@@ -47,11 +48,11 @@ class TestEigenvalues:
 
 class TestMakePlan:
     def test_pp_odd_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             transforms.make_plan("PP", 3, 1.0, 1.0)
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             transforms.make_plan("DD", 0, 1.0, 1.0)
 
     def test_eigenvalues_read_only(self):
@@ -80,7 +81,7 @@ class TestApplyQ:
 
     def test_length_mismatch_rejected(self):
         plan = transforms.make_plan("DD", 4, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             transforms.apply_Q(plan, np.zeros(5))
 
     def test_batched_rows_match_loop(self, rng):
