@@ -73,6 +73,11 @@ class TestSolveRect:
         with pytest.raises(ValidationError):
             rectsolver.solve_rect(plan, GridField(7, np.zeros(4)))
 
+    def test_wrong_length_rejected(self):
+        plan = rectsolver.plan_rect(make_rect(2, 3))
+        with pytest.raises(ValidationError, match="2 x 3"):
+            rectsolver.solve_rect(plan, np.zeros(5))
+
     @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa",
                              [c for c in pair_cases(5)])
     def test_oracle_equivalence_sweep(self, x_pair, y_pair, m, n, kappa, rng):

@@ -45,6 +45,10 @@ class TestEigenvalues:
         shifted = transforms.eigenvalues("DD", 5, 1.0, 1.0, kappa=3.5)
         np.testing.assert_allclose(shifted - base, 3.5)
 
+    def test_unknown_bc_rejected(self):
+        with pytest.raises(ValidationError, match="DN"):
+            transforms.eigenvalues("DN", 4, 1.0, 1.0)
+
 
 class TestMakePlan:
     def test_pp_odd_rejected(self):
@@ -54,6 +58,10 @@ class TestMakePlan:
     def test_zero_length_rejected(self):
         with pytest.raises(ValidationError):
             transforms.make_plan("DD", 0, 1.0, 1.0)
+
+    def test_unknown_bc_rejected(self):
+        with pytest.raises(ValidationError, match="DN"):
+            transforms.make_plan("DN", 4, 1.0, 1.0)
 
     def test_eigenvalues_read_only(self):
         plan = transforms.make_plan("DD", 4, 1.0, 1.0)
