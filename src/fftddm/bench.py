@@ -243,7 +243,7 @@ def run_convergence(kn_list, L: float = 1.0 / 7.0, kappa: float = 0.0,
 
 
 def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
-                        preconditioners=("fft", "jacobi", "identity"),
+                        preconditioners=("fft", "identity"),
                         max_restarts: int = 40, L: float = 1.0 / 7.0):
     """Rows of (k_n, m, preconditioner, iterations, converged) + histories.
 

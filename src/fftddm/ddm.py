@@ -24,7 +24,6 @@ rank-one update back.  Full-field transforms run twice per solve.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +33,7 @@ from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, RectSubdomain,
                        edge_axis, line_indices)
 from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
-                         plan_rect, q_row, rect_diagonal, solve_rect, sweep)
+                         plan_rect, q_row, solve_rect, sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -67,19 +66,13 @@ class CouplingMap:
 def make_coupling(comp: CompositeDomain, iface: Interface,
                   from_id: int) -> CouplingMap:
     """Coupling map across `iface` leaving the subdomain `from_id`."""
-    to_id = iface.other_side(from_id)[0]
-    sub_f = comp.subdomain(from_id)
-    sub_t = comp.subdomain(to_id)
-    perm = np.asarray(iface.index_map)
-    if iface.side_a[0] == from_id:
-        from_line = line_indices(sub_f, iface.side_a[1])
-        to_line = line_indices(sub_t, iface.side_b[1])[perm]
-    else:
-        from_line = line_indices(sub_f, iface.side_b[1])[perm]
-        to_line = line_indices(sub_t, iface.side_a[1])
+    to_id, to_edge = iface.other_side(from_id)
+    from_edge = iface.other_side(to_id)[1]
+    sub_f, sub_t = comp.subdomain(from_id), comp.subdomain(to_id)
     return CouplingMap(from_id=from_id, to_id=to_id,
                        from_size=sub_f.size, to_size=sub_t.size,
-                       from_idx=from_line, to_idx=to_line,
+                       from_idx=line_indices(sub_f, from_edge),
+                       to_idx=line_indices(sub_t, to_edge),
                        coupling=iface.coupling)
 
 
@@ -123,15 +116,6 @@ class SchurOperator:
         for nb in self.neighbors:
             out[nb.line] += nb.weight * nb.block(p[nb.line])
         return out
-
-    def diagonal(self) -> np.ndarray:
-        """diag(A_c - sum S): the center stencil's closed form minus each
-        line operator's diagonal, probed with unit vectors on the line."""
-        d = rect_diagonal(self.center)
-        for nb in self.neighbors:
-            probes = [nb.block(e) for e in np.eye(nb.line.size)]
-            d[nb.line] -= nb.weight * np.diag(probes)
-        return d
 
     def unpreconditioned(self, p: np.ndarray) -> np.ndarray:
         """(A_c - sum S) p."""
@@ -180,16 +164,15 @@ class SchurOperator:
 def designate_center(comp: CompositeDomain) -> int:
     """Pick the coupled subdomain: the unique one with >= 2 interfaces.
 
-    When every subdomain has a single interface (two-rectangle case) the
-    lowest id is promoted so the star layout still applies.
+    When no subdomain has two interfaces (two rectangles, or one alone)
+    the lowest id is promoted so the star layout still applies; a lone
+    rectangle is a center without neighbors.
     """
     coupled = sorted(comp.coupled_ids)
     if len(coupled) > 1:
         raise ValidationError(f"more than one coupled subdomain: {coupled}")
     if coupled:
         return coupled[0]
-    if not comp.interfaces:
-        raise ValidationError("composite has no interfaces")
     return min(s.id for s in comp.subdomains)
 
 
@@ -209,7 +192,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         batch = across_q if across else along_rows
         neighbors.append(_Neighbor(
             plan=plan, to_center=to_c, from_center=from_c,
-            line=from_c.from_idx[np.argsort(from_c.to_idx)],
+            line=from_c.from_idx,
             weight=to_c.coupling * from_c.coupling,
             block=interface_operator(plan, edge), across=across,
             slot=len(batch)))
@@ -242,8 +225,9 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
 
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides.  The coupled subdomain is `designate_center`'s choice.
-    Single-rectangle composites bypass the Schur machinery.
+    sides.  The coupled subdomain is `designate_center`'s choice.  A single
+    rectangle is a center without neighbors: the fft-preconditioned GMRES
+    sees the identity and returns A_c^{-1} f after one step.
     """
     from .geometry import validate
     validate(comp).require()
@@ -262,20 +246,6 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
                 f"rhs for subdomain {sub.id} has length {vals.size}, "
                 f"expected {sub.size}")
         rhs[sub.id] = vals
-
-    if not comp.interfaces:
-        (sub,) = comp.subdomains
-        plan = plan_rect(sub)
-        start = time.perf_counter()
-        p = solve_rect(plan, rhs[sub.id])
-        wall_time = time.perf_counter() - start
-        res = np.linalg.norm(apply_rect_operator(sub, p.values) - rhs[sub.id])
-        f_norm = np.linalg.norm(rhs[sub.id])
-        report = krylov.SolveReport(
-            converged=True, iterations=0, residual_history=np.zeros(1),
-            wall_time=wall_time, true_residual=res,
-            true_relative_residual=res / f_norm if f_norm else 0.0)
-        return {sub.id: p}, report
 
     op = build_schur_operator(comp)
     p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)

@@ -50,7 +50,7 @@ def edge_axis(edge: str) -> str:
         return "x"
     if edge in ("south", "north"):
         return "y"
-    raise ValueError(f"unknown edge {edge!r}")
+    raise ValidationError(f"unknown edge {edge!r}")
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,15 @@ def line_indices(subdomain: RectSubdomain, edge: str) -> np.ndarray:
         return np.arange(m) * n
     if edge == "north":
         return np.arange(m) * n + (n - 1)
-    raise ValueError(f"unknown edge {edge!r}")
+    raise ValidationError(f"unknown edge {edge!r}")
 
 
 @dataclass(frozen=True)
 class Interface:
     """A shared edge between two rectangles.
 
-    `index_map[k]` pairs node k of side_a's boundary-adjacent line with
-    node index_map[k] of side_b's line.  `coupling` is 1/spacing^2 in the
+    Node k of side_a's boundary-adjacent line pairs with node k of side_b's
+    line, both in tangential order.  `coupling` is 1/spacing^2 in the
     direction normal to the interface.
     """
 
@@ -166,14 +166,14 @@ class Interface:
     side_a: tuple[int, str]
     side_b: tuple[int, str]
     coupling: float
-    index_map: np.ndarray
 
     def other_side(self, subdomain_id: int) -> tuple[int, str]:
         if self.side_a[0] == subdomain_id:
             return self.side_b
         if self.side_b[0] == subdomain_id:
             return self.side_a
-        raise KeyError(f"subdomain {subdomain_id} not on interface {self.id}")
+        raise ValidationError(
+            f"subdomain {subdomain_id} not on interface {self.id}")
 
 
 @dataclass
@@ -198,7 +198,7 @@ class CompositeDomain:
         for s in self.subdomains:
             if s.id == sid:
                 return s
-        raise KeyError(f"no subdomain with id {sid}")
+        raise ValidationError(f"no subdomain with id {sid}")
 
     def interfaces_of(self, sid: int) -> list:
         return [f for f in self.interfaces
@@ -249,7 +249,7 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     try:
         sub_a = comp.subdomain(iface.side_a[0])
         sub_b = comp.subdomain(iface.side_b[0])
-    except KeyError as exc:
+    except ValidationError as exc:
         report.violations.append(f"interface {iface.id}: {exc}")
         return
     opposite = {"west": "east", "east": "west", "south": "north", "north": "south"}
@@ -280,11 +280,7 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     if abs(h_a - h_b) > tol:
         report.violations.append(
             f"interface {iface.id}: spacing mismatch along the interface")
-    imap = np.asarray(iface.index_map)
-    if imap.shape != (len(tan_a),) or sorted(imap) != list(range(len(tan_a))):
-        report.violations.append(
-            f"interface {iface.id}: index_map is not a permutation of the line")
-    elif np.max(np.abs(tan_a - tan_b[imap])) > tol:
+    if np.max(np.abs(tan_a - tan_b)) > tol:
         report.violations.append(
             f"interface {iface.id}: paired nodes are not coincident")
     # normal spacing and coupling
@@ -357,18 +353,16 @@ def validate(composite: CompositeDomain) -> ValidationReport:
 
 def make_interface(iface_id: int, sub_a: RectSubdomain, edge_a: str,
                    sub_b: RectSubdomain, edge_b: str) -> Interface:
-    """Build an Interface with coupling and index_map derived from geometry."""
+    """Build an Interface with its coupling derived from the geometry."""
     _, tan_a, _ = _edge_line_geometry(sub_a, edge_a)
     _, tan_b, _ = _edge_line_geometry(sub_b, edge_b)
     if len(tan_a) != len(tan_b):
         raise ValidationError(
             f"interface {iface_id}: interface node mismatch "
             f"({len(tan_a)} vs {len(tan_b)})")
-    index_map = np.argsort(tan_b)[np.argsort(np.argsort(tan_a))]
     delta = sub_a.delta_x if edge_axis(edge_a) == "x" else sub_a.delta_y
     return Interface(id=iface_id, side_a=(sub_a.id, edge_a),
-                     side_b=(sub_b.id, edge_b), coupling=delta,
-                     index_map=index_map)
+                     side_b=(sub_b.id, edge_b), coupling=delta)
 
 
 _BC_NAMES = {k.value: k for k in BoundaryKind}
@@ -393,8 +387,8 @@ def load_composite(path) -> CompositeDomain:
 
     See README for the schema: one ``[subdomain <id>]`` section per
     rectangle and one ``[interface <id>]`` section per shared edge.
-    Coupling strengths and node pairings are derived from the geometry.
-    A malformed file raises ValidationError naming the section.
+    Coupling strengths are derived from the geometry.  A malformed file
+    raises ValidationError naming the section.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
@@ -449,8 +443,8 @@ def load_composite(path) -> CompositeDomain:
     for section, iid, (sa, ea), (sb, eb) in iface_specs:
         try:
             sub_a, sub_b = comp.subdomain(sa), comp.subdomain(sb)
-        except KeyError as exc:
+        except ValidationError as exc:
             raise ValidationError(
-                f"config section [{section}]: {exc.args[0]}") from None
+                f"config section [{section}]: {exc}") from None
         comp.interfaces.append(make_interface(iid, sub_a, ea, sub_b, eb))
     return comp

@@ -3,14 +3,12 @@
 The workhorse is `gmres`, a standard restarted GMRES with two-pass
 classical Gram-Schmidt Arnoldi (each pass two matrix-vector products
 with the basis) and Givens-rotation least squares.  `solve_coupled`
-wires it to a Schur operator under one of three preconditioners:
+wires it to a Schur operator under one of two preconditioners:
 
   * fft       solve (I - A_c^{-1} S) p = A_c^{-1} f'  (transformed system),
               on the center's spectral coefficients Q^T p; Q is orthogonal,
               so iterates and residual norms are those of the nodal form
-  * identity  solve (A_c - S) p = f'
-  * jacobi    diagonally scale (A_c - S) by its diagonal,
-              `SchurOperator.diagonal`
+  * identity  solve (A_c - S) p = f', the unpreconditioned baseline
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .geometry import GridField
 
-PRECONDITIONERS = ("identity", "jacobi", "fft")
+PRECONDITIONERS = ("identity", "fft")
 
 _BREAKDOWN = 1e-14
 
@@ -179,18 +177,11 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         raise ValidationError("right-hand side is not on the coupled subdomain")
     f = np.asarray(f_prime.values, dtype=float)
 
-    to_nodal = lambda x: x
     if cfg.preconditioner == "fft":
-        operator = op.spectral_preconditioned
-        rhs = op.spectral_rhs(f)
-        to_nodal = op.to_nodal
-    elif cfg.preconditioner == "identity":
-        operator = op.unpreconditioned
-        rhs = f
-    else:  # jacobi
-        d = op.diagonal()
-        operator = lambda v: op.unpreconditioned(v) / d
-        rhs = f / d
+        operator, rhs, to_nodal = (op.spectral_preconditioned,
+                                   op.spectral_rhs(f), op.to_nodal)
+    else:  # identity
+        operator, rhs, to_nodal = op.unpreconditioned, f, lambda x: x
 
     f_norm = np.linalg.norm(f)
 

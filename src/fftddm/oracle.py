@@ -115,15 +115,9 @@ def assemble_coupling_matrix(comp: CompositeDomain, from_id: int,
     for iface in comp.interfaces_of(to_id):
         if iface.other_side(to_id)[0] != from_id:
             continue
-        if iface.side_a[0] == to_id:
-            edge_t, edge_f = iface.side_a[1], iface.side_b[1]
-            # index_map pairs side_a positions with side_b positions
-            rows = line_indices(sub_t, edge_t)
-            cols = line_indices(sub_f, edge_f)[np.asarray(iface.index_map)]
-        else:
-            edge_f, edge_t = iface.side_a[1], iface.side_b[1]
-            cols = line_indices(sub_f, edge_f)
-            rows = line_indices(sub_t, edge_t)[np.asarray(iface.index_map)]
+        # node k of one side's line pairs with node k of the other's
+        rows = line_indices(sub_t, iface.other_side(from_id)[1])
+        cols = line_indices(sub_f, iface.other_side(to_id)[1])
         R[rows, cols] += iface.coupling
     return R
 
@@ -147,6 +141,20 @@ def assemble_global_matrix(comp: CompositeDomain) -> np.ndarray:
         A[offsets[ia]:offsets[ia + 1], offsets[ib]:offsets[ib + 1]] += \
             assemble_coupling_matrix(comp, b, a)
     return A
+
+
+def assemble_schur_blocks(comp: CompositeDomain,
+                          cid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A_c, S): the dense operator of subdomain `cid` and its Schur term
+    S = sum_i R_{c,i} A_i^{-1} R_{i,c} over the neighbors i of `cid`."""
+    A_c = assemble_rect_matrix(comp.subdomain(cid))
+    S = np.zeros_like(A_c)
+    for iface in comp.interfaces_of(cid):
+        oid = iface.other_side(cid)[0]
+        A_i = assemble_rect_matrix(comp.subdomain(oid))
+        S += assemble_coupling_matrix(comp, oid, cid) @ np.linalg.solve(
+            A_i, assemble_coupling_matrix(comp, cid, oid))
+    return A_c, S
 
 
 def global_offsets(comp: CompositeDomain) -> dict:

@@ -254,16 +254,6 @@ def interface_operator(plan: RectPlan, edge: str):
         plan.y_plan, t * transforms.apply_Qt(plan.y_plan, v))
 
 
-def rect_diagonal(sub: RectSubdomain) -> np.ndarray:
-    """Diagonal of the rectangle operator, in closed form (flat)."""
-    d = np.full((sub.m, sub.n), -2.0 * (sub.delta_x + sub.delta_y) + sub.kappa)
-    d[0] += sub.end_modifier("west")
-    d[-1] += sub.end_modifier("east")
-    d[:, 0] += sub.end_modifier("south")
-    d[:, -1] += sub.end_modifier("north")
-    return d.reshape(-1)
-
-
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the rectangle operator (5-point stencil
     with the subdomain's boundary modifications); used for residual checks

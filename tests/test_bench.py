@@ -223,9 +223,21 @@ class TestCli:
         assert (tmp_path / "scaling.csv").exists()
         assert (tmp_path / "timing.csv").exists()
 
-    def test_oracle_check_subcommand(self, tmp_path):
-        assert cli.main(["oracle-check", "--kn", "1",
-                         "--out", str(tmp_path)]) == 0
+    def test_oracle_check_subcommand(self):
+        assert cli.main(["oracle-check", "--kn", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["precond-compare", "--kappa", "-50"],
+        ["precond-compare", "--paper-literal-constants"],
+        ["scaling", "--kappa", "-50"],
+        ["scaling", "--paper-literal-constants"],
+        ["oracle-check", "--paper-literal-constants"],
+        ["oracle-check", "--out", "results"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_unread_options_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_unknown_case_fails_with_json_error(self, capsys):
         rc = cli.main(["solve", "--case", "sphere", "--kn", "2"])

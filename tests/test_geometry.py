@@ -6,13 +6,14 @@ import pytest
 from fftddm import bench
 from fftddm.errors import ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, Interface,
-                             line_indices, load_composite, make_interface,
-                             validate)
+                             edge_axis, line_indices, load_composite,
+                             make_interface, validate)
 
 from conftest import make_rect
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
+I = BoundaryKind.INTERFACE
 
 
 class TestLineIndices:
@@ -72,10 +73,37 @@ class TestValidate:
         comp = bench.build_cross(k_n=1).composite
         iface = comp.interfaces[0]
         bad = Interface(id=iface.id, side_a=iface.side_a, side_b=iface.side_b,
-                        coupling=iface.coupling * 2, index_map=iface.index_map)
+                        coupling=iface.coupling * 2)
         broken = CompositeDomain(subdomains=comp.subdomains,
                                  interfaces=[bad] + comp.interfaces[1:])
         assert not validate(broken).ok
+
+    def test_shifted_interface_lines_rejected(self):
+        # equal node counts, but b's line starts one node further north
+        a = dataclasses.replace(
+            make_rect(2, 3, sid=0),
+            edge_bc={"west": D, "east": I, "south": D, "north": D})
+        b = dataclasses.replace(
+            make_rect(2, 3, sid=1), origin=(2.0, 1.0),
+            edge_bc={"west": I, "east": D, "south": D, "north": D})
+        comp = CompositeDomain(
+            subdomains=[a, b],
+            interfaces=[make_interface(0, a, "east", b, "west")])
+        assert validate(comp).violations == [
+            "interface 0: paired nodes are not coincident"]
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call,name", [
+        (lambda comp: edge_axis("wset"), "'wset'"),
+        (lambda comp: line_indices(comp.subdomains[0], "wset"), "'wset'"),
+        (lambda comp: comp.subdomain(9), "id 9"),
+        (lambda comp: comp.interfaces[0].other_side(9), "subdomain 9"),
+    ], ids=["edge_axis", "line_indices", "subdomain", "other_side"])
+    def test_unknown_edge_or_id(self, call, name):
+        comp = bench.build_cross(k_n=1).composite
+        with pytest.raises(ValidationError, match=name):
+            call(comp)
 
 
 TWO_RECTANGLES = """
