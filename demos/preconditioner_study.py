@@ -5,29 +5,16 @@ preconditioner and without one (identity), and prints their iteration
 counts side by side.
 """
 
-from fftddm import bench, ddm, krylov
-from fftddm.errors import ConvergenceError
+from fftddm import bench
 
 
 def run(k_n=16, tol=1e-7):
-    case = bench.build_cross(k_n=k_n)
-    op = ddm.build_schur_operator(case.composite)
-
-    # modified right-hand side on the coupled subdomain
-    rhs = ddm.eliminate_arms(op, bench.rhs_fields(case))
-
-    print(f"cross k_n={k_n}, coupled system size {op.size}, tol={tol:g}")
-    for mode in ("fft", "identity"):
-        cfg = krylov.GmresConfig(m=80, tol=tol, max_restarts=25,
-                                 preconditioner=mode)
-        try:
-            _, rep = krylov.solve_coupled(op, rhs, cfg)
-            note = ""
-            iters = rep.iterations
-        except ConvergenceError as exc:
-            iters = exc.report.iterations
-            note = "  (cap reached)"
-        print(f"  {mode:<9s} {iters:>5d} iterations{note}")
+    rows, _ = bench.run_precond_compare([k_n], [80], tol=tol, max_restarts=25)
+    print(f"cross k_n={k_n}, GMRES(80), tol={tol:g}")
+    for r in rows:
+        note = "" if r["converged"] else "  (cap reached)"
+        print(f"  {r['preconditioner']:<9s} {r['iterations']:>5d} "
+              f"iterations{note}")
 
 
 if __name__ == "__main__":

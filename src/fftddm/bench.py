@@ -1,9 +1,9 @@
 """Cross-domain benchmark: case construction, studies, CSV output.
 
 The benchmark domain is a plus-shaped union of five rectangles of overall
-extent 7L x 7L: a 2L x 4L center with four arms.  Outer edges carry zero
-Dirichlet data on the arm-end faces and zero Neumann data on the arm
-flanks.  The manufactured solution
+extent 7L x 7L with L = 1/7: a 2L x 4L center with four arms.  Outer edges
+carry zero Dirichlet data on the arm-end faces and zero Neumann data on
+the arm flanks.  The manufactured solution
 
     p(x, y) = sin(psi_x(x)) sin(psi_y(y))
 
@@ -42,7 +42,6 @@ class CrossCase:
     kappa: float
     composite: CompositeDomain
     psi_coeffs: tuple  # (A1, A2, A3, B1, B2, B3)
-    paper_literal: bool = False
 
     @property
     def h(self) -> float:
@@ -73,18 +72,12 @@ def derive_psi_coeffs(L: float) -> tuple:
     return (a[0], a[1], a[2], b[0], b[1], b[2])
 
 
-def paper_literal_coeffs(L: float) -> tuple:
-    """The originally published constant set (does not satisfy the outer
-    Dirichlet conditions; kept selectable for comparison runs)."""
-    return (np.pi / (2 * L), 0.0, -np.pi / (56 * L ** 3),
-            np.pi / (4 * L), 0.0, -np.pi / (28 * L ** 3))
-
-
-def build_cross(L: float = 1.0 / 7.0, k_n: int = 1, kappa: float = 0.0,
-                paper_literal: bool = False) -> CrossCase:
-    """Five-rectangle cross at grid density k_n nodes per length L."""
+def build_cross(k_n: int = 1, kappa: float = 0.0) -> CrossCase:
+    """Five-rectangle cross of extent 7L x 7L with L = 1/7, at grid
+    density k_n nodes per length L and Helmholtz shift kappa."""
     if k_n < 1:
         raise ValidationError("k_n must be >= 1")
+    L = 1.0 / 7.0
     h = L / k_n
     k = k_n
 
@@ -117,9 +110,8 @@ def build_cross(L: float = 1.0 / 7.0, k_n: int = 1, kappa: float = 0.0,
     comp = CompositeDomain(subdomains=[center, west, east, south, north],
                            interfaces=interfaces)
     validate(comp).require()
-    coeffs = paper_literal_coeffs(L) if paper_literal else derive_psi_coeffs(L)
     return CrossCase(L=L, k_n=k_n, kappa=kappa, composite=comp,
-                     psi_coeffs=coeffs, paper_literal=paper_literal)
+                     psi_coeffs=derive_psi_coeffs(L))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +214,16 @@ def error_norms(case: CrossCase, fields: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # studies
 
-def run_convergence(kn_list, L: float = 1.0 / 7.0, kappa: float = 0.0,
-                    cfg: krylov.GmresConfig | None = None,
-                    paper_literal: bool = False) -> list:
-    """Rows of (k_n, h, linf_error, l2_error, observed_order)."""
+def run_convergence(kn_list, kappa: float = 0.0) -> list:
+    """Rows of (k_n, h, linf_error, l2_error, observed_order) of the
+    cross at each k_n, solved with the default GmresConfig."""
     if list(kn_list) != sorted(kn_list):
         raise ValidationError("k_n sweep must be nondecreasing")
     rows = []
     prev = None
     for kn in kn_list:
-        case = build_cross(L=L, k_n=kn, kappa=kappa,
-                           paper_literal=paper_literal)
-        fields, _ = solve_case(case, cfg)
+        case = build_cross(k_n=kn, kappa=kappa)
+        fields, _ = solve_case(case)
         linf, l2 = error_norms(case, fields)
         order = float("nan") if prev is None else np.log2(prev / linf)
         rows.append({"k_n": kn, "h": case.h, "linf_error": linf,
@@ -244,8 +234,9 @@ def run_convergence(kn_list, L: float = 1.0 / 7.0, kappa: float = 0.0,
 
 def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
                         preconditioners=("fft", "identity"),
-                        max_restarts: int = 40, L: float = 1.0 / 7.0):
-    """Rows of (k_n, m, preconditioner, iterations, converged) + histories.
+                        max_restarts: int = 40):
+    """Rows of (k_n, m, preconditioner, iterations, converged) + histories,
+    from the cross's center system at each k_n, m and preconditioner.
 
     Non-convergence is recorded with the iteration cap and flagged, never
     raised.  Returns (rows, histories) where histories maps
@@ -253,7 +244,7 @@ def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
     """
     rows, histories = [], {}
     for kn in kn_list:
-        case = build_cross(L=L, k_n=kn)
+        case = build_cross(k_n=kn)
         op = ddm.build_schur_operator(case.composite)
         rhs = ddm.eliminate_arms(op, rhs_fields(case))
         for m in m_list:
@@ -281,16 +272,15 @@ def fit_exponent(kns, iters) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def run_scaling(kn_list, tol_list=(1e-7, 1e-10), m: int = 80,
-                max_restarts: int = 200, L: float = 1.0 / 7.0):
-    """Rows of (tol, k_n, iterations, fitted_exponent per tol)."""
+def run_scaling(kn_list, tol_list=(1e-7, 1e-10), m: int = 80):
+    """Rows of (tol, k_n, iterations, fitted_exponent per tol) of the
+    fft-preconditioned cross solve."""
     rows = []
     for tol in tol_list:
         kns, counts = [], []
         for kn in kn_list:
-            case = build_cross(L=L, k_n=kn)
-            cfg = krylov.GmresConfig(m=m, tol=tol, max_restarts=max_restarts,
-                                     preconditioner="fft")
+            case = build_cross(k_n=kn)
+            cfg = krylov.GmresConfig(m=m, tol=tol, preconditioner="fft")
             _, rep = solve_case(case, cfg)
             kns.append(kn)
             counts.append(rep.iterations)
@@ -301,9 +291,9 @@ def run_scaling(kn_list, tol_list=(1e-7, 1e-10), m: int = 80,
     return rows
 
 
-def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5,
-               L: float = 1.0 / 7.0):
-    """Rows of (k_n, iterations, seconds_per_iteration); median of repeats.
+def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5):
+    """Rows of (k_n, iterations, seconds_per_iteration) of the
+    fft-preconditioned cross solve; median of repeats.
 
     Plans are built (and one solve run) before timing so FFT sizes are
     warm; the per-iteration cost is total GMRES wall time over total
@@ -311,7 +301,7 @@ def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5,
     """
     rows = []
     for kn in kn_list:
-        case = build_cross(L=L, k_n=kn)
+        case = build_cross(k_n=kn)
         op = ddm.build_schur_operator(case.composite)
         rhs = ddm.eliminate_arms(op, rhs_fields(case))
         cfg = krylov.GmresConfig(m=m, tol=tol, preconditioner="fft")

@@ -5,7 +5,6 @@ Subcommands:
   convergence       grid-refinement error study
   precond-compare   GMRES iteration counts per preconditioner
   scaling           iteration growth and per-iteration timing vs k_n
-  oracle-check      dense-equivalence suite at desk scale
 
 All outputs are CSV; exit code 0 on success, nonzero with a single
 machine-readable JSON error line on stderr otherwise.
@@ -18,9 +17,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import bench, ddm, krylov, oracle
+from . import bench, krylov
 from .errors import FftDdmError
 
 
@@ -41,10 +38,6 @@ _COMMON = {
     "--out": dict(default=".", help="output directory"),
     "--kappa": dict(type=float, default=0.0,
                     help="Helmholtz shift added to the operator diagonal"),
-    "--paper-literal-constants": dict(
-        action="store_true",
-        help="use the originally published phase constants "
-             "(these violate the outer Dirichlet data)"),
 }
 
 
@@ -55,10 +48,7 @@ def _add_common(p, *flags):
 
 
 def cmd_solve(args) -> int:
-    if args.case != "cross":
-        raise FftDdmError(f"unknown case {args.case!r}")
-    case = bench.build_cross(k_n=args.kn, kappa=args.kappa,
-                             paper_literal=args.paper_literal_constants)
+    case = bench.build_cross(k_n=args.kn, kappa=args.kappa)
     cfg = krylov.GmresConfig(m=args.m, tol=args.tol)
     fields, report = bench.solve_case(case, cfg)
     bench.emit_field(case, fields, _out_path(args, "solution.csv"))
@@ -78,9 +68,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    rows = bench.run_convergence(
-        args.kn_list, kappa=args.kappa,
-        paper_literal=args.paper_literal_constants)
+    rows = bench.run_convergence(args.kn_list, kappa=args.kappa)
     bench.emit_csv(rows, _out_path(args, "convergence.csv"))
     for r in rows:
         print(f"k_n={r['k_n']:<4d} h={r['h']:.5f} "
@@ -120,47 +108,6 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def cmd_oracle_check(args) -> int:
-    """Pit the FFT solver stack against dense assemblies at one k_n."""
-    rng = np.random.default_rng(20250823)
-    case = bench.build_cross(k_n=args.kn, kappa=args.kappa)
-    comp = case.composite
-    failures = []
-
-    def check(name, err, tol):
-        status = "pass" if err <= tol else "FAIL"
-        print(f"{status}  {name}: error {err:.3e} (tolerance {tol:g})")
-        if err > tol:
-            failures.append(name)
-
-    op = ddm.build_schur_operator(comp)
-    A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
-    Nc = A2.shape[0]
-    eye = np.eye(Nc)
-    Sn = np.column_stack([op.schur(eye[:, j]) for j in range(Nc)])
-    check("schur operator vs dense", float(np.abs(Sn - S).max()), 1e-9)
-    Pn = np.column_stack([op.preconditioned(eye[:, j]) for j in range(Nc)])
-    check("preconditioned operator vs dense",
-          float(np.abs(Pn - np.eye(Nc) + np.linalg.solve(A2, S)).max()), 1e-9)
-
-    G = oracle.assemble_global_matrix(comp)
-    offs = oracle.global_offsets(comp)
-    worst = 0.0
-    for _ in range(10):
-        fvec = rng.standard_normal(G.shape[0])
-        f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
-        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        x = oracle.dense_lu_solve(G, fvec)
-        got = np.concatenate([fields[s.id].values for s in comp.subdomains])
-        worst = max(worst, float(np.abs(got - x).max() / np.abs(x).max()))
-    check("composite solve vs dense LU (10 random RHS)", worst, 1e-8)
-
-    if failures:
-        raise FftDdmError("oracle check failed: " + ", ".join(failures))
-    print(f"oracle check passed at k_n={args.kn}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fftddm",
@@ -168,16 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the cross benchmark once")
-    p.add_argument("--case", default="cross")
     p.add_argument("--kn", type=int, required=True)
     p.add_argument("--m", type=int, default=80)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p, "--out", "--kappa", "--paper-literal-constants")
+    _add_common(p, "--out", "--kappa")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convergence", help="grid-refinement study")
     p.add_argument("--kn-list", type=_ints, default=[4, 8, 16, 32, 64])
-    _add_common(p, "--out", "--kappa", "--paper-literal-constants")
+    _add_common(p, "--out", "--kappa")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("precond-compare",
@@ -196,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=80)
     _add_common(p, "--out")
     p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("oracle-check",
-                       help="dense-equivalence suite (desk scale)")
-    p.add_argument("--kn", type=int, default=2)
-    _add_common(p, "--kappa")
-    p.set_defaults(func=cmd_oracle_check)
     return parser
 
 

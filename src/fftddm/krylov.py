@@ -37,8 +37,8 @@ class GmresConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError("restart length m must be >= 1")
-        if not self.tol > 0:
-            raise ValidationError("tolerance must be positive")
+        if not 0 < self.tol < 1:
+            raise ValidationError("tolerance must lie in (0, 1)")
         if self.max_restarts < 1:
             raise ValidationError("max_restarts must be >= 1")
         if self.preconditioner not in PRECONDITIONERS:
@@ -88,8 +88,6 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
 
     for _ in range(cfg.max_restarts):
         beta = np.linalg.norm(r)
-        if beta / r0_norm <= cfg.tol:
-            break
         V = np.empty((m + 1, N))
         H = np.zeros((m + 1, m))
         V[0] = r / beta
@@ -160,7 +158,7 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
     report = SolveReport(converged=False, iterations=total_iters,
                          residual_history=np.asarray(history),
                          wall_time=time.perf_counter() - start,
-                         true_residual=np.linalg.norm(rhs - operator(x)))
+                         true_residual=np.linalg.norm(r))
     err = ConvergenceError(
         f"GMRES did not reach tol={cfg.tol} in {total_iters} iterations "
         f"(relative residual {report.residual_history[-1]:.3e})",

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -58,13 +59,6 @@ class TestPsiCoefficients:
     def test_psi_y_endpoints(self, y, want):
         case = bench.build_cross(k_n=1)
         assert bench._psi_y(case, y) == pytest.approx(want, abs=1e-12)
-
-    def test_paper_literal_constants_violate_outer_dirichlet(self):
-        case = bench.build_cross(k_n=1, paper_literal=True)
-        # psi_x(7L) lands on pi/2, so p does not vanish on the east face
-        ys = np.linspace(2.5 * L, 5.5 * L, 5)
-        p = bench.manufactured_solution(case, np.full_like(ys, 7 * L), ys)
-        assert np.abs(p).min() > 0.1
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +184,7 @@ class TestEmitters:
 
 class TestCli:
     def test_solve_writes_outputs(self, tmp_path, capsys):
-        rc = cli.main(["solve", "--case", "cross", "--kn", "4",
-                       "--m", "40", "--tol", "1e-9",
+        rc = cli.main(["solve", "--kn", "4", "--m", "40", "--tol", "1e-9",
                        "--out", str(tmp_path)])
         assert rc == 0
         for name in ("solution.csv", "report.csv", "residual_history.csv"):
@@ -223,26 +216,19 @@ class TestCli:
         assert (tmp_path / "scaling.csv").exists()
         assert (tmp_path / "timing.csv").exists()
 
-    def test_oracle_check_subcommand(self):
-        assert cli.main(["oracle-check", "--kn", "1"]) == 0
-
     @pytest.mark.parametrize("argv", [
         ["precond-compare", "--kappa", "-50"],
-        ["precond-compare", "--paper-literal-constants"],
         ["scaling", "--kappa", "-50"],
-        ["scaling", "--paper-literal-constants"],
-        ["oracle-check", "--paper-literal-constants"],
-        ["oracle-check", "--out", "results"],
     ], ids=lambda argv: f"{argv[0]}{argv[1]}")
     def test_unread_options_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
 
-    def test_unknown_case_fails_with_json_error(self, capsys):
-        rc = cli.main(["solve", "--case", "sphere", "--kn", "2"])
+    def test_invalid_kn_fails_with_json_error(self, capsys):
+        rc = cli.main(["solve", "--kn", "0"])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()[-1]
-        import json
         payload = json.loads(err)
-        assert payload["error"]["type"] == "FftDdmError"
+        assert payload["error"] == {"type": "ValidationError",
+                                    "message": "k_n must be >= 1"}

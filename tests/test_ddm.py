@@ -87,9 +87,10 @@ class TestSchurOperator:
         v = rng.standard_normal(op.size)
         np.testing.assert_allclose(op.schur(v), S @ v, atol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, -50.0, 3.0])
     @pytest.mark.parametrize("kn", [1, 2])
-    def test_dense_equivalence_on_the_cross(self, kn):
-        comp = bench.build_cross(k_n=kn).composite
+    def test_dense_equivalence_on_the_cross(self, kn, kappa):
+        comp = bench.build_cross(k_n=kn, kappa=kappa).composite
         op = ddm.build_schur_operator(comp)
         A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
         Nc = op.size
@@ -137,9 +138,10 @@ class TestDdmSolve:
         for s in comp.subdomains:
             assert not fields[s.id].values.any()
 
+    @pytest.mark.parametrize("kappa", [0.0, -50.0, 3.0])
     @pytest.mark.parametrize("kn", [1, 2])
-    def test_matches_global_dense_lu(self, kn, rng):
-        comp = bench.build_cross(k_n=kn).composite
+    def test_matches_global_dense_lu(self, kn, kappa, rng):
+        comp = bench.build_cross(k_n=kn, kappa=kappa).composite
         G = oracle.assemble_global_matrix(comp)
         offs = oracle.global_offsets(comp)
         fvec = rng.standard_normal(G.shape[0])

@@ -11,7 +11,7 @@ from test_ddm import nodal_preconditioned, star_mixed
 class TestGmresConfig:
     @pytest.mark.parametrize("kwargs", [
         {"m": 0}, {"tol": 0.0}, {"tol": -1e-8}, {"max_restarts": 0},
-        {"preconditioner": "ilu"}, {"preconditioner": "jacobi"},
+        {"preconditioner": "ilu"}, {"preconditioner": "jacobi"}, {"tol": 1.0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -73,12 +73,23 @@ class TestGmres:
         N = 8
         A = rng.standard_normal((N, N)) + 4 * np.eye(N)
         b = rng.standard_normal(N)
-        cfg = krylov.GmresConfig(m=2, tol=1e-15, max_restarts=1)
+        cfg = krylov.GmresConfig(m=2, tol=1e-15, max_restarts=3)
+        calls = []
+
+        def operator(v):
+            calls.append(1)
+            return A @ v
+
         with pytest.raises(ConvergenceError) as excinfo:
-            krylov.gmres(lambda v: A @ v, b, cfg=cfg)
+            krylov.gmres(operator, b, cfg=cfg)
         rep = excinfo.value.report
         assert not rep.converged
-        assert rep.residual_history.size >= 2
+        assert rep.residual_history.size == 1 + rep.iterations == 7
+        # one apply per Arnoldi step and one residual per cycle, no more
+        assert len(calls) == rep.iterations + 3
+        x = excinfo.value.solution
+        assert rep.true_residual == pytest.approx(
+            np.linalg.norm(b - A @ x), rel=1e-12)
 
     def test_nonzero_initial_guess(self, rng):
         A = rng.standard_normal((10, 10)) + 5 * np.eye(10)

@@ -8,7 +8,7 @@ from pathlib import Path
 import fftddm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# `head.name`, optionally with a call's arguments: `bench.build_cross(L, k_n)`
+# `head.name`, optionally with a call's arguments: `bench.build_cross(k_n)`
 REFERENCE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
 FILE_SUFFIXES = {"csv", "json", "md", "py", "toml", "ini", "txt"}
 
