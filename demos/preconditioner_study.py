@@ -9,7 +9,7 @@ from fftddm import bench
 
 
 def run(k_n=16, tol=1e-7):
-    rows, _ = bench.run_precond_compare([k_n], [80], tol=tol, max_restarts=25)
+    rows = bench.run_precond_compare([k_n], [80], tol=tol, max_restarts=25)
     print(f"cross k_n={k_n}, GMRES(80), tol={tol:g}")
     for r in rows:
         note = "" if r["converged"] else "  (cap reached)"

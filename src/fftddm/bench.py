@@ -41,7 +41,6 @@ class CrossCase:
     k_n: int
     kappa: float
     composite: CompositeDomain
-    psi_coeffs: tuple  # (A1, A2, A3, B1, B2, B3)
 
     @property
     def h(self) -> float:
@@ -50,26 +49,6 @@ class CrossCase:
     @property
     def total_nodes(self) -> int:
         return sum(s.size for s in self.composite.subdomains)
-
-
-def derive_psi_coeffs(L: float) -> tuple:
-    """Phase-polynomial coefficients from the endpoint constraints.
-
-    psi_x(x) = x (A1 + A2 (x - L) + A3 (x^2 - 4Lx + 3L^2)) must hit
-    pi/2, 3pi/2, 3pi at x = L, 3L, 7L; psi_y analogously hits pi/2,
-    3pi/2, 2pi at y = 2L, 6L, 7L.  Each axis is a 3x3 linear solve.
-    """
-    def solve_axis(xs, targets, shift, q):
-        M = np.array([[x, x * (x - shift), x * q(x)] for x in xs])
-        return np.linalg.solve(M, np.asarray(targets))
-
-    a = solve_axis([L, 3 * L, 7 * L],
-                   [np.pi / 2, 3 * np.pi / 2, 3 * np.pi],
-                   L, lambda x: x * x - 4 * L * x + 3 * L * L)
-    b = solve_axis([2 * L, 6 * L, 7 * L],
-                   [np.pi / 2, 3 * np.pi / 2, 2 * np.pi],
-                   2 * L, lambda y: y * y - 8 * L * y + 12 * L * L)
-    return (a[0], a[1], a[2], b[0], b[1], b[2])
 
 
 def build_cross(k_n: int = 1, kappa: float = 0.0) -> CrossCase:
@@ -110,8 +89,7 @@ def build_cross(k_n: int = 1, kappa: float = 0.0) -> CrossCase:
     comp = CompositeDomain(subdomains=[center, west, east, south, north],
                            interfaces=interfaces)
     validate(comp).require()
-    return CrossCase(L=L, k_n=k_n, kappa=kappa, composite=comp,
-                     psi_coeffs=derive_psi_coeffs(L))
+    return CrossCase(L=L, k_n=k_n, kappa=kappa, composite=comp)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +98,19 @@ def build_cross(k_n: int = 1, kappa: float = 0.0) -> CrossCase:
 def _psi(case: CrossCase, t, axis: str, order: int = 0):
     """The order-th derivative of the phase cubic psi_x or psi_y at t,
 
-        psi(t) = t (c1 + c2 (t - r1) + c3 (t - r1) (t - r2)),
+        psi(t) = t (c1 + c3 (t - r1) (t - r2)),
 
-    with (c1, c2, c3) = (A1, A2, A3) and r = (L, 3L) on x, (B1, B2, B3)
-    and r = (2L, 6L) on y."""
+    with c1 = pi/(2L), c3 = -pi/(336 L^3), r = (L, 3L) on x and
+    c1 = pi/(4L), c3 = pi/(140 L^3), r = (2L, 6L) on y.  These take
+    psi_x through (pi/2, 3pi/2, 3pi) at x = (L, 3L, 7L) and psi_y through
+    (pi/2, 3pi/2, 2pi) at y = (2L, 6L, 7L)."""
     L = case.L
-    c1, c2, c3 = case.psi_coeffs[:3] if axis == "x" else case.psi_coeffs[3:]
-    r1, r2 = (L, 3 * L) if axis == "x" else (2 * L, 6 * L)
+    if axis == "x":
+        c1, c3, r1, r2 = np.pi / (2 * L), -np.pi / (336 * L**3), L, 3 * L
+    else:
+        c1, c3, r1, r2 = np.pi / (4 * L), np.pi / (140 * L**3), 2 * L, 6 * L
     s = Polynomial([0.0, 1.0])
-    psi = s * (c1 + c2 * (s - r1) + c3 * (s - r1) * (s - r2))
+    psi = s * (c1 + c3 * (s - r1) * (s - r2))
     return psi.deriv(order)(t)
 
 
@@ -235,14 +217,14 @@ def run_convergence(kn_list, kappa: float = 0.0) -> list:
 def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
                         preconditioners=("fft", "identity"),
                         max_restarts: int = 40):
-    """Rows of (k_n, m, preconditioner, iterations, converged) + histories,
-    from the cross's center system at each k_n, m and preconditioner.
+    """Rows of (k_n, m, preconditioner, iterations, converged, history)
+    from the cross's center system at each k_n, m and preconditioner;
+    `history` is the run's residual-history array.
 
     Non-convergence is recorded with the iteration cap and flagged, never
-    raised.  Returns (rows, histories) where histories maps
-    (k_n, m, preconditioner) to the residual-history array.
+    raised.
     """
-    rows, histories = [], {}
+    rows = []
     for kn in kn_list:
         case = build_cross(k_n=kn)
         op = ddm.build_schur_operator(case.composite)
@@ -260,9 +242,9 @@ def run_precond_compare(kn_list, m_list, tol: float = 1e-7,
                     iters, conv, hist = exc.report.iterations, False, \
                         exc.report.residual_history
                 rows.append({"k_n": kn, "m": m, "preconditioner": precond,
-                             "iterations": iters, "converged": int(conv)})
-                histories[(kn, m, precond)] = np.asarray(hist)
-    return rows, histories
+                             "iterations": iters, "converged": int(conv),
+                             "history": np.asarray(hist)})
+    return rows
 
 
 def fit_exponent(kns, iters) -> float:
@@ -333,7 +315,8 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows, path, header=None) -> None:
-    """Write dict rows as CSV with a header; deterministic formatting."""
+    """Write dict rows as CSV with a header; deterministic formatting.
+    Given a `header`, `rows` may be any iterable, e.g. a generator."""
     if header is None:
         header = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="\n") as fh:
@@ -343,19 +326,15 @@ def emit_csv(rows, path, header=None) -> None:
 
 
 def emit_field(case: CrossCase, fields: dict, path) -> None:
-    """Dump a solution as (x, y, value) triples in node order."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,value\n")
-        for sub in case.composite.subdomains:
-            x, y = _node_grid(sub)
-            vals = fields[sub.id].values
-            for xi, yi, vi in zip(x, y, vals):
-                fh.write(f"{_fmt(xi)},{_fmt(yi)},{_fmt(vi)}\n")
+    """Dump a solution as (x, y, value) rows in node order."""
+    rows = ({"x": x, "y": y, "value": v}
+            for sub in case.composite.subdomains
+            for x, y, v in zip(*_node_grid(sub), fields[sub.id].values))
+    emit_csv(rows, path, header=["x", "y", "value"])
 
 
 def emit_history(history, path) -> None:
-    """Per-iteration relative residuals as CSV."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("iteration,relative_residual\n")
-        for i, r in enumerate(np.asarray(history)):
-            fh.write(f"{i},{_fmt(float(r))}\n")
+    """Per-iteration relative residuals as CSV, one row per iteration."""
+    rows = ({"iteration": i, "relative_residual": r}
+            for i, r in enumerate(np.asarray(history, dtype=float)))
+    emit_csv(rows, path, header=["iteration", "relative_residual"])

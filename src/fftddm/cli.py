@@ -77,15 +77,15 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_precond_compare(args) -> int:
-    rows, histories = bench.run_precond_compare(
+    rows = bench.run_precond_compare(
         args.kn_list, args.m_list, tol=args.tol,
         preconditioners=tuple(args.precond.split(",")),
         max_restarts=args.max_restarts)
-    for (kn, m, precond), hist in histories.items():
-        bench.emit_history(
-            hist, _out_path(args, f"history_kn{kn}_m{m}_{precond}.csv"))
-    for row, key in zip(rows, histories):
-        row["history_file"] = f"history_kn{key[0]}_m{key[1]}_{key[2]}.csv"
+    for r in rows:
+        r["history_file"] = (f"history_kn{r['k_n']}_m{r['m']}_"
+                             f"{r['preconditioner']}.csv")
+        bench.emit_history(r.pop("history"),
+                           _out_path(args, r["history_file"]))
     bench.emit_csv(rows, _out_path(args, "precond_compare.csv"))
     for r in rows:
         flag = "" if r["converged"] else "  [cap reached]"

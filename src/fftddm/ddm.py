@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (CompositeDomain, GridField, Interface, RectSubdomain,
-                       edge_axis, line_indices)
+from .geometry import (CompositeDomain, GridField, Interface, edge_axis,
+                       line_indices)
 from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
                          plan_rect, q_row, solve_rect, sweep)
 from . import krylov, rectsolver, transforms
@@ -99,7 +99,6 @@ class SchurOperator:
     """
 
     coupled_id: int
-    center: RectSubdomain
     center_plan: RectPlan
     neighbors: tuple
     along_rows: np.ndarray
@@ -107,7 +106,7 @@ class SchurOperator:
 
     @property
     def size(self) -> int:
-        return self.center.size
+        return self.center_plan.subdomain.size
 
     def schur(self, p: np.ndarray) -> np.ndarray:
         """sum_i R_{c,i} A_i^{-1} R_{i,c} p; one line operator per neighbor."""
@@ -120,15 +119,8 @@ class SchurOperator:
     def unpreconditioned(self, p: np.ndarray) -> np.ndarray:
         """(A_c - sum S) p."""
         p = np.asarray(p, dtype=float)
-        return apply_rect_operator(self.center, p) - self.schur(p)
-
-    def preconditioned(self, p: np.ndarray) -> np.ndarray:
-        """(I - A_c^{-1} sum S) p = Q M_hat Q^T p; see spectral_preconditioned."""
-        return self.to_nodal(self.spectral_preconditioned(self.to_spectral(p)))
-
-    def to_spectral(self, p: np.ndarray) -> np.ndarray:
-        """Q^T p: the center's spectral coefficients, flat."""
-        return rectsolver.to_spectral(self.center_plan, p).reshape(-1)
+        return (apply_rect_operator(self.center_plan.subdomain, p)
+                - self.schur(p))
 
     def to_nodal(self, p_hat: np.ndarray) -> np.ndarray:
         """Q p_hat: the center's nodal values, flat."""
@@ -179,8 +171,7 @@ def designate_center(comp: CompositeDomain) -> int:
 def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
     """The Schur operator on the center, `designate_center`'s choice."""
     coupled_id = designate_center(comp)
-    center = comp.subdomain(coupled_id)
-    center_plan = plan_rect(center)
+    center_plan = plan_rect(comp.subdomain(coupled_id))
     ms, nt = center_plan.beta.shape
     neighbors, along_rows, across_q = [], [], []
     for iface in comp.interfaces_of(coupled_id):
@@ -201,7 +192,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         index = 0 if first else (nt if across else ms) - 1
         batch.append(q_row(center_plan, index) if across else index)
     return SchurOperator(
-        coupled_id=coupled_id, center=center, center_plan=center_plan,
+        coupled_id=coupled_id, center_plan=center_plan,
         neighbors=tuple(neighbors), along_rows=np.array(along_rows, dtype=int),
         across_q=np.reshape(across_q, (len(across_q), nt)))
 

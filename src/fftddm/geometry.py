@@ -222,6 +222,12 @@ def _edge_line_geometry(sub: RectSubdomain, edge: str):
 
 
 def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
+    missing = [e for e in EDGES
+               if not isinstance(sub.edge_bc.get(e), BoundaryKind)]
+    if missing:
+        report.violations.append(
+            f"subdomain {sub.id}: missing BC on {', '.join(missing)}")
+        return
     if sub.m < 1 or sub.n < 1:
         report.violations.append(f"subdomain {sub.id}: empty grid ({sub.m} x {sub.n})")
         return
@@ -239,9 +245,6 @@ def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
                 f"subdomain {sub.id}: periodic {axis} axis needs an even "
                 f"node count, got {count}"
             )
-    for edge in EDGES:
-        if edge not in sub.edge_bc:
-            report.violations.append(f"subdomain {sub.id}: missing BC on {edge}")
 
 
 def _check_interface(comp: CompositeDomain, iface: Interface,
@@ -388,11 +391,15 @@ def load_composite(path) -> CompositeDomain:
     See README for the schema: one ``[subdomain <id>]`` section per
     rectangle and one ``[interface <id>]`` section per shared edge.
     Coupling strengths are derived from the geometry.  A malformed file
-    raises ValidationError naming the section.
+    raises ValidationError naming the section, or the file if it does not
+    parse as sections of keys.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValidationError(f"config file {path}: {exc}") from None
 
     try:
         default_kappa = parser.getfloat("domain", "kappa", fallback=0.0)

@@ -13,7 +13,6 @@ from .errors import SingularOperatorError
 from .geometry import CompositeDomain, RectSubdomain, line_indices
 
 _RECT_GUARD = 10_000
-_EIG_GUARD = 512
 
 
 def assemble_axis_matrix(bc: str, n: int, delta_t: float, delta_o: float,
@@ -122,24 +121,28 @@ def assemble_coupling_matrix(comp: CompositeDomain, from_id: int,
     return R
 
 
+def global_offsets(comp: CompositeDomain) -> dict:
+    """Subdomain id -> (start, end) slice bounds in the global vector."""
+    out, pos = {}, 0
+    for s in comp.subdomains:
+        out[s.id] = (pos, pos + s.size)
+        pos += s.size
+    return out
+
+
 def assemble_global_matrix(comp: CompositeDomain) -> np.ndarray:
     """Dense global block matrix over all subdomains in list order."""
-    sizes = [s.size for s in comp.subdomains]
-    if sum(sizes) > _RECT_GUARD:
-        raise ValueError(f"composite too large for dense assembly ({sum(sizes)})")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    A = np.zeros((offsets[-1], offsets[-1]))
-    index = {s.id: i for i, s in enumerate(comp.subdomains)}
-    for i, sub in enumerate(comp.subdomains):
-        sl = slice(offsets[i], offsets[i + 1])
-        A[sl, sl] = assemble_rect_matrix(sub)
+    total = sum(s.size for s in comp.subdomains)
+    if total > _RECT_GUARD:
+        raise ValueError(f"composite too large for dense assembly ({total})")
+    block = {sid: slice(*ends) for sid, ends in global_offsets(comp).items()}
+    A = np.zeros((total, total))
+    for sub in comp.subdomains:
+        A[block[sub.id], block[sub.id]] = assemble_rect_matrix(sub)
     for iface in comp.interfaces:
         a, b = iface.side_a[0], iface.side_b[0]
-        ia, ib = index[a], index[b]
-        A[offsets[ib]:offsets[ib + 1], offsets[ia]:offsets[ia + 1]] += \
-            assemble_coupling_matrix(comp, a, b)
-        A[offsets[ia]:offsets[ia + 1], offsets[ib]:offsets[ib + 1]] += \
-            assemble_coupling_matrix(comp, b, a)
+        A[block[b], block[a]] += assemble_coupling_matrix(comp, a, b)
+        A[block[a], block[b]] += assemble_coupling_matrix(comp, b, a)
     return A
 
 
@@ -155,27 +158,6 @@ def assemble_schur_blocks(comp: CompositeDomain,
         S += assemble_coupling_matrix(comp, oid, cid) @ np.linalg.solve(
             A_i, assemble_coupling_matrix(comp, cid, oid))
     return A_c, S
-
-
-def global_offsets(comp: CompositeDomain) -> dict:
-    """Subdomain id -> (start, end) slice bounds in the global vector."""
-    out, pos = {}, 0
-    for s in comp.subdomains:
-        out[s.id] = (pos, pos + s.size)
-        pos += s.size
-    return out
-
-
-def dense_eig_symmetric(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric M."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix is not square")
-    if M.shape[0] > _EIG_GUARD:
-        raise ValueError("matrix too large for the dense eigensolver")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
-        raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(M)
 
 
 def dense_lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

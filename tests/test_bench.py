@@ -37,16 +37,6 @@ class TestBuildCross:
 
 
 class TestPsiCoefficients:
-    def test_printed_values_reproduced(self):
-        A1, A2, A3, B1, B2, B3 = bench.derive_psi_coeffs(L)
-        assert A1 == pytest.approx(np.pi / (2 * L), abs=1e-12)
-        assert A2 == pytest.approx(0.0, abs=1e-12)
-        assert B1 == pytest.approx(np.pi / (4 * L), abs=1e-12)
-        assert B2 == pytest.approx(0.0, abs=1e-12)
-        # closed forms of the endpoint-consistent cubic terms
-        assert A3 == pytest.approx(-np.pi / (336 * L ** 3), rel=1e-12)
-        assert B3 == pytest.approx(np.pi / (140 * L ** 3), rel=1e-12)
-
     @pytest.mark.parametrize("x,want", [
         (0.0, 0.0), (L, np.pi / 2), (3 * L, 3 * np.pi / 2), (7 * L, 3 * np.pi)])
     def test_psi_x_endpoints(self, x, want):
@@ -208,6 +198,18 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "precond_compare.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_precond_compare_repeated_kn(self, tmp_path):
+        rc = cli.main(["precond-compare", "--kn-list", "2,2", "--m-list", "20",
+                       "--precond", "fft", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "precond_compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            with open(tmp_path / row["history_file"], newline="") as fh:
+                history = list(csv.DictReader(fh))
+            assert len(history) == 1 + int(row["iterations"])
 
     def test_scaling_subcommand(self, tmp_path):
         rc = cli.main(["scaling", "--kn-list", "2,4", "--tol-list", "1e-7",

@@ -92,6 +92,18 @@ class TestValidate:
         assert validate(comp).violations == [
             "interface 0: paired nodes are not coincident"]
 
+    @pytest.mark.parametrize("bc,missing", [
+        ({"west": D, "east": D, "south": D}, "north"),
+        (dict.fromkeys(("west", "east", "south", "north"), "dirichlet"),
+         "west, east, south, north"),
+        ({"west": None, "east": D, "south": D, "north": D}, "west"),
+    ], ids=["absent-edge", "string-kinds", "none-kind"])
+    def test_missing_bc_reported_not_raised(self, bc, missing):
+        sub = dataclasses.replace(make_rect(2, 2), edge_bc=bc)
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        assert validate(comp).violations == [
+            f"subdomain 0: missing BC on {missing}"]
+
 
 class TestTypedErrors:
     @pytest.mark.parametrize("call,name", [
@@ -187,4 +199,17 @@ north = dirichlet
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TWO_RECTANGLES.replace(old, new))
         with pytest.raises(ValidationError, match=rf"\[{section}\]"):
+            load_composite(cfg)
+
+    @pytest.mark.parametrize("text", [
+        TWO_RECTANGLES + "\n[subdomain 0]\n",
+        TWO_RECTANGLES.replace("cells = 3 3", "cells = 3 3\ncells = 3 3"),
+        "kappa = 0.0\n" + TWO_RECTANGLES,
+        TWO_RECTANGLES.replace("cells = 2 3", "cells 2 3"),
+    ], ids=["duplicate-section", "duplicate-key", "line-before-section",
+            "line-without-equals"])
+    def test_unparsable_file_names_the_file(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValidationError, match="bad.cfg"):
             load_composite(cfg)

@@ -51,12 +51,6 @@ class TestRectMatrix:
 
 
 class TestDenseKernels:
-    def test_eig_of_dd_n2(self):
-        A = oracle.assemble_axis_matrix("DD", 2, 1.0, 1.0)
-        lam, Q = oracle.dense_eig_symmetric(A)
-        np.testing.assert_allclose(sorted(lam), [-5.0, -3.0])
-        np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-14)
-
     def test_lu_tridiagonal_example(self):
         M = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
         x = oracle.dense_lu_solve(M, np.array([1.0, 0.0, 0.0]))
@@ -65,10 +59,6 @@ class TestDenseKernels:
     def test_lu_singular_raises(self):
         with pytest.raises(SingularOperatorError):
             oracle.dense_lu_solve(np.ones((3, 3)), np.ones(3))
-
-    def test_eig_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            oracle.dense_eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEigvectorMatrix:
