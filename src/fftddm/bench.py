@@ -326,11 +326,14 @@ def emit_csv(rows, path, header=None) -> None:
 
 
 def emit_field(case: CrossCase, fields: dict, path) -> None:
-    """Dump a solution as (x, y, value) rows in node order."""
-    rows = ({"x": x, "y": y, "value": v}
-            for sub in case.composite.subdomains
-            for x, y, v in zip(*_node_grid(sub), fields[sub.id].values))
-    emit_csv(rows, path, header=["x", "y", "value"])
+    """Dump a solution as (x, y, value) rows in node order, formatted as
+    `emit_csv` formats floats."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,value\n")
+        for sub in case.composite.subdomains:
+            x, y = _node_grid(sub)
+            fh.writelines("%.17g,%.17g,%.17g\n" % row for row in zip(
+                x.tolist(), y.tolist(), fields[sub.id].values.tolist()))
 
 
 def emit_history(history, path) -> None:

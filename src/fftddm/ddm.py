@@ -73,7 +73,7 @@ def make_coupling(comp: CompositeDomain, iface: Interface,
                        from_size=sub_f.size, to_size=sub_t.size,
                        from_idx=line_indices(sub_f, from_edge),
                        to_idx=line_indices(sub_t, to_edge),
-                       coupling=iface.coupling)
+                       coupling=comp.coupling(iface))
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,10 @@ class SchurOperator:
         return p_hat - sweep(plan, s_hat).reshape(-1)
 
 
-def designate_center(comp: CompositeDomain) -> int:
-    """Pick the coupled subdomain: the unique one with >= 2 interfaces.
-
-    When no subdomain has two interfaces (two rectangles, or one alone)
-    the lowest id is promoted so the star layout still applies; a lone
-    rectangle is a center without neighbors.
-    """
-    coupled = sorted(comp.coupled_ids)
-    if len(coupled) > 1:
-        raise ValidationError(f"more than one coupled subdomain: {coupled}")
-    if coupled:
-        return coupled[0]
-    return min(s.id for s in comp.subdomains)
-
-
 def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
-    """The Schur operator on the center, `designate_center`'s choice."""
-    coupled_id = designate_center(comp)
+    """The Schur operator on `comp.center`; a composite that is not a star
+    raises ValidationError."""
+    coupled_id = comp.center
     center_plan = plan_rect(comp.subdomain(coupled_id))
     ms, nt = center_plan.beta.shape
     neighbors, along_rows, across_q = [], [], []
@@ -216,7 +202,7 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
 
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides.  The coupled subdomain is `designate_center`'s choice.  A single
+    sides.  The coupled subdomain is `CompositeDomain.center`.  A single
     rectangle is a center without neighbors: the fft-preconditioned GMRES
     sees the identity and returns A_c^{-1} f after one step.
     """

@@ -16,9 +16,11 @@ class SingularOperatorError(FftDdmError):
 class ConvergenceError(FftDdmError):
     """An iterative solve failed to reach the requested tolerance.
 
-    Carries the solve report (with full residual history) as `report`.
+    Carries the solve report (with full residual history) as `report` and
+    the last iterate as `solution`.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, solution=None):
         super().__init__(message)
         self.report = report
+        self.solution = solution

@@ -115,11 +115,15 @@ class RectSubdomain:
             BoundaryKind.PERIODIC: "PP",
         }[kinds[0]]
 
+    def normal_delta(self, edge: str) -> float:
+        """1/spacing^2 normal to `edge`."""
+        return self.delta_x if edge_axis(edge) == "x" else self.delta_y
+
     def end_modifier(self, edge: str) -> float:
         """Extra diagonal term (units of the axis delta) at the node line
         adjacent to `edge`: +delta for Neumann, -delta for half-cell
         Dirichlet, 0 otherwise."""
-        delta = self.delta_x if edge_axis(edge) == "x" else self.delta_y
+        delta = self.normal_delta(edge)
         kind = self.edge_bc[edge]
         if kind is BoundaryKind.NEUMANN:
             return +delta
@@ -158,14 +162,13 @@ class Interface:
     """A shared edge between two rectangles.
 
     Node k of side_a's boundary-adjacent line pairs with node k of side_b's
-    line, both in tangential order.  `coupling` is 1/spacing^2 in the
-    direction normal to the interface.
+    line, both in tangential order.  The weight across it is
+    `CompositeDomain.coupling`.
     """
 
     id: int
     side_a: tuple[int, str]
     side_b: tuple[int, str]
-    coupling: float
 
     def other_side(self, subdomain_id: int) -> tuple[int, str]:
         if self.side_a[0] == subdomain_id:
@@ -208,6 +211,23 @@ class CompositeDomain:
     def coupled_ids(self) -> set:
         return {s.id for s in self.subdomains if len(self.interfaces_of(s.id)) >= 2}
 
+    @property
+    def center(self) -> int:
+        """The star's center: the lowest id among the subdomains that every
+        interface touches (every subdomain when there are no interfaces).
+        A lone rectangle is a center without neighbors."""
+        hubs = [s.id for s in self.subdomains
+                if len(self.interfaces_of(s.id)) == len(self.interfaces)]
+        if not hubs:
+            raise ValidationError("no subdomain touches every interface; "
+                                  "only one layer of coupling is supported")
+        return min(hubs)
+
+    def coupling(self, iface: Interface) -> float:
+        """The weight across `iface`: 1/spacing^2 normal to it."""
+        sid, edge = iface.side_a
+        return self.subdomain(sid).normal_delta(edge)
+
 
 def _edge_line_geometry(sub: RectSubdomain, edge: str):
     """(interface-line coordinate, tangential node coordinates, spacing)."""
@@ -222,8 +242,8 @@ def _edge_line_geometry(sub: RectSubdomain, edge: str):
 
 
 def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
-    missing = [e for e in EDGES
-               if not isinstance(sub.edge_bc.get(e), BoundaryKind)]
+    bc = sub.edge_bc or {}
+    missing = [e for e in EDGES if not isinstance(bc.get(e), BoundaryKind)]
     if missing:
         report.violations.append(
             f"subdomain {sub.id}: missing BC on {', '.join(missing)}")
@@ -286,15 +306,10 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     if np.max(np.abs(tan_a - tan_b)) > tol:
         report.violations.append(
             f"interface {iface.id}: paired nodes are not coincident")
-    # normal spacing and coupling
-    axis = edge_axis(edge_a)
-    deltas = ((sub_a.delta_x, sub_b.delta_x) if axis == "x"
-              else (sub_a.delta_y, sub_b.delta_y))
-    for sid, d in zip((sub_a.id, sub_b.id), deltas):
-        if not np.isclose(iface.coupling, d, rtol=1e-9):
-            report.violations.append(
-                f"interface {iface.id}: coupling {iface.coupling} does not "
-                f"match 1/spacing^2 = {d} of subdomain {sid}")
+    if not np.isclose(sub_a.normal_delta(edge_a), sub_b.normal_delta(edge_b),
+                      rtol=1e-9):
+        report.violations.append(
+            f"interface {iface.id}: spacing mismatch normal to the interface")
 
 
 def validate(composite: CompositeDomain) -> ValidationReport:
@@ -326,46 +341,27 @@ def validate(composite: CompositeDomain) -> ValidationReport:
                     f"subdomain {sub.id} edge {edge} marked interface but "
                     f"no interface record references it")
 
-    # connectivity of the interface graph
-    if len(composite.subdomains) > 1:
-        adj = {s.id: set() for s in composite.subdomains}
-        for iface in composite.interfaces:
-            a, b = iface.side_a[0], iface.side_b[0]
-            if a in adj and b in adj:
-                adj[a].add(b)
-                adj[b].add(a)
-        stack, seen = [ids[0]], {ids[0]}
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != set(ids):
-            report.violations.append("interface graph is not connected")
-
-    # star topology: neighbours of any coupled subdomain are all independent
-    for sid in composite.coupled_ids:
-        for iface in composite.interfaces_of(sid):
-            nb = iface.other_side(sid)[0]
-            if len(composite.interfaces_of(nb)) != 1:
-                report.violations.append(
-                    f"coupled subdomains {sid} and {nb} share an interface; "
-                    f"only one layer of coupling is supported")
+    # a star: every subdomain has an interface, and one touches them all
+    if len(ids) > 1 and not all(map(composite.interfaces_of, ids)):
+        report.violations.append("interface graph is not connected")
+    try:
+        composite.center
+    except ValidationError as exc:
+        report.violations.append(str(exc))
     return report
 
 
 def make_interface(iface_id: int, sub_a: RectSubdomain, edge_a: str,
                    sub_b: RectSubdomain, edge_b: str) -> Interface:
-    """Build an Interface with its coupling derived from the geometry."""
+    """Build an Interface, checking that its two node lines pair up."""
     _, tan_a, _ = _edge_line_geometry(sub_a, edge_a)
     _, tan_b, _ = _edge_line_geometry(sub_b, edge_b)
     if len(tan_a) != len(tan_b):
         raise ValidationError(
             f"interface {iface_id}: interface node mismatch "
             f"({len(tan_a)} vs {len(tan_b)})")
-    delta = sub_a.delta_x if edge_axis(edge_a) == "x" else sub_a.delta_y
     return Interface(id=iface_id, side_a=(sub_a.id, edge_a),
-                     side_b=(sub_b.id, edge_b), coupling=delta)
+                     side_b=(sub_b.id, edge_b))
 
 
 _BC_NAMES = {k.value: k for k in BoundaryKind}
@@ -390,7 +386,7 @@ def load_composite(path) -> CompositeDomain:
 
     See README for the schema: one ``[subdomain <id>]`` section per
     rectangle and one ``[interface <id>]`` section per shared edge.
-    Coupling strengths are derived from the geometry.  A malformed file
+    Interface weights are derived from the geometry.  A malformed file
     raises ValidationError naming the section, or the file if it does not
     parse as sections of keys.
     """

@@ -159,12 +159,10 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
                          residual_history=np.asarray(history),
                          wall_time=time.perf_counter() - start,
                          true_residual=np.linalg.norm(r))
-    err = ConvergenceError(
+    raise ConvergenceError(
         f"GMRES did not reach tol={cfg.tol} in {total_iters} iterations "
         f"(relative residual {report.residual_history[-1]:.3e})",
-        report=report)
-    err.solution = x
-    raise err
+        report=report, solution=x)
 
 
 def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):

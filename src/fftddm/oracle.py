@@ -117,7 +117,7 @@ def assemble_coupling_matrix(comp: CompositeDomain, from_id: int,
         # node k of one side's line pairs with node k of the other's
         rows = line_indices(sub_t, iface.other_side(from_id)[1])
         cols = line_indices(sub_f, iface.other_side(to_id)[1])
-        R[rows, cols] += iface.coupling
+        R[rows, cols] += comp.coupling(iface)
     return R
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from fftddm.geometry import BoundaryKind, RectSubdomain
+from fftddm.geometry import (BoundaryKind, CompositeDomain, RectSubdomain,
+                             make_interface)
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
 P = BoundaryKind.PERIODIC
+I = BoundaryKind.INTERFACE
 
 _PAIR_KIND = {"DD": D, "NN": N, "PP": P}
 
@@ -18,6 +20,19 @@ def make_rect(m, n, x_pair="DD", y_pair="DD", dx=1.0, dy=1.0, kappa=0.0,
     return RectSubdomain(id=sid, origin=(0.0, 0.0), m=m, n=n, dx=dx, dy=dy,
                          edge_bc=bc, kappa=kappa,
                          half_cell_dirichlet=frozenset(half))
+
+
+def rect_row(count, links):
+    """`count` unit-spaced 2 x 2 rectangles side by side along x, with an
+    interface between rectangles i and i + 1 for each i in `links`."""
+    subs = [RectSubdomain(
+        id=i, origin=(2.0 * i, 0.0), m=2, n=2, dx=1.0, dy=1.0,
+        edge_bc={"west": I if i - 1 in links else D,
+                 "east": I if i in links else D, "south": D, "north": D})
+        for i in range(count)]
+    return CompositeDomain(subdomains=subs, interfaces=[
+        make_interface(k, subs[i], "east", subs[i + 1], "west")
+        for k, i in enumerate(links)])
 
 
 @pytest.fixture

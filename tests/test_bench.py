@@ -170,6 +170,15 @@ class TestEmitters:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == 1 + case.total_nodes
+        # the same bytes as formatting each value through emit_csv
+        ref = tmp_path / "ref.csv"
+        bench.emit_csv(
+            ({"x": x, "y": y, "value": v}
+             for sub in case.composite.subdomains
+             for x, y, v in zip(*bench._node_grid(sub),
+                                fields[sub.id].values)),
+            ref, header=["x", "y", "value"])
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestCli:

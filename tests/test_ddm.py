@@ -8,7 +8,7 @@ from fftddm.errors import ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, GridField,
                              RectSubdomain, make_interface, validate)
 
-from conftest import make_rect
+from conftest import make_rect, rect_row
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
@@ -102,16 +102,6 @@ class TestSchurOperator:
         Pd = eye - np.linalg.solve(A2, S)
         assert np.abs(Pn - Pd).max() <= 1e-9
 
-    def test_zero_coupling_rig_gives_identity(self, rng):
-        comp = two_rect_composite()
-        iface = comp.interfaces[0]
-        zeroed = dataclasses.replace(iface, coupling=0.0)
-        rig = CompositeDomain(subdomains=comp.subdomains, interfaces=[zeroed])
-        op = ddm.build_schur_operator(rig)
-        v = rng.standard_normal(op.size)
-        np.testing.assert_allclose(op.spectral_preconditioned(v), v,
-                                   atol=1e-13)
-
     def test_single_rectangle_has_no_neighbors(self, rng):
         sub = make_rect(4, 6, "NN", "PP", kappa=-1.0)
         op = ddm.build_schur_operator(
@@ -124,10 +114,18 @@ class TestSchurOperator:
 
     def test_center_designation_on_the_cross(self):
         comp = bench.build_cross(k_n=1).composite
-        assert ddm.designate_center(comp) == bench.CENTER
+        assert comp.center == bench.CENTER
+        assert ddm.build_schur_operator(comp).coupled_id == bench.CENTER
 
     def test_center_designation_two_rectangles(self):
-        assert ddm.designate_center(two_rect_composite()) == 0
+        comp = two_rect_composite()
+        assert comp.center == 0
+        assert ddm.build_schur_operator(comp).coupled_id == 0
+
+    def test_no_center_rejected_without_validate(self):
+        # a chain of four has two coupled subdomains sharing an interface
+        with pytest.raises(ValidationError, match="every interface"):
+            ddm.build_schur_operator(rect_row(4, (0, 1, 2)))
 
 
 class TestDdmSolve:
@@ -167,7 +165,7 @@ class TestDdmSolve:
         comp = build()
         f = {s.id: rng.standard_normal(s.size) for s in comp.subdomains}
         fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        cid = ddm.designate_center(comp)
+        cid = comp.center
         for iface in comp.interfaces:
             oid = iface.other_side(cid)[0]
             cm = ddm.make_coupling(comp, iface, cid)

@@ -5,11 +5,11 @@ import pytest
 
 from fftddm import bench
 from fftddm.errors import ValidationError
-from fftddm.geometry import (BoundaryKind, CompositeDomain, Interface,
+from fftddm.geometry import (BoundaryKind, CompositeDomain,
                              edge_axis, line_indices, load_composite,
                              make_interface, validate)
 
-from conftest import make_rect
+from conftest import make_rect, rect_row
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
@@ -69,14 +69,30 @@ class TestValidate:
         assert not report.ok
         assert any("interface" in v for v in report.violations)
 
-    def test_wrong_coupling_value_rejected(self):
-        comp = bench.build_cross(k_n=1).composite
-        iface = comp.interfaces[0]
-        bad = Interface(id=iface.id, side_a=iface.side_a, side_b=iface.side_b,
-                        coupling=iface.coupling * 2)
-        broken = CompositeDomain(subdomains=comp.subdomains,
-                                 interfaces=[bad] + comp.interfaces[1:])
-        assert not validate(broken).ok
+    def test_normal_spacing_mismatch_rejected(self):
+        # the lines and their nodes coincide, but dx is 1 on one side and
+        # 0.5 on the other
+        a = dataclasses.replace(
+            make_rect(2, 3, sid=0),
+            edge_bc={"west": D, "east": I, "south": D, "north": D})
+        b = dataclasses.replace(
+            make_rect(4, 3, dx=0.5, sid=1), origin=(2.0, 0.0),
+            edge_bc={"west": I, "east": D, "south": D, "north": D})
+        comp = CompositeDomain(
+            subdomains=[a, b],
+            interfaces=[make_interface(0, a, "east", b, "west")])
+        assert validate(comp).violations == [
+            "interface 0: spacing mismatch normal to the interface"]
+
+    @pytest.mark.parametrize("count,links,violation", [
+        (4, (0, 1, 2), "no subdomain touches every interface; "
+                       "only one layer of coupling is supported"),
+        (4, (0, 2), "no subdomain touches every interface; "
+                    "only one layer of coupling is supported"),
+        (3, (0,), "interface graph is not connected"),
+    ], ids=["chain-of-four", "two-disjoint-pairs", "pair-and-isolated"])
+    def test_composites_that_are_not_stars(self, count, links, violation):
+        assert validate(rect_row(count, links)).violations == [violation]
 
     def test_shifted_interface_lines_rejected(self):
         # equal node counts, but b's line starts one node further north
@@ -97,12 +113,26 @@ class TestValidate:
         (dict.fromkeys(("west", "east", "south", "north"), "dirichlet"),
          "west, east, south, north"),
         ({"west": None, "east": D, "south": D, "north": D}, "west"),
-    ], ids=["absent-edge", "string-kinds", "none-kind"])
+        (None, "west, east, south, north"),
+    ], ids=["absent-edge", "string-kinds", "none-kind", "no-mapping"])
     def test_missing_bc_reported_not_raised(self, bc, missing):
         sub = dataclasses.replace(make_rect(2, 2), edge_bc=bc)
         comp = CompositeDomain(subdomains=[sub], interfaces=[])
         assert validate(comp).violations == [
             f"subdomain 0: missing BC on {missing}"]
+
+
+class TestCenter:
+    @pytest.mark.parametrize("build,center", [
+        (lambda: rect_row(1, ()), 0),
+        (lambda: rect_row(2, (0,)), 0),
+        (lambda: rect_row(3, (0, 1)), 1),
+        (lambda: bench.build_cross(k_n=1).composite, bench.CENTER),
+    ], ids=["single", "two-rectangles", "chain-of-three", "cross"])
+    def test_center(self, build, center):
+        comp = build()
+        validate(comp).require()
+        assert comp.center == center
 
 
 class TestTypedErrors:
@@ -153,7 +183,7 @@ class TestConfigLoader:
         comp = load_composite(cfg)
         assert validate(comp).ok
         assert [s.id for s in comp.subdomains] == [0, 1]
-        assert comp.interfaces[0].coupling == pytest.approx(16.0)
+        assert comp.coupling(comp.interfaces[0]) == pytest.approx(16.0)
 
     def test_inline_comments_ignored(self, tmp_path):
         # the README documents the schema with trailing comments
