@@ -9,9 +9,12 @@ gives a system on the center alone,
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, so it is applied as
 a small line operator built from the arm's rectangle plan
-(`rectsolver.interface_operator`).  Each arm takes two FFT rectangle
-solves per composite solve: A_i^{-1} f_i to reduce the center's
-right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
+(`rectsolver.interface_operator`): two transforms along the line, in the
+plan's own transform or in one planned for the line's axis, unless the
+line's flanks are half-cell Dirichlet, which leaves a rank-one sweep of
+the arm.  Each arm takes two FFT rectangle solves per composite solve:
+A_i^{-1} f_i to reduce the center's right-hand side, and
+p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
 
 The center's transform Q is orthogonal, so the fft-preconditioned system
 (I - A_c^{-1} S) p = A_c^{-1} f' is solved on the spectral coefficients

@@ -53,15 +53,17 @@ class RectPlan:
 def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
     """Vectorized LU of tridiag(off, diag[i], off) per column; returns
     (beta, lower, bad-column mask), a column being bad when one of its
-    pivots is below tol.
+    pivots is below tol.  Each row is three ufunc calls into its own row
+    views, with positional outputs and no temporaries.
     """
     beta = np.empty_like(diag)
     lower = np.zeros_like(diag)
     beta[0] = diag[0]
+    div, mul, sub = np.divide, np.multiply, np.subtract
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, diag.shape[0]):
-            lower[i] = off / beta[i - 1]
-            beta[i] = diag[i] - off * lower[i]
+        for d, prev, b, low in zip(diag[1:], beta, beta[1:], lower[1:]):
+            div(off, prev, low)
+            sub(d, mul(off, low, b), b)
     return beta, lower, ~np.all(np.abs(beta) >= tol, axis=0)
 
 
@@ -225,33 +227,49 @@ def interface_operator(plan: RectPlan, edge: str):
     """Block of A^{-1} on the node line next to the interface `edge`.
 
     Returns a function taking values on that line, in tangential order,
-    to the same line of A^{-1} applied to them, without a full solve:
+    to the same line of A^{-1} applied to them, without a full solve.
+    Where the line's axis is transformable the block is Q diag(t) Q^T,
+    two line transforms per apply, with t_k = (T_k^{-1})_jj, T_k the
+    mode-k tridiagonal across the line and j the line's place on it:
 
-    * line along the transform axis (a sweep row j): Q diag(t) Q^T with
-      t_k = (T_k^{-1})_jj, two line transforms per apply.  For the last
-      row t = 1/beta[-1]; for row 0 it is the last pivot of the same
-      elimination run from the far end.  An interface row is never on a
-      periodic sweep axis, so no cyclic correction enters.
-    * line across the transform axis (a transform column j): the line
-      values v are swept as v (x) Q[j, :] and contracted with Q[j, :],
-      one transform-free sweep per apply.
+    * Q is the plan's own transform for a line along its transform axis
+      (a sweep row), else a plan made for the line's axis;
+    * t = 1/beta[-1] for the plan's last sweep row, else the last pivot
+      of the elimination run from the far edge.
+
+    An interface's normal axis is never periodic, so no cyclic correction
+    enters.  A line across the transform axis whose flanks are half-cell
+    Dirichlet has no transform: its values v are swept as v (x) Q[j, :]
+    and contracted with Q[j, :], one transform-free sweep per apply.
     """
-    ms, nt = plan.beta.shape
+    sub = plan.subdomain
     first = edge in ("west", "south")
-    if edge_axis(edge) == plan.transform_axis:
-        q = q_row(plan, 0 if first else nt - 1)
-        return lambda v: sweep(plan, np.outer(v, q)) @ q
-    if first:
-        lam = plan.y_plan.eigenvalues
-        far = "east" if edge == "west" else "north"
-        piv = lam + plan.subdomain.end_modifier(far)
-        for _ in range(ms - 1):     # an interface edge has no end modifier
-            piv = lam - plan.off * plan.off / piv
-        t = 1.0 / piv
+    normal = edge_axis(edge)
+    line = "y" if normal == "x" else "x"
+    off = sub.normal_delta(edge)
+    if normal != plan.transform_axis:
+        line_plan = plan.y_plan
+    elif _transformable(sub, line):
+        n, delta_t = ((sub.m, sub.delta_x) if line == "x"
+                      else (sub.n, sub.delta_y))
+        line_plan = transforms.make_plan(sub.axis_pair(line), n, delta_t,
+                                         off, sub.kappa)
     else:
+        q = q_row(plan, 0 if first else plan.y_plan.n - 1)
+        return lambda v: sweep(plan, np.outer(v, q)) @ q
+    if line_plan is plan.y_plan and not first:
         t = 1.0 / plan.beta[-1]
+    else:
+        lam, off2 = line_plan.eigenvalues, off * off
+        far = dict(west="east", east="west", south="north", north="south")
+        piv = lam + sub.end_modifier(far[edge])
+        count = sub.m if normal == "x" else sub.n
+        for _ in range(count - 1):  # an interface edge has no end modifier
+            np.divide(off2, piv, piv)
+            np.subtract(lam, piv, piv)
+        t = 1.0 / piv
     return lambda v: transforms.apply_Q(
-        plan.y_plan, t * transforms.apply_Qt(plan.y_plan, v))
+        line_plan, t * transforms.apply_Qt(line_plan, v))
 
 
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fftddm import bench, ddm, krylov, oracle, rectsolver
+from fftddm import bench, ddm, krylov, oracle, rectsolver, transforms
 from fftddm.errors import ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, GridField,
-                             RectSubdomain, make_interface, validate)
+                             RectSubdomain, line_indices, make_interface,
+                             validate)
 
 from conftest import make_rect, rect_row
 
@@ -296,7 +297,35 @@ LINE_OPERATOR_CASES = {
                   "south": (2, D, N, ())},
                  {"dx": 0.25, "dy": 0.25, "kappa": 0.0,
                   "center_half": ("north",)}),
+    # half-cell flanks: y-transformed arms whose lines, across their
+    # transform, have no transform of their own
+    "half-cell-flanks": ({"south": (3, D, D, ("west", "east")),
+                          "north": (2, D, D, ("west", "east"))}, {}),
 }
+
+
+def recording(func, calls):
+    """`func`, appending its first argument to `calls` on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def block_kind(plan, edge):
+    """How an arm's interface block is applied: 'plan-axis' by the plan's
+    own line transforms, 'line-axis' by a transform planned for the line,
+    'sweep' by a rank-one sweep of the arm."""
+    made, swept = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "make_plan",
+                   recording(transforms.make_plan, made))
+        mp.setattr(rectsolver, "sweep", recording(rectsolver.sweep, swept))
+        block = rectsolver.interface_operator(plan, edge)
+        block(np.ones(line_indices(plan.subdomain, edge).size))
+    if swept:
+        return "sweep"
+    return "line-axis" if made else "plan-axis"
 
 
 def full_arm_schur(op, p):
@@ -335,6 +364,32 @@ class TestLineOperators:
                          ("x", "first", False), ("x", "last", False),
                          ("y", "across", False), ("x", "across", False),
                          ("y", "across", True)}
+
+    def test_cases_cover_every_block_kind(self):
+        kinds = set()
+        for arms, kw in LINE_OPERATOR_CASES.values():
+            comp = star_composite(arms, **kw)
+            for iface in comp.interfaces:
+                arm, edge = iface.other_side(0)
+                plan = rectsolver.plan_rect(comp.subdomain(arm))
+                kinds.add((plan.transform_axis, block_kind(plan, edge)))
+        assert {kind for _, kind in kinds} == {"plan-axis", "line-axis",
+                                               "sweep"}
+        assert {("x", "sweep"), ("y", "sweep")} <= kinds
+
+    @pytest.mark.parametrize("comp", [
+        pytest.param(bench.build_cross(k_n=8).composite, id="cross-k8"),
+        pytest.param(star_mixed(8), id="star-k8"),
+    ])
+    def test_one_sweep_per_preconditioned_apply(self, comp, monkeypatch):
+        # every arm block here has a line transform; only the center sweeps
+        op = ddm.build_schur_operator(comp)
+        swept = []
+        counting = recording(rectsolver.sweep, swept)
+        monkeypatch.setattr(rectsolver, "sweep", counting)
+        monkeypatch.setattr(ddm, "sweep", counting)
+        op.spectral_preconditioned(np.ones(op.size))
+        assert swept == [op.center_plan]
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=16).composite, id="cross-k16"),
