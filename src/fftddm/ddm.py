@@ -142,7 +142,7 @@ class SchurOperator:
         sweep."""
         plan = self.center_plan
         p_hat = np.asarray(p_hat, dtype=float)
-        rows = p_hat.reshape(plan.beta.shape)
+        rows = p_hat.reshape(plan.shape)
         lines = (transforms.apply_Q(plan.y_plan, rows[self.along_rows]),
                  (rows @ self.across_q.T).T)
         out = tuple(np.empty_like(v) for v in lines)
@@ -161,7 +161,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
     raises ValidationError."""
     coupled_id = comp.center
     center_plan = plan_rect(comp.subdomain(coupled_id))
-    ms, nt = center_plan.beta.shape
+    ms, nt = center_plan.shape
     neighbors, along_rows, across_q = [], [], []
     for iface in comp.interfaces_of(coupled_id):
         other, edge = iface.other_side(coupled_id)

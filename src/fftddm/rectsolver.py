@@ -5,7 +5,9 @@ spectral mode along the other axis, inverse transform.  The transform
 axis must carry one of the pure pair forms (plain Dirichlet/interface,
 Neumann, periodic); the solve axis tolerates arbitrary per-end diagonal
 modifications, which is where half-cell Dirichlet edges and Neumann
-corner terms in the sweep direction land.
+corner terms in the sweep direction land.  The tridiagonal solves are a
+twisted factorization, eliminated from both ends toward a middle row: a
+sweep takes ms / 2 sequential steps, each on every mode at once.
 """
 
 from __future__ import annotations
@@ -38,10 +40,15 @@ class RectPlan:
     y_plan: transforms.SpectralPlan
     solve_pair: str              # BC pair along the sweep axis
     off: float                   # off-diagonal of the per-mode tridiagonal
-    beta: np.ndarray             # (ms, nt) pivots of the per-mode LU
-    lower: np.ndarray            # (ms, nt) subdiagonal multipliers
+    beta: np.ndarray             # (ms, nt) twisted pivots, folded
+    lower: np.ndarray            # (ms, nt) multipliers off / beta, folded
     cyclic: bool
     sm: tuple | None             # cyclic wrap correction, see _factor
+
+    @property
+    def shape(self) -> tuple:
+        """(ms, nt): sweep positions by transform modes."""
+        return self.beta.shape
 
     @property
     def x_solver_kind(self) -> str:
@@ -50,43 +57,68 @@ class RectPlan:
         return "corner-modified" if self.solve_pair == "NN" else "standard-tridiagonal"
 
 
+def _fold(a: np.ndarray, unfold: bool = False) -> np.ndarray:
+    """Rows 0, ms-1, 1, ms-2, ... of `a` as a new array, row i beside row
+    ms-1-i; with `unfold`, the inverse: folded rows back in natural order."""
+    ms = a.shape[0]
+    top, bottom = slice(None, (ms + 1) // 2), slice(None, (ms - 1) // 2, -1)
+    out = np.empty(a.shape)
+    if unfold:
+        out[top], out[bottom] = a[0::2], a[1::2]
+    else:
+        out[0::2], out[1::2] = a[top], a[bottom]
+    return out
+
+
 def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
-    """Vectorized LU of tridiag(off, diag[i], off) per column; returns
-    (beta, lower, bad-column mask), a column being bad when one of its
-    pivots is below tol.  Each row is three ufunc calls into its own row
-    views, with positional outputs and no temporaries.
+    """Twisted factorization of tridiag(off, diag[i], off) per column:
+    LU pivots for rows 0..h-1, UL pivots for rows ms-1..h+1 and the twist
+    pivot of row h = ms // 2, where both eliminations meet.
+
+    Returns (beta, lower, bad-column mask), beta the pivots and lower the
+    multipliers off / beta, both folded (_fold); a column is bad when one
+    of its pivots, the twist pivot included, is below tol.  Each step
+    eliminates rows i and ms-1-i together: two ufunc calls on one (2, nt)
+    block, with positional outputs; the multipliers follow in one call.
     """
-    beta = np.empty_like(diag)
-    lower = np.zeros_like(diag)
-    beta[0] = diag[0]
-    div, mul, sub = np.divide, np.multiply, np.subtract
+    ms, nt = diag.shape
+    h = ms // 2
+    beta = _fold(diag)
+    b2 = beta[:2 * h].reshape(h, 2, nt)
+    tmp = np.empty((2, nt))
+    off2 = off * off
+    twist = slice(max(2 * h - 2, 0), ms - 1)  # the rows beside the twist
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for d, prev, b, low in zip(diag[1:], beta, beta[1:], lower[1:]):
-            div(off, prev, low)
-            sub(d, mul(off, low, b), b)
+        for prev, b in zip(b2, b2[1:]):
+            np.subtract(b, np.divide(off2, prev, tmp), b)
+        beta[-1] -= (off2 / beta[twist]).sum(axis=0)
+        lower = off / beta
     return beta, lower, ~np.all(np.abs(beta) >= tol, axis=0)
 
 
-def _tridiag_solve(beta, lower, off, rhs):
-    """Solve with the factors from _factor_tridiag; rhs is (ms, nt).
+def _tridiag_solve(beta, lower, rhs):
+    """Solve with the folded factors from _factor_tridiag; rhs and the
+    result are (ms, nt) in natural row order.
 
-    Both sweeps update row views in place, two ufunc calls per row with
-    positional outputs and no temporaries; the pivots divide the whole
-    array once, between them.
+    Forward steps from both ends, the twist row, one division by the
+    pivots, then back steps toward both ends; each step is two ufunc
+    calls on one (2, nt) block, with positional outputs.
     """
-    x = np.array(rhs, dtype=float)
-    tmp = np.empty(x.shape[1:])
+    ms, nt = beta.shape
+    h = ms // 2
+    x = _fold(rhs)
+    x2, l2 = (a[:2 * h].reshape(h, 2, nt) for a in (x, lower))
+    tmp = np.empty((2, nt))
     mul, sub = np.multiply, np.subtract
-    prev = x[0]
-    for row, mult in zip(x[1:], lower[1:]):
-        sub(row, mul(mult, prev, tmp), row)
-        prev = row
+    for prev, low, row in zip(x2, l2, x2[1:]):
+        sub(row, mul(low, prev, tmp), row)
+    twist = slice(max(2 * h - 2, 0), ms - 1)
+    x[-1] -= (lower[twist] * x[twist]).sum(axis=0)
     x /= beta
-    prev = x[-1]
-    for row, mult in zip(x[-2::-1], (off / beta)[-2::-1]):
-        sub(row, mul(mult, prev, tmp), row)
-        prev = row
-    return x
+    x[twist] -= lower[twist] * x[-1]
+    for nxt, low, row in zip(x2[::-1], l2[-2::-1], x2[-2::-1]):
+        sub(row, mul(low, nxt, tmp), row)
+    return _fold(x, unfold=True)
 
 
 def _factor(diag: np.ndarray, off: float, cyclic: bool, tol: float):
@@ -109,14 +141,14 @@ def _factor(diag: np.ndarray, off: float, cyclic: bool, tol: float):
     beta, lower, bad = _factor_tridiag(bdiag, off, tol)
     u = np.zeros_like(diag)
     u[0], u[-1] = gamma, off
-    q = _tridiag_solve(beta, lower, off, u)
+    q = _tridiag_solve(beta, lower, u)
     denom = 1.0 + q[0] + (off / gamma) * q[-1]
     return beta, lower, off, (q, denom, gamma), bad | (np.abs(denom) < 1e-12)
 
 
 def _factored_solve(beta, lower, off, sm, rhs):
     """Solve with the factors from _factor; rhs is (ms, nt)."""
-    x = _tridiag_solve(beta, lower, off, rhs)
+    x = _tridiag_solve(beta, lower, rhs)
     if sm is not None:
         q, denom, gamma = sm
         x = x - q * ((x[0] + (off / gamma) * x[-1]) / denom)
@@ -204,7 +236,7 @@ def to_spectral(plan: RectPlan, values: np.ndarray) -> np.ndarray:
 
 def to_nodal(plan: RectPlan, phat: np.ndarray) -> np.ndarray:
     """Q of spectral rows (ms, nt), or their flat form: flat nodal values."""
-    out = transforms.apply_Q(plan.y_plan, np.reshape(phat, plan.beta.shape))
+    out = transforms.apply_Q(plan.y_plan, np.reshape(phat, plan.shape))
     if plan.transform_axis == "x":
         out = out.T
     return out.reshape(-1)
@@ -230,12 +262,10 @@ def interface_operator(plan: RectPlan, edge: str):
     to the same line of A^{-1} applied to them, without a full solve.
     Where the line's axis is transformable the block is Q diag(t) Q^T,
     two line transforms per apply, with t_k = (T_k^{-1})_jj, T_k the
-    mode-k tridiagonal across the line and j the line's place on it:
-
-    * Q is the plan's own transform for a line along its transform axis
-      (a sweep row), else a plan made for the line's axis;
-    * t = 1/beta[-1] for the plan's last sweep row, else the last pivot
-      of the elimination run from the far edge.
+    mode-k tridiagonal across the line and j the line's place on it.
+    Q is the plan's own transform for a line along its transform axis
+    (a sweep row), else a plan made for the line's axis; t is the last
+    pivot of the pivot-only elimination run from the far edge.
 
     An interface's normal axis is never periodic, so no cyclic correction
     enters.  A line across the transform axis whose flanks are half-cell
@@ -257,17 +287,15 @@ def interface_operator(plan: RectPlan, edge: str):
     else:
         q = q_row(plan, 0 if first else plan.y_plan.n - 1)
         return lambda v: sweep(plan, np.outer(v, q)) @ q
-    if line_plan is plan.y_plan and not first:
-        t = 1.0 / plan.beta[-1]
-    else:
-        lam, off2 = line_plan.eigenvalues, off * off
-        far = dict(west="east", east="west", south="north", north="south")
-        piv = lam + sub.end_modifier(far[edge])
-        count = sub.m if normal == "x" else sub.n
-        for _ in range(count - 1):  # an interface edge has no end modifier
-            np.divide(off2, piv, piv)
-            np.subtract(lam, piv, piv)
-        t = 1.0 / piv
+    lam = line_plan.eigenvalues
+    far = dict(west="east", east="west", south="north", north="south")
+    piv = lam + sub.end_modifier(far[edge])
+    count = sub.m if normal == "x" else sub.n
+    for _ in range(count - 1):  # an interface edge has no end modifier
+        np.divide(off, piv, piv)
+        np.multiply(off, piv, piv)
+        np.subtract(lam, piv, piv)
+    t = 1.0 / piv
     return lambda v: transforms.apply_Q(
         line_plan, t * transforms.apply_Qt(line_plan, v))
 

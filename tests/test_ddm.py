@@ -32,6 +32,19 @@ def two_rect_composite(n=3):
     return comp
 
 
+def assert_matches_global_dense_lu(comp, rng):
+    """ddm_solve of a random right-hand side agrees with dense LU of the
+    global matrix."""
+    G = oracle.assemble_global_matrix(comp)
+    offs = oracle.global_offsets(comp)
+    fvec = rng.standard_normal(G.shape[0])
+    f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
+    fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
+    want = oracle.dense_lu_solve(G, fvec)
+    got = np.concatenate([fields[s.id].values for s in comp.subdomains])
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
 class TestApplyR:
     def test_zero_maps_to_zero(self):
         comp = two_rect_composite()
@@ -141,15 +154,8 @@ class TestDdmSolve:
     @pytest.mark.parametrize("kappa", [0.0, -50.0, 3.0])
     @pytest.mark.parametrize("kn", [1, 2])
     def test_matches_global_dense_lu(self, kn, kappa, rng):
-        comp = bench.build_cross(k_n=kn, kappa=kappa).composite
-        G = oracle.assemble_global_matrix(comp)
-        offs = oracle.global_offsets(comp)
-        fvec = rng.standard_normal(G.shape[0])
-        f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
-        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        want = oracle.dense_lu_solve(G, fvec)
-        got = np.concatenate([fields[s.id].values for s in comp.subdomains])
-        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        assert_matches_global_dense_lu(
+            bench.build_cross(k_n=kn, kappa=kappa).composite, rng)
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: bench.build_cross(k_n=2).composite,
@@ -208,15 +214,7 @@ class TestDdmSolve:
                                    atol=1e-9 * np.abs(want).max())
 
     def test_two_rectangle_composite(self, rng):
-        comp = two_rect_composite()
-        G = oracle.assemble_global_matrix(comp)
-        offs = oracle.global_offsets(comp)
-        fvec = rng.standard_normal(G.shape[0])
-        f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
-        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        want = oracle.dense_lu_solve(G, fvec)
-        got = np.concatenate([fields[s.id].values for s in comp.subdomains])
-        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        assert_matches_global_dense_lu(two_rect_composite(), rng)
 
     def test_rhs_length_mismatch_rejected(self):
         comp = two_rect_composite()
@@ -421,15 +419,14 @@ class TestLineOperators:
 
     @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep"])
     def test_ddm_solve_matches_global_dense_lu(self, name, rng):
-        comp = star_composite(LINE_OPERATOR_CASES[name][0])
-        G = oracle.assemble_global_matrix(comp)
-        offs = oracle.global_offsets(comp)
-        fvec = rng.standard_normal(G.shape[0])
-        f = {sid: fvec[a:b] for sid, (a, b) in offs.items()}
-        fields, _ = ddm.ddm_solve(comp, f, krylov.GmresConfig(tol=1e-12))
-        want = oracle.dense_lu_solve(G, fvec)
-        got = np.concatenate([fields[s.id].values for s in comp.subdomains])
-        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        assert_matches_global_dense_lu(
+            star_composite(LINE_OPERATOR_CASES[name][0]), rng)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tiny_star_matches_global_dense_lu(self, k, rng):
+        # arms sweep one to six rows (the cross at k_n = 1, with one- and
+        # two-row sweeps, is in TestDdmSolve)
+        assert_matches_global_dense_lu(star_mixed(k), rng)
 
 
 def spectral_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -149,11 +150,13 @@ class TestInterfaceOperator:
 
 class TestFactorTridiag:
     def test_flags_only_the_bad_column(self):
+        # at n = 2 the folded order is the natural one: the LU pivot of
+        # row 0, then the twist pivot of row 1
         diag = np.array([[-2.0, 0.0], [-2.0, -2.0]])
         beta, lower, bad = rectsolver._factor_tridiag(diag, 1.0, 1e-12)
         assert list(bad) == [False, True]
         np.testing.assert_array_equal(beta[:, 0], [-2.0, -1.5])
-        np.testing.assert_array_equal(lower[:, 0], [0.0, -0.5])
+        np.testing.assert_array_equal(lower[:, 0], [-0.5, 1.0 / -1.5])
 
 
 def column_factors(diag, off, cyclic=False):
@@ -181,6 +184,74 @@ def dense_tridiag(diag, off, cyclic):
         if cyclic or i < m - 1:
             M[i, (i + 1) % m] += off
     return M
+
+
+# per-end diagonal modifiers of a sweep axis, in units of the off-diagonal
+END_KINDS = {"standard": (0.0, 0.0), "corner-modified": (1.0, 1.0),
+             "half-cell": (-1.0, 0.0)}
+
+
+class TestTwistedFactorization:
+    """The twist row h = ms // 2 meets the LU rows 0..h-1 and the UL rows
+    ms-1..h+1; odd ms leaves a lone middle row, ms = 1 and 2 no step."""
+
+    @pytest.mark.parametrize("ends", sorted(END_KINDS))
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4, 5, 7, 8, 9])
+    def test_matches_dense(self, ms, ends, rng):
+        off = 0.7
+        diag = np.tile([-2.1, -3.0, -4.5], (ms, 1))  # nt = 3 modes
+        diag[0] += off * END_KINDS[ends][0]
+        diag[-1] += off * END_KINDS[ends][1]
+        self.check(diag, off, False, rng)
+
+    @pytest.mark.parametrize("ms", [2, 4, 8])
+    def test_cyclic_matches_dense(self, ms, rng):
+        self.check(np.tile([-2.1, -3.0, -4.5], (ms, 1)), 0.7, True, rng)
+
+    @staticmethod
+    def check(diag, off, cyclic, rng):
+        rhs = rng.standard_normal(diag.shape)
+        beta, lower, off2, sm, bad = rectsolver._factor(diag, off, cyclic,
+                                                        1e-13)
+        assert not bad.any()
+        np.testing.assert_array_equal(lower, off2 / beta)
+        x = rectsolver._factored_solve(beta, lower, off2, sm, rhs)
+        for k in range(diag.shape[1]):
+            want = np.linalg.solve(dense_tridiag(diag[:, k], off, cyclic),
+                                   rhs[:, k])
+            np.testing.assert_allclose(x[:, k], want, rtol=1e-12,
+                                       atol=1e-13)
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4, 5, 8, 9])
+    def test_nullspace_is_caught_at_the_twist_pivot(self, ms):
+        # mode 0 of a Neumann sweep at kappa = 0 is singular; mode 1 is not
+        diag = np.tile([-2.0, -3.0], (ms, 1))
+        diag[0] += 1.0
+        diag[-1] += 1.0
+        beta, _, bad = rectsolver._factor_tridiag(diag, 1.0, 1e-13)
+        assert list(bad) == [True, False]
+        assert np.all(np.abs(beta[:-1, 0]) >= 1e-13)
+        assert abs(beta[-1, 0]) < 1e-13
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_neumann_rectangle_names_only_mode_0(self, m):
+        # sweep length m: even and odd
+        with pytest.raises(SingularOperatorError, match=r"modes \[0\] "):
+            rectsolver.plan_rect(make_rect(m, 3, "NN", "NN"))
+
+    @pytest.mark.parametrize("x_pair,y_pair,m,n", [
+        ("DD", "DD", 5, 4), ("NN", "DD", 4, 3), ("PP", "DD", 6, 3),
+        ("DD", "PP", 3, 4), ("DD", "DD", 1, 2)])
+    def test_plan_holds_one_factor_set(self, x_pair, y_pair, m, n):
+        # pivots and multipliers, 2 ms nt floats; a cyclic plan adds q
+        plan = rectsolver.plan_rect(make_rect(m, n, x_pair, y_pair,
+                                              kappa=-1.0))
+        ms, nt = plan.shape
+        arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+        assert sum(a.size for a in arrays
+                   if isinstance(a, np.ndarray)) == 2 * ms * nt
+        big = [a for a in plan.sm or () if np.size(a) >= ms * nt]
+        assert len(big) == (1 if plan.cyclic and ms > 2 else 0)
 
 
 class TestFactoredSolve:
