@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (CompositeDomain, GridField, Interface, edge_axis,
+from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        line_indices)
 from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
                          plan_rect, q_row, solve_rect, sweep)
@@ -168,7 +168,9 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         plan = plan_rect(comp.subdomain(other))
         to_c, from_c = (make_coupling(comp, iface, sid)
                         for sid in (other, coupled_id))
-        across = edge_axis(edge) == center_plan.transform_axis
+        # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
+        axis, end = edge_end(iface.other_side(other)[1])
+        across = axis == center_plan.transform_axis
         batch = across_q if across else along_rows
         neighbors.append(_Neighbor(
             plan=plan, to_center=to_c, from_center=from_c,
@@ -176,9 +178,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
             weight=to_c.coupling * from_c.coupling,
             block=interface_operator(plan, edge), across=across,
             slot=len(batch)))
-        # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
-        first = iface.other_side(other)[1] in ("west", "south")
-        index = 0 if first else (nt if across else ms) - 1
+        index = end * ((nt if across else ms) - 1)
         batch.append(q_row(center_plan, index) if across else index)
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
@@ -225,6 +225,8 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
             raise ValidationError(
                 f"rhs for subdomain {sub.id} has length {vals.size}, "
                 f"expected {sub.size}")
+        if not np.isfinite(vals).all():
+            raise ValidationError(f"rhs for subdomain {sub.id} is not finite")
         rhs[sub.id] = vals
 
     op = build_schur_operator(comp)

@@ -32,6 +32,9 @@ import numpy as np
 from .errors import ValidationError
 
 EDGES = ("west", "east", "south", "north")
+# the (low, high) edges bounding each axis, and the edge facing each edge
+AXIS_EDGES = {"x": EDGES[:2], "y": EDGES[2:]}
+OPPOSITE = dict(west="east", east="west", south="north", north="south")
 
 # geometric coincidence tolerance, relative to one grid spacing
 _GEOM_RTOL = 1e-9
@@ -44,13 +47,18 @@ class BoundaryKind(Enum):
     INTERFACE = "interface"
 
 
+def edge_end(edge: str) -> tuple[str, int]:
+    """(axis normal to `edge`, end): end 0 for the axis's low edge (west,
+    south), 1 for its high edge (east, north)."""
+    for axis, pair in AXIS_EDGES.items():
+        if edge in pair:
+            return axis, pair.index(edge)
+    raise ValidationError(f"unknown edge {edge!r}")
+
+
 def edge_axis(edge: str) -> str:
     """Axis normal to the given edge: 'x' for west/east, 'y' for south/north."""
-    if edge in ("west", "east"):
-        return "x"
-    if edge in ("south", "north"):
-        return "y"
-    raise ValidationError(f"unknown edge {edge!r}")
+    return edge_end(edge)[0]
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,14 @@ class RectSubdomain:
     def delta_y(self) -> float:
         return 1.0 / (self.dy * self.dy)
 
+    def delta(self, axis: str) -> float:
+        """1/spacing^2 along `axis`."""
+        return self.delta_x if axis == "x" else self.delta_y
+
+    def count(self, axis: str) -> int:
+        """Number of nodes along `axis`."""
+        return self.m if axis == "x" else self.n
+
     @property
     def size(self) -> int:
         return self.m * self.n
@@ -99,9 +115,8 @@ class RectSubdomain:
 
         Returns 'DD', 'NN' or 'PP'; raises ValidationError on a mixed pair.
         """
-        lo, hi = (("west", "east") if axis == "x" else ("south", "north"))
         kinds = []
-        for e in (lo, hi):
+        for e in AXIS_EDGES[axis]:
             k = self.edge_bc[e]
             kinds.append(BoundaryKind.DIRICHLET if k is BoundaryKind.INTERFACE else k)
         if kinds[0] is not kinds[1]:
@@ -115,15 +130,11 @@ class RectSubdomain:
             BoundaryKind.PERIODIC: "PP",
         }[kinds[0]]
 
-    def normal_delta(self, edge: str) -> float:
-        """1/spacing^2 normal to `edge`."""
-        return self.delta_x if edge_axis(edge) == "x" else self.delta_y
-
     def end_modifier(self, edge: str) -> float:
         """Extra diagonal term (units of the axis delta) at the node line
         adjacent to `edge`: +delta for Neumann, -delta for half-cell
         Dirichlet, 0 otherwise."""
-        delta = self.normal_delta(edge)
+        delta = self.delta(edge_axis(edge))
         kind = self.edge_bc[edge]
         if kind is BoundaryKind.NEUMANN:
             return +delta
@@ -145,16 +156,11 @@ class GridField:
 
 def line_indices(subdomain: RectSubdomain, edge: str) -> np.ndarray:
     """Flat indices of the node line adjacent to `edge`, in tangential order."""
+    axis, end = edge_end(edge)
     m, n = subdomain.m, subdomain.n
-    if edge == "west":
-        return np.arange(n)
-    if edge == "east":
-        return (m - 1) * n + np.arange(n)
-    if edge == "south":
-        return np.arange(m) * n
-    if edge == "north":
-        return np.arange(m) * n + (n - 1)
-    raise ValidationError(f"unknown edge {edge!r}")
+    if axis == "x":
+        return end * (m - 1) * n + np.arange(n)
+    return np.arange(m) * n + end * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -226,19 +232,16 @@ class CompositeDomain:
     def coupling(self, iface: Interface) -> float:
         """The weight across `iface`: 1/spacing^2 normal to it."""
         sid, edge = iface.side_a
-        return self.subdomain(sid).normal_delta(edge)
+        return self.subdomain(sid).delta(edge_axis(edge))
 
 
 def _edge_line_geometry(sub: RectSubdomain, edge: str):
     """(interface-line coordinate, tangential node coordinates, spacing)."""
+    axis, end = edge_end(edge)
     x0, x1, y0, y1 = sub.extent()
-    if edge == "west":
-        return x0, sub.y_nodes(), sub.dy
-    if edge == "east":
-        return x1, sub.y_nodes(), sub.dy
-    if edge == "south":
-        return y0, sub.x_nodes(), sub.dx
-    return y1, sub.x_nodes(), sub.dx
+    if axis == "x":
+        return (x0, x1)[end], sub.y_nodes(), sub.dy
+    return (y0, y1)[end], sub.x_nodes(), sub.dx
 
 
 def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
@@ -248,22 +251,24 @@ def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
         report.violations.append(
             f"subdomain {sub.id}: missing BC on {', '.join(missing)}")
         return
-    if sub.m < 1 or sub.n < 1:
-        report.violations.append(f"subdomain {sub.id}: empty grid ({sub.m} x {sub.n})")
+    if not all(isinstance(c, (int, np.integer)) and c >= 1
+               for c in (sub.m, sub.n)):
+        report.violations.append(f"subdomain {sub.id}: node counts must be "
+                                 f"positive integers, got {sub.m} x {sub.n}")
         return
     if sub.dx <= 0 or sub.dy <= 0:
         report.violations.append(f"subdomain {sub.id}: nonpositive spacing")
         return
-    for axis, count in (("x", sub.m), ("y", sub.n)):
+    for axis in AXIS_EDGES:
         try:
             pair = sub.axis_pair(axis)
         except ValidationError as exc:
             report.violations.append(str(exc))
             continue
-        if pair == "PP" and count % 2:
+        if pair == "PP" and sub.count(axis) % 2:
             report.violations.append(
                 f"subdomain {sub.id}: periodic {axis} axis needs an even "
-                f"node count, got {count}"
+                f"node count, got {sub.count(axis)}"
             )
 
 
@@ -275,9 +280,8 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     except ValidationError as exc:
         report.violations.append(f"interface {iface.id}: {exc}")
         return
-    opposite = {"west": "east", "east": "west", "south": "north", "north": "south"}
     edge_a, edge_b = iface.side_a[1], iface.side_b[1]
-    if opposite.get(edge_a) != edge_b:
+    if OPPOSITE.get(edge_a) != edge_b:
         report.violations.append(
             f"interface {iface.id}: edges {edge_a}/{edge_b} do not face each other"
         )
@@ -306,8 +310,8 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     if np.max(np.abs(tan_a - tan_b)) > tol:
         report.violations.append(
             f"interface {iface.id}: paired nodes are not coincident")
-    if not np.isclose(sub_a.normal_delta(edge_a), sub_b.normal_delta(edge_b),
-                      rtol=1e-9):
+    normal = edge_axis(edge_a)
+    if not np.isclose(sub_a.delta(normal), sub_b.delta(normal), rtol=1e-9):
         report.violations.append(
             f"interface {iface.id}: spacing mismatch normal to the interface")
 
@@ -376,8 +380,7 @@ def _values(sec, key: str, kinds: tuple) -> list:
 
 
 def _edge(name: str) -> str:
-    if name not in EDGES:
-        raise ValueError(f"unknown edge {name!r}")
+    edge_end(name)  # raises on an unknown edge
     return name
 
 
@@ -435,7 +438,7 @@ def load_composite(path) -> CompositeDomain:
         except KeyError as exc:
             raise ValidationError(
                 f"config section [{section}]: missing key {exc}") from None
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(
                 f"config section [{section}]: {exc}") from None
         subdomains.append(RectSubdomain(

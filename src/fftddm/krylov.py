@@ -35,12 +35,12 @@ class GmresConfig:
     preconditioner: str = "fft"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("restart length m must be >= 1")
+        for name in ("m", "max_restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1")
         if not 0 < self.tol < 1:
             raise ValidationError("tolerance must lie in (0, 1)")
-        if self.max_restarts < 1:
-            raise ValidationError("max_restarts must be >= 1")
         if self.preconditioner not in PRECONDITIONERS:
             raise ValidationError(
                 f"unknown preconditioner {self.preconditioner!r}; "

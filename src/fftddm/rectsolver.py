@@ -18,17 +18,15 @@ import numpy as np
 
 from . import transforms
 from .errors import SingularOperatorError, ValidationError
-from .geometry import GridField, RectSubdomain, edge_axis
+from .geometry import (AXIS_EDGES, OPPOSITE, GridField, RectSubdomain,
+                       edge_end)
 
 _PIVOT_RTOL = 1e-13
 
 
 def _transformable(sub: RectSubdomain, axis: str) -> bool:
-    pair = sub.axis_pair(axis)
-    if pair != "DD":
-        return True
-    lo, hi = (("west", "east") if axis == "x" else ("south", "north"))
-    return sub.end_modifier(lo) == 0.0 and sub.end_modifier(hi) == 0.0
+    return sub.axis_pair(axis) != "DD" or not any(
+        map(sub.end_modifier, AXIS_EDGES[axis]))
 
 
 @dataclass(frozen=True)
@@ -162,38 +160,29 @@ def plan_rect(subdomain: RectSubdomain) -> RectPlan:
     all-Neumann rectangle with kappa = 0).
     """
     sub = subdomain
-    if _transformable(sub, "y"):
-        axis = "y"
-    elif _transformable(sub, "x"):
-        axis = "x"
+    for axis, s_axis in (("y", "x"), ("x", "y")):
+        if _transformable(sub, axis):
+            break
     else:
         raise ValidationError(
             f"subdomain {sub.id}: neither axis is in a pure transformable "
             f"form (half-cell Dirichlet on both axes?)")
 
-    if axis == "y":
-        nt, ms = sub.n, sub.m
-        delta_t, delta_s = sub.delta_y, sub.delta_x
-        lo, hi = "west", "east"
-    else:
-        nt, ms = sub.m, sub.n
-        delta_t, delta_s = sub.delta_x, sub.delta_y
-        lo, hi = "south", "north"
-    t_pair = sub.axis_pair("y" if axis == "y" else "x")
-    s_pair = sub.axis_pair("x" if axis == "y" else "y")
-
-    plan = transforms.make_plan(t_pair, nt, delta_t, delta_s, sub.kappa)
+    delta_s = sub.delta(s_axis)
+    s_pair = sub.axis_pair(s_axis)
+    plan = transforms.make_plan(sub.axis_pair(axis), sub.count(axis),
+                                sub.delta(axis), delta_s, sub.kappa)
     lam = plan.eigenvalues
 
-    diag = np.tile(lam, (ms, 1))
+    diag = np.tile(lam, (sub.count(s_axis), 1))
     cyclic = s_pair == "PP"
     if cyclic:
-        if ms % 2:
+        if len(diag) % 2:
             raise ValidationError(
                 f"subdomain {sub.id}: periodic sweep axis needs an even count")
     else:
-        diag[0] += sub.end_modifier(lo)
-        diag[-1] += sub.end_modifier(hi)
+        for row, edge in zip((0, -1), AXIS_EDGES[s_axis]):
+            diag[row] += sub.end_modifier(edge)
 
     tol = _PIVOT_RTOL * max(np.abs(lam).max(), delta_s)
     beta, lower, off, sm, bad = _factor(diag, delta_s, cyclic, tol)
@@ -273,25 +262,20 @@ def interface_operator(plan: RectPlan, edge: str):
     and contracted with Q[j, :], one transform-free sweep per apply.
     """
     sub = plan.subdomain
-    first = edge in ("west", "south")
-    normal = edge_axis(edge)
+    normal, end = edge_end(edge)
     line = "y" if normal == "x" else "x"
-    off = sub.normal_delta(edge)
+    off = sub.delta(normal)
     if normal != plan.transform_axis:
         line_plan = plan.y_plan
     elif _transformable(sub, line):
-        n, delta_t = ((sub.m, sub.delta_x) if line == "x"
-                      else (sub.n, sub.delta_y))
-        line_plan = transforms.make_plan(sub.axis_pair(line), n, delta_t,
-                                         off, sub.kappa)
+        line_plan = transforms.make_plan(sub.axis_pair(line), sub.count(line),
+                                         sub.delta(line), off, sub.kappa)
     else:
-        q = q_row(plan, 0 if first else plan.y_plan.n - 1)
+        q = q_row(plan, end * (plan.y_plan.n - 1))  # first or last position
         return lambda v: sweep(plan, np.outer(v, q)) @ q
     lam = line_plan.eigenvalues
-    far = dict(west="east", east="west", south="north", north="south")
-    piv = lam + sub.end_modifier(far[edge])
-    count = sub.m if normal == "x" else sub.n
-    for _ in range(count - 1):  # an interface edge has no end modifier
+    piv = lam + sub.end_modifier(OPPOSITE[edge])
+    for _ in range(sub.count(normal) - 1):  # interface edges: no modifier
         np.divide(off, piv, piv)
         np.multiply(off, piv, piv)
         np.subtract(lam, piv, piv)
@@ -305,24 +289,15 @@ def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     with the subdomain's boundary modifications); used for residual checks
     and unpreconditioned iteration."""
     G = np.asarray(values, dtype=float).reshape(sub.m, sub.n)
-    dx, dy = sub.delta_x, sub.delta_y
-    out = (-2.0 * (dx + dy) + sub.kappa) * G
-    # y neighbours
-    out[:, 1:] += dy * G[:, :-1]
-    out[:, :-1] += dy * G[:, 1:]
-    if sub.axis_pair("y") == "PP":
-        out[:, 0] += dy * G[:, -1]
-        out[:, -1] += dy * G[:, 0]
-    else:
-        out[:, 0] += sub.end_modifier("south") * G[:, 0]
-        out[:, -1] += sub.end_modifier("north") * G[:, -1]
-    # x neighbours
-    out[1:, :] += dx * G[:-1, :]
-    out[:-1, :] += dx * G[1:, :]
-    if sub.axis_pair("x") == "PP":
-        out[0, :] += dx * G[-1, :]
-        out[-1, :] += dx * G[0, :]
-    else:
-        out[0, :] += sub.end_modifier("west") * G[0, :]
-        out[-1, :] += sub.end_modifier("east") * G[-1, :]
+    out = (-2.0 * (sub.delta_x + sub.delta_y) + sub.kappa) * G
+    for axis, g, o in (("y", G.T, out.T), ("x", G, out)):  # axis first
+        d = sub.delta(axis)
+        o[1:] += d * g[:-1]
+        o[:-1] += d * g[1:]
+        if sub.axis_pair(axis) == "PP":
+            o[0] += d * g[-1]
+            o[-1] += d * g[0]
+        else:
+            for row, edge in zip((0, -1), AXIS_EDGES[axis]):
+                o[row] += sub.end_modifier(edge) * g[row]
     return out.reshape(-1)

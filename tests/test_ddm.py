@@ -227,6 +227,17 @@ class TestDdmSolve:
         with pytest.raises(ValidationError, match="subdomain 1"):
             ddm.ddm_solve(comp, {0: np.zeros(9)})
 
+    @pytest.mark.parametrize("sid,value", [(bench.CENTER, np.nan),
+                                           (bench.SOUTH, np.inf)],
+                             ids=["nan-center", "inf-arm"])
+    def test_nonfinite_rhs_rejected_before_solving(self, sid, value):
+        # a NaN reaching GMRES would run every restart before failing
+        case = bench.build_cross(k_n=4)
+        f = {s.id: np.ones(s.size) for s in case.composite.subdomains}
+        f[sid][3] = value
+        with pytest.raises(ValidationError, match=f"subdomain {sid} is not"):
+            ddm.ddm_solve(case.composite, f)
+
 
 def star_composite(arms, m=4, n=6, dx=0.25, dy=0.2, kappa=-3.0,
                    center_half=()):

@@ -5,15 +5,33 @@ import pytest
 
 from fftddm import bench
 from fftddm.errors import ValidationError
-from fftddm.geometry import (BoundaryKind, CompositeDomain,
-                             edge_axis, line_indices, load_composite,
-                             make_interface, validate)
+from fftddm.geometry import (AXIS_EDGES, OPPOSITE, BoundaryKind,
+                             CompositeDomain, edge_axis, edge_end,
+                             line_indices, load_composite, make_interface,
+                             validate)
 
 from conftest import make_rect, rect_row
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
 I = BoundaryKind.INTERFACE
+
+
+class TestEdgeTables:
+    @pytest.mark.parametrize("edge,want", [
+        ("west", ("x", 0)), ("east", ("x", 1)),
+        ("south", ("y", 0)), ("north", ("y", 1))])
+    def test_edge_end(self, edge, want):
+        assert edge_end(edge) == want
+        axis, end = want
+        assert AXIS_EDGES[axis][end] == edge
+        assert edge_end(OPPOSITE[edge]) == (axis, 1 - end)
+
+    @pytest.mark.parametrize("axis,count,delta", [("x", 3, 4.0),
+                                                  ("y", 5, 16.0)])
+    def test_count_and_delta_along_an_axis(self, axis, count, delta):
+        sub = make_rect(3, 5, dx=0.5, dy=0.25)
+        assert (sub.count(axis), sub.delta(axis)) == (count, delta)
 
 
 class TestLineIndices:
@@ -52,6 +70,14 @@ class TestValidate:
         b = dataclasses.replace(make_rect(2, 4, sid=1), origin=(2.0, 0.0))
         with pytest.raises(Exception):
             make_interface(0, a, "east", b, "west")
+
+    def test_non_integer_node_counts_reported(self):
+        sub = dataclasses.replace(make_rect(2, 2), n=2.5)
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        assert validate(comp).violations == [
+            "subdomain 0: node counts must be positive integers, got 2 x 2.5"]
+        with pytest.raises(ValidationError, match="got 5.0 x 10.0"):
+            bench.build_cross(k_n=2.5)
 
     def test_mixed_axis_pair_rejected(self):
         sub = make_rect(2, 2)
@@ -146,6 +172,21 @@ class TestTypedErrors:
         comp = bench.build_cross(k_n=1).composite
         with pytest.raises(ValidationError, match=name):
             call(comp)
+
+    @pytest.mark.parametrize("m", [3, 4], ids=["3x4|2x4", "4x4|2x4"])
+    @pytest.mark.parametrize("edge", ["bogus", "East"])
+    @pytest.mark.parametrize("call", [
+        lambda a, b, edge: make_interface(0, a, edge, b, "west"),
+        lambda a, b, edge: make_interface(0, b, "west", a, edge),
+        lambda a, b, edge: line_indices(a, edge),
+    ], ids=["make_interface-first", "make_interface-second",
+            "line_indices"])
+    def test_unknown_edge_raises_at_once(self, call, edge, m):
+        # whatever the node counts, the edge name is checked first
+        a = make_rect(m, 4, sid=0)
+        b = dataclasses.replace(make_rect(2, 4, sid=1), origin=(m, 0.0))
+        with pytest.raises(ValidationError, match=f"unknown edge '{edge}'"):
+            call(a, b, edge)
 
 
 TWO_RECTANGLES = """
