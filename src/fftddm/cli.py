@@ -58,12 +58,14 @@ def cmd_solve(args) -> int:
         "iterations": report.iterations, "converged": report.converged,
         "wall_time": report.wall_time, "linf_error": linf, "l2_error": l2,
         "true_relative_residual": report.true_relative_residual,
+        "residual_checks": len(report.residual_checks),
     }], _out_path(args, "report.csv"))
     bench.emit_history(report.residual_history,
                        _out_path(args, "residual_history.csv"))
     print(f"solved cross k_n={args.kn}: {report.iterations} iterations, "
           f"L-inf error {linf:.3e}, true relative residual "
-          f"{report.true_relative_residual:.3e}")
+          f"{report.true_relative_residual:.3e} "
+          f"({len(report.residual_checks)} checks)")
     return 0
 
 

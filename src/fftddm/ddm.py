@@ -18,16 +18,22 @@ p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
 
 The center's transform Q is orthogonal, so the fft-preconditioned system
 (I - A_c^{-1} S) p = A_c^{-1} f' is solved on the spectral coefficients
-p_hat = Q^T p, where it reads (I - T^{-1} Q^T S Q) p_hat = T^{-1} Q^T f'
-with T^{-1} the per-mode sweep.  Only the interface lines leave the
-Fourier basis there: a line along the transform axis is one line
-transform each way, a line across it one product with a row of Q and a
-rank-one update back.  Full-field transforms run twice per solve.
+p_hat = Q^T p, where it reads T^{-1} (T - Q^T S Q) p_hat = T^{-1} Q^T f'
+with T^{-1} the per-mode sweep.  An arm on a sweep row r of the center
+adds a per-mode diagonal d to D at row r, and GMRES runs that system
+right-preconditioned by (T - D)^{-1} T (Chan & Resasco's modified fast
+solver): p_hat = (T - D)^{-1} T y, y + sum_r c_r y[r].  An arm whose line
+transform is the center's is diag(d) exactly and drops out of the
+per-iteration operator.  Only the interface lines leave the Fourier basis:
+a line along the transform axis is one line transform each way, a line
+across it one product with a row of Q and a rank-one update back.
+Full-field transforms run twice per solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,8 +41,9 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        line_indices)
-from .rectsolver import (RectPlan, apply_rect_operator, interface_operator,
-                         plan_rect, q_row, solve_rect, sweep)
+from .rectsolver import (RectPlan, apply_rect_operator, apply_spectral,
+                         interface_operator, plan_rect, q_row, solve_rect,
+                         sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -88,7 +95,7 @@ class _Neighbor:
     weight: float               # coupling of R_{c,i} times that of R_{i,c}
     block: Callable             # A_i^{-1} restricted to the arm's line
     across: bool                # line across the center's transform axis
-    slot: int                   # the line's place in SchurOperator's batch
+    slot: int | None            # place in SchurOperator's batch; None: in D
 
 
 @dataclass(frozen=True)
@@ -96,16 +103,22 @@ class SchurOperator:
     """Matrix-free (A_c - sum S) on the coupled subdomain, FFT-backed.
 
     Each interface line is a whole center edge.  In the center's spectral
-    rows (ms, nt), a line along the transform axis is sweep row
-    `along_rows[slot]`; a line across it is transform column j, read
-    through `across_q[slot]`, row j of Q.
+    rows (ms, nt), a line along the transform axis is a sweep row; a line
+    across it is transform column j, read through `across_q[slot]`, row j
+    of Q.  An arm on sweep row r adds d = weight * t_c
+    (`rectsolver.interface_operator`) to D there (`fold_rows`, `fold_d`);
+    unless D carries it exactly, it is applied per iteration on row
+    `along_rows[slot]` with its d in `along_d[slot]`.
     """
 
     coupled_id: int
     center_plan: RectPlan
     neighbors: tuple
     along_rows: np.ndarray
+    along_d: np.ndarray
     across_q: np.ndarray
+    fold_rows: np.ndarray
+    fold_d: np.ndarray
 
     @property
     def size(self) -> int:
@@ -129,31 +142,68 @@ class SchurOperator:
         """Q p_hat: the center's nodal values, flat."""
         return rectsolver.to_nodal(self.center_plan, p_hat)
 
-    def spectral_rhs(self, f: np.ndarray) -> np.ndarray:
-        """Q^T A_c^{-1} f = T^{-1} Q^T f, flat."""
-        plan = self.center_plan
-        return sweep(plan, rectsolver.to_spectral(plan, f)).reshape(-1)
+    def spectral_rhs(self, f: np.ndarray) -> tuple:
+        """(Q^T f, T^{-1} Q^T f), flat."""
+        f_hat = rectsolver.to_spectral(self.center_plan, f)
+        return f_hat.reshape(-1), sweep(self.center_plan, f_hat).reshape(-1)
 
-    def spectral_preconditioned(self, p_hat: np.ndarray) -> np.ndarray:
-        """M_hat p_hat = p_hat - T^{-1} Q^T (sum S) Q p_hat on flat spectral
-        coefficients.  The lines along the transform axis are read and
-        written back by one batch of line transforms each way, the lines
-        across it by one product with their rows of Q each way; then one
-        sweep."""
-        plan = self.center_plan
-        p_hat = np.asarray(p_hat, dtype=float)
-        rows = p_hat.reshape(plan.shape)
-        lines = (transforms.apply_Q(plan.y_plan, rows[self.along_rows]),
-                 (rows @ self.across_q.T).T)
+    @cached_property
+    def _fold_columns(self) -> np.ndarray:
+        """c_r = (T - D)^{-1} d_r e_r for each fold row r, (rows, ms, nt):
+        Woodbury from z_r = T^{-1} d_r e_r, one sweep each, and the
+        per-mode capacitance I - G with G[i, j] = z_j[r_i]."""
+        plan, rows = self.center_plan, self.fold_rows
+        z = np.zeros((rows.size,) + plan.shape)
+        z[np.arange(rows.size), rows] = self.fold_d
+        z = np.reshape([sweep(plan, e) for e in z], z.shape)
+        cap = np.eye(rows.size) - np.moveaxis(z[:, rows], 2, 0).swapaxes(1, 2)
+        return np.einsum("imn,nij->jmn", z, np.linalg.inv(cap), order="C")
+
+    def solution(self, y: np.ndarray) -> np.ndarray:
+        """x_hat = (T - D)^{-1} T y = y + sum_r c_r y[r], spectral rows."""
+        y = np.reshape(y, self.center_plan.shape)
+        x = np.einsum("jmn,jn->mn", self._fold_columns, y[self.fold_rows])
+        x += y
+        return x
+
+    def _folded_schur(self, y: np.ndarray) -> tuple:
+        """(x_hat, (Q^T S Q - D) x_hat) in spectral rows.  The lines along
+        the transform axis are read and written back by one batch of line
+        transforms each way, the lines across it by one product with their
+        rows of Q each way; arms carried exactly by D are skipped."""
+        plan, rows = self.center_plan, self.along_rows
+        x = self.solution(y)
+        lines = (transforms.apply_Q(plan.y_plan, x[rows]) if rows.size
+                 else x[rows], (x @ self.across_q.T).T)
         out = tuple(np.empty_like(v) for v in lines)
         for nb in self.neighbors:       # batch 0 along, batch 1 across
-            v = lines[nb.across][nb.slot]
-            out[nb.across][nb.slot] = nb.weight * nb.block(v)
+            if nb.slot is not None:
+                v = lines[nb.across][nb.slot]
+                out[nb.across][nb.slot] = nb.weight * nb.block(v)
         s_hat = out[1].T @ self.across_q
-        for row, s in zip(self.along_rows,
-                          transforms.apply_Qt(plan.y_plan, out[0])):
-            s_hat[row] += s
-        return p_hat - sweep(plan, s_hat).reshape(-1)
+        if rows.size:
+            back = transforms.apply_Qt(plan.y_plan, out[0])
+            for row, s in zip(rows, back - self.along_d * x[rows]):
+                s_hat[row] += s
+        return x, s_hat
+
+    def spectral_preconditioned(self, y: np.ndarray) -> np.ndarray:
+        """y - T^{-1} (Q^T S Q - D) x_hat with x_hat = (T - D)^{-1} T y, on
+        flat spectral coefficients: T^{-1} (T - Q^T S Q), the paper's
+        left-preconditioned operator, right-preconditioned by
+        (T - D)^{-1} T; one sweep."""
+        _, s_hat = self._folded_schur(y)
+        return np.reshape(y, -1) - sweep(self.center_plan, s_hat).reshape(-1)
+
+    def spectral_residual(self, y: np.ndarray, f_hat: np.ndarray):
+        """Q^T f - (T - Q^T S Q) x_hat for the iterate y, flat: the true
+        residual of p = Q x_hat in spectral coefficients, with no full
+        transform."""
+        x, s_hat = self._folded_schur(y)
+        s_hat += np.reshape(f_hat, x.shape) - apply_spectral(
+            self.center_plan, x)
+        s_hat[self.fold_rows] += self.fold_d * x[self.fold_rows]
+        return s_hat.reshape(-1)
 
 
 def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
@@ -162,7 +212,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
     coupled_id = comp.center
     center_plan = plan_rect(comp.subdomain(coupled_id))
     ms, nt = center_plan.shape
-    neighbors, along_rows, across_q = [], [], []
+    neighbors, along, across_q, fold = [], [], [], {}
     for iface in comp.interfaces_of(coupled_id):
         other, edge = iface.other_side(coupled_id)
         plan = plan_rect(comp.subdomain(other))
@@ -171,19 +221,30 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
         axis, end = edge_end(iface.other_side(other)[1])
         across = axis == center_plan.transform_axis
-        batch = across_q if across else along_rows
+        weight = to_c.coupling * from_c.coupling
+        block, t_c, exact = interface_operator(
+            plan, edge, None if across else center_plan)
+        row, d = end * (ms - 1), np.zeros(nt)
+        if t_c is not None:
+            d = weight * t_c
+            fold[row] = fold.get(row, 0.0) + d
+        slot = None if exact else len(across_q if across else along)
+        if across:
+            across_q.append(q_row(center_plan, end * (nt - 1)))
+        elif not exact:
+            along.append((row, d))
         neighbors.append(_Neighbor(
             plan=plan, to_center=to_c, from_center=from_c,
-            line=from_c.from_idx,
-            weight=to_c.coupling * from_c.coupling,
-            block=interface_operator(plan, edge), across=across,
-            slot=len(batch)))
-        index = end * ((nt if across else ms) - 1)
-        batch.append(q_row(center_plan, index) if across else index)
+            line=from_c.from_idx, weight=weight, block=block, across=across,
+            slot=slot))
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
-        neighbors=tuple(neighbors), along_rows=np.array(along_rows, dtype=int),
-        across_q=np.reshape(across_q, (len(across_q), nt)))
+        neighbors=tuple(neighbors),
+        along_rows=np.array([r for r, _ in along], dtype=int),
+        along_d=np.reshape([d for _, d in along], (len(along), nt)),
+        across_q=np.reshape(across_q, (len(across_q), nt)),
+        fold_rows=np.array(list(fold), dtype=int),
+        fold_d=np.reshape(list(fold.values()), (len(fold), nt)))
 
 
 def eliminate_arms(op: SchurOperator, f: dict) -> GridField:

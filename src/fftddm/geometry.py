@@ -23,6 +23,7 @@ Dirichlet edges come in two flavours:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -256,9 +257,19 @@ def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
         report.violations.append(f"subdomain {sub.id}: node counts must be "
                                  f"positive integers, got {sub.m} x {sub.n}")
         return
+    if not all(map(math.isfinite, (sub.dx, sub.dy, sub.kappa))):
+        report.violations.append(f"subdomain {sub.id}: non-finite spacing "
+                                 f"or kappa ({sub.dx}, {sub.dy}, {sub.kappa})")
+        return
     if sub.dx <= 0 or sub.dy <= 0:
         report.violations.append(f"subdomain {sub.id}: nonpositive spacing")
         return
+    bad = [e for e in sub.half_cell_dirichlet
+           if bc.get(e) is not BoundaryKind.DIRICHLET]
+    if bad:
+        report.violations.append(
+            f"subdomain {sub.id}: half_cell_dirichlet names "
+            f"{', '.join(sorted(map(repr, bad)))}, not a Dirichlet edge")
     for axis in AXIS_EDGES:
         try:
             pair = sub.axis_pair(axis)

@@ -244,17 +244,24 @@ def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
 
 
-def interface_operator(plan: RectPlan, edge: str):
+def interface_operator(plan: RectPlan, edge: str,
+                       center: RectPlan | None = None):
     """Block of A^{-1} on the node line next to the interface `edge`.
 
-    Returns a function taking values on that line, in tangential order,
-    to the same line of A^{-1} applied to them, without a full solve.
-    Where the line's axis is transformable the block is Q diag(t) Q^T,
-    two line transforms per apply, with t_k = (T_k^{-1})_jj, T_k the
-    mode-k tridiagonal across the line and j the line's place on it.
-    Q is the plan's own transform for a line along its transform axis
+    Returns (block, t_c, exact).  `block` takes values on that line, in
+    tangential order, to the same line of A^{-1} applied to them, without
+    a full solve.  Where the line's axis is transformable the block is
+    Q diag(t) Q^T, two line transforms per apply, with t_k = (T_k^{-1})_jj,
+    T_k the mode-k tridiagonal across the line and j the line's place on
+    it.  Q is the plan's own transform for a line along its transform axis
     (a sweep row), else a plan made for the line's axis; t is the last
     pivot of the pivot-only elimination run from the far edge.
+
+    Given the plan of a center whose sweep row is the facing line, t_c is
+    t at the center's line eigenvalues moved into this rectangle's frame
+    (normal-axis diagonal and kappa), from the same pivot loop: about the
+    diagonal of Q_c^T block Q_c, and exactly that matrix, diag(t), when
+    the line's transform is the center's (`exact`).  Else t_c is None.
 
     An interface's normal axis is never periodic, so no cyclic correction
     enters.  A line across the transform axis whose flanks are half-cell
@@ -272,16 +279,45 @@ def interface_operator(plan: RectPlan, edge: str):
                                          sub.delta(line), off, sub.kappa)
     else:
         q = q_row(plan, end * (plan.y_plan.n - 1))  # first or last position
-        return lambda v: sweep(plan, np.outer(v, q)) @ q
-    lam = line_plan.eigenvalues
+        return lambda v: sweep(plan, np.outer(v, q)) @ q, None, False
+    lam = line_plan.eigenvalues[None]
+    exact = center is not None and center.y_plan.bc == line_plan.bc
+    if center is not None and not exact:
+        c = center.subdomain
+        shift = 2.0 * (c.delta(normal) - off) + sub.kappa - c.kappa
+        lam = np.concatenate([lam, center.y_plan.eigenvalues[None] + shift])
     piv = lam + sub.end_modifier(OPPOSITE[edge])
     for _ in range(sub.count(normal) - 1):  # interface edges: no modifier
-        np.divide(off, piv, piv)
-        np.multiply(off, piv, piv)
+        np.divide(off * off, piv, piv)
         np.subtract(lam, piv, piv)
-    t = 1.0 / piv
-    return lambda v: transforms.apply_Q(
-        line_plan, t * transforms.apply_Qt(line_plan, v))
+    t = 1.0 / piv[0]
+    return (lambda v: transforms.apply_Q(
+        line_plan, t * transforms.apply_Qt(line_plan, v)),
+        None if center is None else 1.0 / piv[-1], exact)
+
+
+def _add_axis_terms(sub: RectSubdomain, axis: str, g, o):
+    """o += the stencil's neighbour, wrap and end terms along `axis`, on
+    views g, o whose first index runs along that axis."""
+    d = sub.delta(axis)
+    o[1:] += d * g[:-1]
+    o[:-1] += d * g[1:]
+    if sub.axis_pair(axis) == "PP":
+        o[0] += d * g[-1]
+        o[-1] += d * g[0]
+    else:
+        for row, edge in zip((0, -1), AXIS_EDGES[axis]):
+            o[row] += sub.end_modifier(edge) * g[row]
+
+
+def apply_spectral(plan: RectPlan, rows: np.ndarray) -> np.ndarray:
+    """T rows = Q^T A Q rows: the per-mode tridiagonals times spectral
+    rows (ms, nt), or their flat form; returns (ms, nt)."""
+    rows = np.reshape(rows, plan.shape)
+    out = plan.y_plan.eigenvalues * rows
+    _add_axis_terms(plan.subdomain, "x" if plan.transform_axis == "y"
+                    else "y", rows, out)
+    return out
 
 
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
@@ -291,13 +327,5 @@ def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     G = np.asarray(values, dtype=float).reshape(sub.m, sub.n)
     out = (-2.0 * (sub.delta_x + sub.delta_y) + sub.kappa) * G
     for axis, g, o in (("y", G.T, out.T), ("x", G, out)):  # axis first
-        d = sub.delta(axis)
-        o[1:] += d * g[:-1]
-        o[:-1] += d * g[1:]
-        if sub.axis_pair(axis) == "PP":
-            o[0] += d * g[-1]
-            o[-1] += d * g[0]
-        else:
-            for row, edge in zip((0, -1), AXIS_EDGES[axis]):
-                o[row] += sub.end_modifier(edge) * g[row]
+        _add_axis_terms(sub, axis, g, o)
     return out.reshape(-1)

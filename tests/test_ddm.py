@@ -330,7 +330,7 @@ def block_kind(plan, edge):
         mp.setattr(transforms, "make_plan",
                    recording(transforms.make_plan, made))
         mp.setattr(rectsolver, "sweep", recording(rectsolver.sweep, swept))
-        block = rectsolver.interface_operator(plan, edge)
+        block, _, _ = rectsolver.interface_operator(plan, edge)
         block(np.ones(line_indices(plan.subdomain, edge).size))
     if swept:
         return "sweep"
@@ -386,19 +386,42 @@ class TestLineOperators:
                                                "sweep"}
         assert {("x", "sweep"), ("y", "sweep")} <= kinds
 
-    @pytest.mark.parametrize("comp", [
-        pytest.param(bench.build_cross(k_n=8).composite, id="cross-k8"),
-        pytest.param(star_mixed(8), id="star-k8"),
+    @pytest.mark.parametrize("comp,exact_ids", [
+        pytest.param(bench.build_cross(k_n=8).composite, [], id="cross-k8"),
+        pytest.param(star_mixed(8), [2], id="star-k8"),  # south
     ])
-    def test_one_sweep_per_preconditioned_apply(self, comp, monkeypatch):
-        # every arm block here has a line transform; only the center sweeps
+    def test_one_sweep_per_preconditioned_apply(self, comp, exact_ids,
+                                                monkeypatch):
+        # every arm block here has a line transform; only the center sweeps.
+        # An arm that D carries exactly (the star's south arm) costs nothing
+        # per apply: no block, and no line transform of the center.
         op = ddm.build_schur_operator(comp)
-        swept = []
+        applied, swept, transformed = [], [], []
+
+        def counted(nb):
+            def block(v):
+                applied.append(nb.plan.subdomain.id)
+                return nb.block(v)
+            return dataclasses.replace(nb, block=block)
+
+        op = dataclasses.replace(
+            op, neighbors=tuple(map(counted, op.neighbors)))
+        op.solution(np.ones(op.size))   # D's columns, built on first use
         counting = recording(rectsolver.sweep, swept)
         monkeypatch.setattr(rectsolver, "sweep", counting)
         monkeypatch.setattr(ddm, "sweep", counting)
+        for name in ("apply_Q", "apply_Qt"):
+            monkeypatch.setattr(transforms, name, recording(
+                getattr(transforms, name), transformed))
         op.spectral_preconditioned(np.ones(op.size))
         assert swept == [op.center_plan]
+        assert [nb.plan.subdomain.id for nb in op.neighbors
+                if nb.slot is None] == exact_ids
+        assert sorted(applied) == sorted(
+            nb.plan.subdomain.id for nb in op.neighbors
+            if nb.slot is not None)
+        center_lines = transformed.count(op.center_plan.y_plan)
+        assert center_lines == (2 if op.along_rows.size else 0)
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=16).composite, id="cross-k16"),
@@ -433,6 +456,19 @@ class TestLineOperators:
         assert_matches_global_dense_lu(
             star_composite(LINE_OPERATOR_CASES[name][0]), rng)
 
+    def test_exact_folds_leave_a_direct_solve(self, rng):
+        # both arms' lines are the one-row center's sweep row, with the
+        # center's transform: T - D is the Schur complement, and GMRES
+        # sees the identity
+        comp = star_composite({"west": (2, D, D, ()), "east": (3, D, D, ())},
+                              m=1, n=4)
+        op = ddm.build_schur_operator(comp)
+        assert [nb.slot for nb in op.neighbors] == [None, None]
+        assert_matches_global_dense_lu(comp, rng)
+        f = {s.id: rng.standard_normal(s.size) for s in comp.subdomains}
+        _, report = ddm.ddm_solve(comp, f)
+        assert report.iterations == 1
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_tiny_star_matches_global_dense_lu(self, k, rng):
         # arms sweep one to six rows (the cross at k_n = 1, with one- and
@@ -446,6 +482,10 @@ def spectral_cases():
     cases = [pytest.param(star_composite(arms, **kw), id=name)
              for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())]
     cases.append(pytest.param(star_mixed(8), id="star-k8"))
+    # one sweep row: an exact and an approximate arm fold on the same row
+    cases.append(pytest.param(star_composite(
+        {"west": (2, D, N, ()), "east": (3, D, D, ())}, m=1, n=4),
+        id="one-row"))
     cases.append(pytest.param(bench.build_cross(k_n=4).composite,
                               id="cross-k4"))
     return cases
@@ -461,15 +501,62 @@ def to_spectral(op, p):
     return rectsolver.to_spectral(op.center_plan, p).reshape(-1)
 
 
+def dense_spectral(comp, op):
+    """The center's system in spectral coefficients from the dense oracle:
+    (Q, T, S_hat, D) with Q taking flat spectral rows to flat nodal values,
+    T = Q^T A_c Q, S_hat = Q^T S Q and D the operator's fold."""
+    plan = op.center_plan
+    sub = plan.subdomain
+    ms, nt = plan.shape
+    Q = np.kron(np.eye(ms),
+                oracle.assemble_eigvector_matrix(plan.y_plan.bc, nt))
+    if plan.transform_axis == "x":      # spectral rows run along y
+        Q = Q[np.arange(sub.size).reshape(sub.n, sub.m).T.reshape(-1)]
+    A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
+    D = np.zeros((ms, nt))
+    D[op.fold_rows] = op.fold_d
+    return Q, Q.T @ A2 @ Q, Q.T @ S @ Q, np.diag(D.reshape(-1))
+
+
+def dense_folded_operator(comp, op):
+    """T^{-1} (T - S_hat) (T - D)^{-1} T from the dense oracle."""
+    _, T, S_hat, D = dense_spectral(comp, op)
+    return np.linalg.solve(T, T - S_hat) @ np.linalg.solve(T - D, T)
+
+
+def arm_symbols(comp, op):
+    """(d, weight * Q_c^T B Q_c, exact) of each arm on a sweep row of the
+    center, B the arm's block and Q_c the center's line transform."""
+    plan = op.center_plan
+    Qc = oracle.assemble_eigvector_matrix(plan.y_plan.bc, plan.y_plan.n)
+    for nb, iface in zip(op.neighbors, comp.interfaces_of(op.coupled_id)):
+        if not nb.across:
+            edge = iface.other_side(op.coupled_id)[1]
+            block, t_c, exact = rectsolver.interface_operator(nb.plan, edge,
+                                                              plan)
+            B = np.column_stack([block(e) for e in np.eye(plan.y_plan.n)])
+            yield (None if t_c is None else nb.weight * t_c,
+                   nb.weight * Qc.T @ B @ Qc, exact)
+
+
 class TestSpectralOperator:
     @pytest.mark.parametrize("comp", spectral_cases())
-    def test_matches_nodal_form(self, comp, rng):
+    def test_matches_dense_reference(self, comp, rng):
         op = ddm.build_schur_operator(comp)
+        Q, T, S_hat, D = dense_spectral(comp, op)
+        M = dense_folded_operator(comp, op)
+        f = rng.standard_normal(op.size)
+        f_hat = Q.T @ f
         for _ in range(3):
-            p_hat = rng.standard_normal(op.size)
-            want = to_spectral(
-                op, nodal_preconditioned(op, op.to_nodal(p_hat)))
-            got = op.spectral_preconditioned(p_hat)
+            y = rng.standard_normal(op.size)
+            want = M @ y
+            got = op.spectral_preconditioned(y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            x = np.linalg.solve(T - D, T @ y)
+            got = op.solution(y).reshape(-1)
+            assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+            want = f_hat - (T - S_hat) @ x
+            got = op.spectral_residual(y, f_hat)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("comp", spectral_cases())
@@ -481,16 +568,41 @@ class TestSpectralOperator:
                                                       rel=1e-13)
         np.testing.assert_allclose(op.to_nodal(p_hat), p, rtol=0, atol=1e-13)
         want = to_spectral(op, rectsolver.solve_rect(op.center_plan, p).values)
-        assert np.abs(op.spectral_rhs(p) - want).max() \
-            <= 1e-12 * np.abs(want).max()
+        f_hat, b_hat = op.spectral_rhs(p)
+        np.testing.assert_array_equal(f_hat, p_hat)
+        assert np.abs(b_hat - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_cases_cover_both_axes_and_line_kinds(self):
-        kinds = set()
+        kinds, folds = set(), set()
         for param in spectral_cases():
             (comp,) = param.values
             op = ddm.build_schur_operator(comp)
             kinds |= {(op.center_plan.transform_axis,
                        "across" if nb.across else "along")
                       for nb in op.neighbors}
+            folds |= {"none" if d is None else "exact" if exact else "approx"
+                      for d, _, exact in arm_symbols(comp, op)}
         assert kinds == {(axis, kind) for axis in ("x", "y")
                          for kind in ("along", "across")}
+        assert folds == {"none", "exact", "approx"}
+
+    def test_exact_symbol_is_the_arm_in_the_center_basis(self):
+        comp = star_mixed(8)
+        op = ddm.build_schur_operator(comp)
+        (d, block, exact), = arm_symbols(comp, op)
+        assert exact
+        assert np.abs(block - np.diag(d)).max() <= 1e-13 * np.abs(d).max()
+        np.testing.assert_array_equal(op.fold_d, [d])
+
+    def test_symbol_near_the_diagonal_on_the_cross(self):
+        # NN arms against the DD center: t at the center's eigenvalues
+        # stands in for the diagonal of the arm's term in the center basis
+        comp = bench.build_cross(k_n=16).composite
+        op = ddm.build_schur_operator(comp)
+        symbols = list(arm_symbols(comp, op))
+        assert len(symbols) == 2
+        for d, block, exact in symbols:
+            assert not exact
+            diag = np.diag(block)
+            assert np.abs(d - diag).max() <= 0.03 * np.abs(diag).max()
+        assert sorted(op.fold_rows) == [0, op.center_plan.shape[0] - 1]

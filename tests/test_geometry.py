@@ -79,6 +79,37 @@ class TestValidate:
         with pytest.raises(ValidationError, match="got 5.0 x 10.0"):
             bench.build_cross(k_n=2.5)
 
+    @pytest.mark.parametrize("field", ["dx", "dy", "kappa"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_or_kappa_reported(self, field, value):
+        sub = dataclasses.replace(make_rect(4, 4), **{field: value})
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        (violation,) = validate(comp).violations
+        assert "non-finite spacing or kappa" in violation
+
+    @pytest.mark.parametrize("half,named", [
+        (("west", "bogus"), "'bogus'"),     # no such edge
+        (("west", "south"), "'south'"),     # a Neumann edge
+    ])
+    def test_half_cell_on_a_non_dirichlet_edge_reported(self, half, named):
+        sub = make_rect(4, 4, x_pair="DD", y_pair="NN", kappa=-1.0,
+                        half=half)
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        (violation,) = validate(comp).violations
+        assert "half_cell_dirichlet" in violation and named in violation
+        assert "'west'" not in violation
+
+    def test_half_cell_on_an_interface_edge_reported(self):
+        comp = bench.build_cross(k_n=1).composite
+        center = dataclasses.replace(comp.subdomain(bench.CENTER),
+                                     half_cell_dirichlet=frozenset(["west"]))
+        broken = CompositeDomain(
+            subdomains=[center] + [s for s in comp.subdomains
+                                   if s.id != bench.CENTER],
+            interfaces=comp.interfaces)
+        assert any("half_cell_dirichlet names 'west'," in v
+                   for v in validate(broken).violations)
+
     def test_mixed_axis_pair_rejected(self):
         sub = make_rect(2, 2)
         bc = dict(sub.edge_bc)

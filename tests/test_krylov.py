@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fftddm import bench, ddm, krylov, oracle, rectsolver
+from fftddm import bench, ddm, krylov, oracle
 from fftddm.errors import ConvergenceError, ValidationError
 from fftddm.geometry import GridField
 
-from test_ddm import nodal_preconditioned, star_mixed
+from test_ddm import dense_folded_operator, dense_spectral, star_mixed
 
 
 class TestGmresConfig:
@@ -103,7 +103,7 @@ class TestGmres:
 
 
 class TestOrthogonalization:
-    @pytest.mark.parametrize("kn,iters", [(8, 19), (16, 26), (32, 35)])
+    @pytest.mark.parametrize("kn,iters", [(8, 14), (16, 18), (32, 25)])
     def test_fft_iteration_counts_on_cross(self, kn, iters):
         cfg = krylov.GmresConfig(m=80, tol=1e-7)
         _, rep = bench.solve_case(bench.build_cross(k_n=kn), cfg)
@@ -196,34 +196,58 @@ class TestSolveCoupled:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def dense_fft_gmres(comp, op, f, cfg):
+    """fft GMRES on the dense oracle's folded spectral system; returns
+    (nodal solution, report) or raises ConvergenceError with the nodal
+    solution attached."""
+    Q, T, S_hat, D = dense_spectral(comp, op)
+    M = dense_folded_operator(comp, op)
+    f_hat = Q.T @ f
+
+    def nodal(y):
+        return Q @ np.linalg.solve(T - D, T @ y)
+
+    def check(y):
+        x = np.linalg.solve(T - D, T @ y)
+        return np.linalg.norm(f_hat - (T - S_hat) @ x) / np.linalg.norm(f)
+
+    try:
+        y, rep = krylov.gmres(lambda v: M @ v, np.linalg.solve(T, f_hat),
+                              cfg=cfg, check=check)
+    except ConvergenceError as err:
+        err.solution = nodal(err.solution)
+        raise
+    return nodal(y), rep
+
+
 class TestSpectralGmres:
     @pytest.mark.parametrize("comp,m", [
         pytest.param(bench.build_cross(k_n=8).composite, 80, id="cross-k8"),
         pytest.param(star_mixed(8), 10, id="star-k8-restarted"),
     ])
-    def test_history_matches_nodal_form(self, comp, m):
+    def test_history_matches_dense_reference(self, comp, m):
         op = ddm.build_schur_operator(comp)
-        f = GridField(op.coupled_id, np.random.default_rng(3).standard_normal(
-            op.size))
+        f = np.random.default_rng(3).standard_normal(op.size)
         cfg = krylov.GmresConfig(m=m, tol=1e-10, max_restarts=50)
-        p, rep = krylov.solve_coupled(op, f, cfg)
-        rhs = rectsolver.solve_rect(op.center_plan, f.values).values
-        want, ref = krylov.gmres(lambda p: nodal_preconditioned(op, p), rhs,
-                                 cfg=cfg)
+        p, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        want, ref = dense_fft_gmres(comp, op, f, cfg)
         assert rep.iterations == ref.iterations
+        # the two operators agree to rounding, so the histories agree to
+        # rounding of the unit initial residual, not to a relative tolerance
         np.testing.assert_allclose(rep.residual_history, ref.residual_history,
-                                   rtol=1e-6)
+                                   rtol=1e-6, atol=1e-13)
+        assert [i for i, _ in rep.residual_checks] == [
+            i for i, _ in ref.residual_checks]
         assert np.abs(p.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_convergence_error_carries_nodal_solution(self, cross2, rng):
-        _, op = cross2
-        f = GridField(op.coupled_id, rng.standard_normal(op.size))
+        comp, op = cross2
+        f = rng.standard_normal(op.size)
         cfg = krylov.GmresConfig(m=2, tol=1e-15, max_restarts=1)
         with pytest.raises(ConvergenceError) as got:
-            krylov.solve_coupled(op, f, cfg)
-        rhs = rectsolver.solve_rect(op.center_plan, f.values).values
+            krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
         with pytest.raises(ConvergenceError) as want:
-            krylov.gmres(lambda p: nodal_preconditioned(op, p), rhs, cfg=cfg)
+            dense_fft_gmres(comp, op, f, cfg)
         np.testing.assert_allclose(got.value.solution, want.value.solution,
                                    rtol=0, atol=1e-12)
 
@@ -241,3 +265,67 @@ class TestSpectralGmres:
         assert rep.true_residual == pytest.approx(res, rel=1e-12)
         assert rep.true_relative_residual == pytest.approx(
             res / np.linalg.norm(f.values), rel=1e-12)
+
+
+class TestTrueResidualCheck:
+    def test_check_tightens_until_the_true_residual_meets_tol(self, rng):
+        # a check reading 100 times GMRES's own residual: the first check
+        # fails, and the tightened inner tolerance carries the cycle on
+        N = 80
+        A = np.diag(np.linspace(1.0, 10.0, N))
+        b = rng.standard_normal(N)
+        tol = 1e-8
+        calls = []
+
+        def check(x):
+            calls.append(x.copy())
+            return 100.0 * np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+        applies = []
+
+        def operator(v):
+            applies.append(1)
+            return A @ v
+
+        x, rep = krylov.gmres(operator, b,
+                              cfg=krylov.GmresConfig(m=N, tol=tol),
+                              check=check)
+        assert rep.converged
+        # the passing check spares recomputing GMRES's own residual
+        assert len(applies) == rep.iterations
+        assert np.isnan(rep.true_residual)
+        assert np.linalg.norm(b - A @ x) <= tol / 100 * np.linalg.norm(b)
+        values = [v for _, v in rep.residual_checks]
+        assert len(values) == len(calls) >= 2
+        assert values[-1] <= tol < values[0]
+        its = [i for i, _ in rep.residual_checks]
+        assert its == sorted(its) and its[-1] == rep.iterations < N
+        np.testing.assert_array_equal(calls[-1], x)
+
+    def test_failed_checks_are_reported(self, rng):
+        A = rng.standard_normal((10, 10)) + 5 * np.eye(10)
+        b = rng.standard_normal(10)
+        cfg = krylov.GmresConfig(m=10, tol=1e-8, max_restarts=2)
+        with pytest.raises(ConvergenceError) as err:
+            krylov.gmres(lambda v: A @ v, b, cfg=cfg, check=lambda x: 1.0)
+        rep = err.value.report
+        assert not rep.converged and rep.residual_checks
+        assert all(v == 1.0 for _, v in rep.residual_checks)
+
+    @pytest.mark.parametrize("kn", [8, 16, 32, 64])
+    def test_cross_meets_tol_in_few_checks(self, kn):
+        cfg = krylov.GmresConfig(m=80, tol=1e-7)
+        _, rep = bench.solve_case(bench.build_cross(k_n=kn), cfg)
+        assert rep.converged and rep.true_relative_residual <= cfg.tol
+        assert 1 <= len(rep.residual_checks) <= 4
+        assert rep.residual_checks[-1][1] <= cfg.tol
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_star_meets_tol(self, seed):
+        comp = star_mixed(8)
+        op = ddm.build_schur_operator(comp)
+        rng = np.random.default_rng(seed)
+        f = GridField(op.coupled_id, rng.standard_normal(op.size))
+        cfg = krylov.GmresConfig(m=10, tol=1e-7)
+        _, rep = krylov.solve_coupled(op, f, cfg)
+        assert rep.converged and rep.true_relative_residual <= cfg.tol

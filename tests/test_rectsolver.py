@@ -143,8 +143,27 @@ class TestInterfaceOperator:
         line = line_indices(sub, edge)
         want = np.linalg.inv(oracle.assemble_rect_matrix(sub))[
             np.ix_(line, line)]
-        block = rectsolver.interface_operator(plan, edge)
+        block, t_c, exact = rectsolver.interface_operator(plan, edge)
         got = np.column_stack([block(e) for e in np.eye(line.size)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert t_c is None and not exact
+
+
+class TestApplySpectral:
+    @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa,half", [
+        (*case, ()) for case in pair_cases(4)] + [
+        (x, y, m, n, kappa, half)
+        for x, y, m, n, kappa, _, half in interface_cases(4) if half])
+    def test_is_the_operator_in_spectral_rows(self, x_pair, y_pair, m, n,
+                                              kappa, half, rng):
+        # T = Q^T A Q, with the sweep axis's wrap and end terms
+        sub = make_rect(m, n, x_pair, y_pair, dx=0.3, dy=0.2, kappa=kappa,
+                        half=half)
+        plan = rectsolver.plan_rect(sub)
+        rows = rng.standard_normal(plan.shape)
+        want = rectsolver.to_spectral(plan, rectsolver.apply_rect_operator(
+            sub, rectsolver.to_nodal(plan, rows)))
+        got = rectsolver.apply_spectral(plan, rows)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
