@@ -312,13 +312,28 @@ class TestTrueResidualCheck:
         assert not rep.converged and rep.residual_checks
         assert all(v == 1.0 for _, v in rep.residual_checks)
 
-    @pytest.mark.parametrize("kn", [8, 16, 32, 64])
-    def test_cross_meets_tol_in_few_checks(self, kn):
+    @pytest.mark.parametrize("kn,iters,checked", [
+        (8, 14, [13, 14]), (16, 18, [17, 18]), (32, 25, [22, 25]),
+        (64, 35, [30, 34, 35]),
+    ])
+    def test_cross_meets_tol_in_few_checks(self, kn, iters, checked):
         cfg = krylov.GmresConfig(m=80, tol=1e-7)
         _, rep = bench.solve_case(bench.build_cross(k_n=kn), cfg)
         assert rep.converged and rep.true_relative_residual <= cfg.tol
-        assert 1 <= len(rep.residual_checks) <= 4
+        assert rep.iterations == iters
+        assert [i for i, _ in rep.residual_checks] == checked
         assert rep.residual_checks[-1][1] <= cfg.tol
+
+    def test_restarted_star_check_schedule(self):
+        # the check at 12, in the second cycle, fails and tightens the
+        # inner tolerance; the one at 13 passes
+        op = ddm.build_schur_operator(star_mixed(16))
+        f = np.random.default_rng(0).standard_normal(op.size)
+        cfg = krylov.GmresConfig(m=10, tol=1e-7)
+        _, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        assert rep.iterations == 13
+        assert [i for i, _ in rep.residual_checks] == [12, 13]
+        assert rep.residual_checks[0][1] > cfg.tol >= rep.residual_checks[1][1]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_star_meets_tol(self, seed):
