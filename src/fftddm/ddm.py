@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
-                       line_indices)
+                       field_values, line_indices)
 from .rectsolver import (RectPlan, apply_rect_operator, apply_spectral,
                          interface_operator, plan_rect, q_row, solve_rect,
                          sweep)
@@ -166,13 +166,12 @@ class SchurOperator:
         x += y
         return x
 
-    def _folded_schur(self, y: np.ndarray) -> tuple:
-        """(x_hat, (Q^T S Q - D) x_hat) in spectral rows.  The lines along
+    def _folded_schur(self, x: np.ndarray) -> np.ndarray:
+        """(Q^T S Q - D) x for x = x_hat in spectral rows.  The lines along
         the transform axis are read and written back by one batch of line
         transforms each way, the lines across it by one product with their
         rows of Q each way; arms carried exactly by D are skipped."""
         plan, rows = self.center_plan, self.along_rows
-        x = self.solution(y)
         lines = (transforms.apply_Q(plan.y_plan, x[rows]) if rows.size
                  else x[rows], (x @ self.across_q.T).T)
         out = tuple(np.empty_like(v) for v in lines)
@@ -185,21 +184,22 @@ class SchurOperator:
             back = transforms.apply_Qt(plan.y_plan, out[0])
             for row, s in zip(rows, back - self.along_d * x[rows]):
                 s_hat[row] += s
-        return x, s_hat
+        return s_hat
 
     def spectral_preconditioned(self, y: np.ndarray) -> np.ndarray:
         """y - T^{-1} (Q^T S Q - D) x_hat with x_hat = (T - D)^{-1} T y, on
         flat spectral coefficients: T^{-1} (T - Q^T S Q), the paper's
         left-preconditioned operator, right-preconditioned by
         (T - D)^{-1} T; one sweep."""
-        _, s_hat = self._folded_schur(y)
+        s_hat = self._folded_schur(self.solution(y))
         return np.reshape(y, -1) - sweep(self.center_plan, s_hat).reshape(-1)
 
     def spectral_residual(self, y: np.ndarray, f_hat: np.ndarray):
         """Q^T f - (T - Q^T S Q) x_hat for the iterate y, flat: the true
         residual of p = Q x_hat in spectral coefficients, with no full
         transform."""
-        x, s_hat = self._folded_schur(y)
+        x = self.solution(y)
+        s_hat = self._folded_schur(x)
         s_hat += np.reshape(f_hat, x.shape) - apply_spectral(
             self.center_plan, x)
         s_hat[self.fold_rows] += self.fold_d * x[self.fold_rows]
@@ -253,12 +253,11 @@ def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
 
     `f` maps subdomain id to a GridField or flat array.
     """
-    fc = f[op.coupled_id]
-    f_prime = np.array(fc.values if isinstance(fc, GridField) else fc,
-                       dtype=float)
+    f_prime = field_values(op.center_plan.subdomain,
+                           f.get(op.coupled_id)).copy()
     for nb in op.neighbors:
         f_prime -= nb.to_center.apply(
-            solve_rect(nb.plan, f[nb.plan.subdomain.id]).values)
+            solve_rect(nb.plan, f.get(nb.plan.subdomain.id)).values)
     return GridField(op.coupled_id, f_prime)
 
 
@@ -275,21 +274,8 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     if gmres_cfg is None:
         gmres_cfg = krylov.GmresConfig()
 
-    rhs = {}
-    for sub in comp.subdomains:
-        if sub.id not in f:
-            raise ValidationError(f"no right-hand side for subdomain {sub.id}")
-        fi = f[sub.id]
-        vals = np.asarray(fi.values if isinstance(fi, GridField) else fi,
-                          dtype=float)
-        if vals.shape != (sub.size,):
-            raise ValidationError(
-                f"rhs for subdomain {sub.id} has length {vals.size}, "
-                f"expected {sub.size}")
-        if not np.isfinite(vals).all():
-            raise ValidationError(f"rhs for subdomain {sub.id} is not finite")
-        rhs[sub.id] = vals
-
+    rhs = {sub.id: field_values(sub, f.get(sub.id))
+           for sub in comp.subdomains}
     op = build_schur_operator(comp)
     p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
 

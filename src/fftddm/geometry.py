@@ -155,6 +155,25 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float).ravel()
 
 
+def field_values(sub: RectSubdomain, f) -> np.ndarray:
+    """The flat values of `f`, a GridField or array given for `sub` (None
+    when missing); ValidationError names the subdomain if `f` is missing,
+    on another subdomain, of the wrong length or not finite."""
+    name = f"right-hand side for subdomain {sub.id}"
+    if f is None:
+        raise ValidationError(f"no {name}")
+    if isinstance(f, GridField) and f.subdomain_id != sub.id:
+        raise ValidationError(f"{name} is on subdomain {f.subdomain_id}")
+    values = np.asarray(f.values if isinstance(f, GridField) else f,
+                        dtype=float).ravel()
+    if values.size != sub.size:
+        raise ValidationError(f"{name} has length {values.size}, expected "
+                              f"{sub.m} x {sub.n}")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} is not finite")
+    return values
+
+
 def line_indices(subdomain: RectSubdomain, edge: str) -> np.ndarray:
     """Flat indices of the node line adjacent to `edge`, in tangential order."""
     axis, end = edge_end(edge)

@@ -7,9 +7,8 @@ wires it to a Schur operator under one of two preconditioners:
 
   * fft       solve A_c^{-1} (A_c - S) p = A_c^{-1} f' on the center's
               spectral coefficients, right-preconditioned by the arms'
-              folded diagonal (`ddm.SchurOperator`); it stops only when
-              the true relative residual ||f' - (A_c - S) p|| / ||f'||,
-              checked in spectral coefficients, meets tol as well
+              folded diagonal (`ddm.SchurOperator`), with the true
+              relative residual ||f' - (A_c - S) p|| / ||f'|| as `check`
   * identity  solve (A_c - S) p = f', the unpreconditioned baseline
 """
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .geometry import GridField
+from .geometry import GridField, field_values
 
 PRECONDITIONERS = ("identity", "fft")
 
@@ -74,61 +73,59 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
           cfg: GmresConfig | None = None, check=None):
     """Restarted GMRES; returns (solution, SolveReport).
 
-    `operator` is any callable mapping a length-N vector to a length-N
-    vector.  Residuals in the report are 2-norms relative to the initial
-    residual.  `check`, if given, maps an iterate to its true relative
-    residual.  When GMRES's estimate meets its inner tolerance (first
-    tol), it forms the iterate and asks; above tol, it shrinks the inner
-    tolerance by the ratio tol / check and goes on in the same cycle.  So
-    it returns only when both its own residual and the check meet tol; a
-    passing check spares recomputing its own residual, and the report's
-    true_residual is then NaN.  Raises ConvergenceError (report attached)
-    if max_restarts cycles do not reach tol.
+    `operator` maps a length-N vector to a length-N vector; residuals in
+    the report are 2-norms relative to the initial one.  `check`, if
+    given, maps an iterate to its true relative residual.  Once GMRES's
+    estimate meets its inner tolerance (first tol) it forms the iterate
+    and asks: a passing check returns it at once, sparing GMRES's own
+    residual (true_residual stays NaN); a failing one scales the inner
+    tolerance by tol / check and the cycle goes on.  At a cycle's end the
+    explicit residual must meet tol and the check pass, unless it failed
+    on that very iterate.  A breakdown or a non-finite residual estimate
+    ends the restarts.  Short of tol, raises ConvergenceError carrying
+    the report and the solution.
     """
-    if cfg is None:
-        cfg = GmresConfig()
+    cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
     N = rhs.size
     x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=float).copy()
     start = time.perf_counter()
 
     r = rhs - operator(x) if x.any() else rhs.copy()
-    r0_norm = np.linalg.norm(r)
-    if r0_norm == 0.0:
-        report = SolveReport(converged=True, iterations=0,
-                             residual_history=np.zeros(1),
-                             wall_time=time.perf_counter() - start)
-        return x, report
-
-    history = [1.0]
+    r_norm = r0_norm = np.linalg.norm(r)
+    history = [1.0 if r0_norm else 0.0]
     checks = []
     inner = cfg.tol
-    total_iters = 0
     m = min(cfg.m, N)
+
+    def report(converged: bool, true_residual: float = np.nan):
+        return SolveReport(converged=converged, iterations=len(history) - 1,
+                           residual_history=np.asarray(history),
+                           wall_time=time.perf_counter() - start,
+                           true_residual=true_residual,
+                           residual_checks=tuple(checks))
 
     def checked(x) -> bool:
         """Whether check(x) meets tol; tightens `inner` when it does not."""
         nonlocal inner
         value = check(x)
-        checks.append((total_iters, value))
+        checks.append((len(history) - 1, value))
         if value > cfg.tol:
             inner *= cfg.tol / value
         return value <= cfg.tol
 
+    if r0_norm == 0.0:
+        return x, report(True)
     for _ in range(cfg.max_restarts):
-        beta = np.linalg.norm(r)
         V = np.empty((m + 1, N))
         H = np.zeros((m + 1, m))
-        V[0] = r / beta
+        V[0] = r / r_norm
         g = np.zeros(m + 1)
-        g[0] = beta
+        g[0] = r_norm
         cs = [0.0] * m
         sn = [0.0] * m
-        k_used = 0
-        breakdown = False
 
         for k in range(m):
-            verdict = None      # check's verdict on the current iterate
             # copy: the operator may hand back its input (e.g. identity)
             w = np.array(operator(V[k]), dtype=float)
             w_norm = np.linalg.norm(w)
@@ -154,72 +151,50 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
             H[:k + 2, k] = col
             g[k + 1] = -sn[k] * g[k]
             g[k] = cs[k] * g[k]
-
-            total_iters += 1
-            k_used = k + 1
             history.append(abs(g[k + 1]) / r0_norm)
 
-            if h_next <= _BREAKDOWN * w_norm or h_next == 0.0:
-                breakdown = True
+            if stop := (h_next <= _BREAKDOWN * w_norm or h_next == 0.0
+                        or not math.isfinite(history[-1])):
                 break
             V[k + 1] = w / h_next
             if history[-1] <= inner:
                 if check is None:
                     break
-                x_try = x + _update(V, H, g, k_used)
-                verdict = checked(x_try)
-                if verdict:
-                    break
+                x_k = x + _update(V, H, g, k + 1)
+                if checked(x_k):
+                    return x_k, report(True)
 
-        x = x_try if verdict is not None else x + _update(V, H, g, k_used)
-        r = None
-        if not verdict:     # a passing check stands in for the own residual
-            r = rhs - operator(x)
-            rel = np.linalg.norm(r) / r0_norm
-            if rel <= cfg.tol or (breakdown and history[-1] <= cfg.tol):
-                verdict = check is None or (
-                    checked(x) if verdict is None else verdict)
-                history[-1] = rel if verdict else history[-1]
-        if verdict:
-            report = SolveReport(
-                converged=True, iterations=total_iters,
-                residual_history=np.asarray(history),
-                wall_time=time.perf_counter() - start,
-                true_residual=np.nan if r is None else np.linalg.norm(r),
-                residual_checks=tuple(checks))
-            return x, report
-        if breakdown:
-            # stalled with a nonzero residual: no further progress possible
+        # a check that failed at the cycle's last step is not repeated
+        last_checked = checks and checks[-1][0] == len(history) - 1
+        x = x + _update(V, H, g, k + 1)
+        r = rhs - operator(x)
+        r_norm = np.linalg.norm(r)
+        if (r_norm / r0_norm <= cfg.tol or stop and history[-1] <= cfg.tol
+                ) and (check is None or not last_checked and checked(x)):
+            history[-1] = r_norm / r0_norm
+            return x, report(True, r_norm)
+        if stop:  # stalled or not finite: no progress possible
             break
 
-    report = SolveReport(converged=False, iterations=total_iters,
-                         residual_history=np.asarray(history),
-                         wall_time=time.perf_counter() - start,
-                         true_residual=np.linalg.norm(r),
-                         residual_checks=tuple(checks))
     true = f", true {checks[-1][1]:.3e} when checked" if checks else ""
     raise ConvergenceError(
-        f"GMRES did not reach tol={cfg.tol} in {total_iters} iterations "
-        f"(relative residual {report.residual_history[-1]:.3e}{true})",
-        report=report, solution=x)
+        f"GMRES did not reach tol={cfg.tol} in {len(history) - 1} iterations "
+        f"(relative residual {history[-1]:.3e}{true})",
+        report=report(False, r_norm), solution=x)
 
 
 def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
-    """Solve the coupled-subdomain system; returns (GridField, SolveReport)."""
-    if cfg is None:
-        cfg = GmresConfig()
-    if f_prime.subdomain_id != op.coupled_id:
-        raise ValidationError("right-hand side is not on the coupled subdomain")
-    f = np.asarray(f_prime.values, dtype=float)
+    """Solve the coupled-subdomain system for a finite f' on the coupled
+    subdomain (`field_values`); returns (GridField, SolveReport)."""
+    cfg = cfg or GmresConfig()
+    f = field_values(op.center_plan.subdomain, f_prime)
     f_norm = np.linalg.norm(f)
 
     if cfg.preconditioner == "fft":
         f_hat, rhs = op.spectral_rhs(f)
-        operator, to_nodal = (op.spectral_preconditioned,
-                              lambda y: op.to_nodal(op.solution(y)))
-
-        def check(y):
-            return np.linalg.norm(op.spectral_residual(y, f_hat)) / f_norm
+        operator, to_nodal, check = (
+            op.spectral_preconditioned, lambda y: op.to_nodal(op.solution(y)),
+            lambda y: np.linalg.norm(op.spectral_residual(y, f_hat)) / f_norm)
     else:  # identity
         operator, rhs, to_nodal, check = (op.unpreconditioned, f,
                                           lambda x: x, None)

@@ -19,7 +19,7 @@ import numpy as np
 from . import transforms
 from .errors import SingularOperatorError, ValidationError
 from .geometry import (AXIS_EDGES, OPPOSITE, GridField, RectSubdomain,
-                       edge_end)
+                       edge_end, field_values)
 
 _PIVOT_RTOL = 1e-13
 
@@ -198,19 +198,11 @@ def plan_rect(subdomain: RectSubdomain) -> RectPlan:
 
 
 def solve_rect(plan: RectPlan, f: GridField) -> GridField:
-    """Solve A p = f on the rectangle; returns p as a new GridField."""
+    """Solve A p = f on the rectangle, `f` a GridField or flat array
+    (checked by `field_values`); returns p as a new GridField."""
     sub = plan.subdomain
-    if not isinstance(f, GridField):
-        f = GridField(sub.id, f)
-    if f.subdomain_id != sub.id:
-        raise ValidationError(
-            f"field belongs to subdomain {f.subdomain_id}, plan to {sub.id}")
-    if f.values.size != sub.size:
-        raise ValidationError(
-            f"field length {f.values.size} != {sub.m} x {sub.n}")
-
-    values = to_nodal(plan, sweep(plan, to_spectral(plan, f.values)))
-    return GridField(subdomain_id=sub.id, values=values)
+    values = to_spectral(plan, field_values(sub, f))
+    return GridField(sub.id, to_nodal(plan, sweep(plan, values)))
 
 
 def to_spectral(plan: RectPlan, values: np.ndarray) -> np.ndarray:

@@ -451,6 +451,20 @@ class TestLineOperators:
         np.testing.assert_array_equal(a.values, b.values)
         assert a.subdomain_id == op.coupled_id
 
+    @pytest.mark.parametrize("sid,size", [
+        (bench.CENTER, 1), (bench.CENTER, None), (bench.SOUTH, None)],
+        ids=["center-too-long", "center-missing", "arm-missing"])
+    def test_eliminate_arms_rejects_bad_fields(self, sid, size):
+        comp = bench.build_cross(k_n=2).composite
+        op = ddm.build_schur_operator(comp)
+        f = {s.id: np.ones(s.size) for s in comp.subdomains}
+        if size is None:
+            del f[sid]
+        else:
+            f[sid] = np.ones(f[sid].size + size)
+        with pytest.raises(ValidationError, match=f"subdomain {sid}"):
+            ddm.eliminate_arms(op, f)
+
     @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep"])
     def test_ddm_solve_matches_global_dense_lu(self, name, rng):
         assert_matches_global_dense_lu(

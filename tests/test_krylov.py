@@ -92,6 +92,35 @@ class TestGmres:
         assert rep.true_residual == pytest.approx(
             np.linalg.norm(b - A @ x), rel=1e-12)
 
+    @pytest.mark.parametrize("finite_applies", [0, 4])
+    def test_nonfinite_residual_stops_at_once(self, finite_applies, rng):
+        # an operator whose output turns NaN: the first step whose estimate
+        # is not finite ends the solve, with no further restarts
+        A = rng.standard_normal((30, 30)) + 6 * np.eye(30)
+        b = rng.standard_normal(30)
+        calls = []
+
+        def operator(v):
+            calls.append(1)
+            return A @ v if len(calls) <= finite_applies else np.nan * v
+
+        cfg = krylov.GmresConfig(m=20, tol=1e-12)
+        with pytest.raises(ConvergenceError) as err:
+            krylov.gmres(operator, b, cfg=cfg)
+        rep = err.value.report
+        assert rep.iterations == finite_applies + 1
+        assert np.isnan(rep.residual_history[-1])
+        assert len(calls) == rep.iterations + 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rhs_stops_at_once(self, value):
+        b = np.ones(12)
+        b[5] = value
+        with pytest.raises(ConvergenceError) as err:
+            krylov.gmres(lambda v: 2.0 * v, b, cfg=krylov.GmresConfig(m=4))
+        assert err.value.report.iterations == 1
+
     def test_nonzero_initial_guess(self, rng):
         A = rng.standard_normal((10, 10)) + 5 * np.eye(10)
         b = rng.standard_normal(10)
@@ -167,10 +196,26 @@ class TestSolveCoupled:
         assert rep.converged
         np.testing.assert_allclose(p.values, want, atol=1e-8)
 
-    def test_wrong_subdomain_rejected(self, cross2):
+    @pytest.mark.parametrize("mode", krylov.PRECONDITIONERS)
+    @pytest.mark.parametrize("sid,extra", [(99, 0), (None, 1), (None, -1)],
+                             ids=["other-id", "too-long", "too-short"])
+    def test_wrong_subdomain_rejected(self, cross2, sid, extra, mode):
         _, op = cross2
-        with pytest.raises(ValidationError):
-            krylov.solve_coupled(op, GridField(99, np.zeros(op.size)))
+        f = GridField(op.coupled_id if sid is None else sid,
+                      np.ones(op.size + extra))
+        cfg = krylov.GmresConfig(preconditioner=mode)
+        with pytest.raises(ValidationError,
+                           match=f"subdomain {op.coupled_id}"):
+            krylov.solve_coupled(op, f, cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rhs_rejected(self, value):
+        # such a right-hand side would run every restart before failing
+        op = ddm.build_schur_operator(bench.build_cross(k_n=4).composite)
+        f = np.ones(op.size)
+        f[7] = value
+        with pytest.raises(ValidationError, match="is not finite"):
+            krylov.solve_coupled(op, GridField(op.coupled_id, f))
 
     def test_true_residual_logged(self, cross2, rng):
         _, op = cross2
