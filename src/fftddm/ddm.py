@@ -16,18 +16,18 @@ the arm.  Each arm takes two FFT rectangle solves per composite solve:
 A_i^{-1} f_i to reduce the center's right-hand side, and
 p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
 
-The center's transform Q is orthogonal, so the fft-preconditioned system
-(I - A_c^{-1} S) p = A_c^{-1} f' is solved on the spectral coefficients
-p_hat = Q^T p, where it reads T^{-1} (T - Q^T S Q) p_hat = T^{-1} Q^T f'
-with T^{-1} the per-mode sweep.  An arm on a sweep row r of the center
-adds a per-mode diagonal d to D at row r, and GMRES runs that system
-right-preconditioned by (T - D)^{-1} T (Chan & Resasco's modified fast
-solver): p_hat = (T - D)^{-1} T y, y + sum_r c_r y[r].  An arm whose line
-transform is the center's is diag(d) exactly and drops out of the
-per-iteration operator.  Only the interface lines leave the Fourier basis:
-a line along the transform axis is one line transform each way, a line
-across it one product with a row of Q and a rank-one update back.
-Full-field transforms run twice per solve.
+The center's transform Q is orthogonal, so the center's system is solved
+on the spectral coefficients p_hat = Q^T p as (T - Q^T S Q) p_hat = Q^T f'
+(`SchurOperator.spectral_apply`, T = Q^T A_c Q), with the nodal residual
+norms; T^{-1}, the per-mode sweep, is the fft preconditioner.  An arm on
+a sweep row r of the center adds a per-mode diagonal d to D at row r, and
+the fft GMRES runs right-preconditioned by (T - D)^{-1} T (Chan &
+Resasco's modified fast solver): p_hat = (T - D)^{-1} T y, y + sum_r c_r
+y[r].  An arm whose line transform is the center's is diag(d) exactly and
+drops out of the per-iteration operator.  Only the interface lines leave
+the Fourier basis: a line along the transform axis is one line transform
+each way, a line across it one product with a row of Q and a rank-one
+update back.  Full-field transforms run twice per solve.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        field_values, line_indices)
-from .rectsolver import (RectPlan, apply_rect_operator, apply_spectral,
-                         interface_operator, plan_rect, q_row, solve_rect,
-                         sweep)
+from .rectsolver import (RectPlan, apply_spectral, interface_operator,
+                         plan_rect, q_row, solve_rect, sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -91,7 +90,6 @@ class _Neighbor:
     plan: RectPlan
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
-    line: np.ndarray            # center nodes paired with the arm's line
     weight: float               # coupling of R_{c,i} times that of R_{i,c}
     block: Callable             # A_i^{-1} restricted to the arm's line
     across: bool                # line across the center's transform axis
@@ -100,7 +98,7 @@ class _Neighbor:
 
 @dataclass(frozen=True)
 class SchurOperator:
-    """Matrix-free (A_c - sum S) on the coupled subdomain, FFT-backed.
+    """Matrix-free Q^T (A_c - sum S) Q on the coupled subdomain, FFT-backed.
 
     Each interface line is a whole center edge.  In the center's spectral
     rows (ms, nt), a line along the transform axis is a sweep row; a line
@@ -123,20 +121,6 @@ class SchurOperator:
     @property
     def size(self) -> int:
         return self.center_plan.subdomain.size
-
-    def schur(self, p: np.ndarray) -> np.ndarray:
-        """sum_i R_{c,i} A_i^{-1} R_{i,c} p; one line operator per neighbor."""
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(self.size)
-        for nb in self.neighbors:
-            out[nb.line] += nb.weight * nb.block(p[nb.line])
-        return out
-
-    def unpreconditioned(self, p: np.ndarray) -> np.ndarray:
-        """(A_c - sum S) p."""
-        p = np.asarray(p, dtype=float)
-        return (apply_rect_operator(self.center_plan.subdomain, p)
-                - self.schur(p))
 
     def to_nodal(self, p_hat: np.ndarray) -> np.ndarray:
         """Q p_hat: the center's nodal values, flat."""
@@ -194,16 +178,14 @@ class SchurOperator:
         s_hat = self._folded_schur(self.solution(y))
         return np.reshape(y, -1) - sweep(self.center_plan, s_hat).reshape(-1)
 
-    def spectral_residual(self, y: np.ndarray, f_hat: np.ndarray):
-        """Q^T f - (T - Q^T S Q) x_hat for the iterate y, flat: the true
-        residual of p = Q x_hat in spectral coefficients, with no full
-        transform."""
-        x = self.solution(y)
-        s_hat = self._folded_schur(x)
-        s_hat += np.reshape(f_hat, x.shape) - apply_spectral(
-            self.center_plan, x)
-        s_hat[self.fold_rows] += self.fold_d * x[self.fold_rows]
-        return s_hat.reshape(-1)
+    def spectral_apply(self, x: np.ndarray) -> np.ndarray:
+        """(T - Q^T S Q) x_hat = Q^T (A_c - sum S) Q x_hat on spectral
+        coefficients, flat: the coupled system in the center's basis, with
+        no full transform."""
+        x = np.reshape(x, self.center_plan.shape)
+        out = apply_spectral(self.center_plan, x) - self._folded_schur(x)
+        out[self.fold_rows] -= self.fold_d * x[self.fold_rows]
+        return out.reshape(-1)
 
 
 def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
@@ -234,9 +216,8 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         elif not exact:
             along.append((row, d))
         neighbors.append(_Neighbor(
-            plan=plan, to_center=to_c, from_center=from_c,
-            line=from_c.from_idx, weight=weight, block=block, across=across,
-            slot=slot))
+            plan=plan, to_center=to_c, from_center=from_c, weight=weight,
+            block=block, across=across, slot=slot))
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
         neighbors=tuple(neighbors),

@@ -3,13 +3,13 @@
 The workhorse is `gmres`, a standard restarted GMRES with two-pass
 classical Gram-Schmidt Arnoldi (each pass two matrix-vector products
 with the basis) and Givens-rotation least squares.  `solve_coupled`
-wires it to a Schur operator under one of two preconditioners:
+runs it on `ddm.SchurOperator.spectral_apply`, the center's system in
+spectral coefficients, with the true relative residual
+||f' - (A_c - S) p|| / ||f'|| as `check`, under one of two preconditioners:
 
-  * fft       solve A_c^{-1} (A_c - S) p = A_c^{-1} f' on the center's
-              spectral coefficients, right-preconditioned by the arms'
-              folded diagonal (`ddm.SchurOperator`), with the true
-              relative residual ||f' - (A_c - S) p|| / ||f'|| as `check`
-  * identity  solve (A_c - S) p = f', the unpreconditioned baseline
+  * fft       the paper's A_c^{-1} (A_c - S) p = A_c^{-1} f', right-
+              preconditioned by the arms' folded diagonal
+  * identity  none: (A_c - S) p = f', the baseline without a preconditioner
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
     tolerance by tol / check and the cycle goes on.  At a cycle's end the
     explicit residual must meet tol and the check pass, unless it failed
     on that very iterate.  A breakdown or a non-finite residual estimate
-    ends the restarts.  Short of tol, raises ConvergenceError carrying
-    the report and the solution.
+    ends the restarts, and a non-finite check the solve.  Short of tol,
+    raises ConvergenceError carrying the report and the solution.
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -105,11 +105,21 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
                            true_residual=true_residual,
                            residual_checks=tuple(checks))
 
+    def failure(x, true_residual: float = np.nan):
+        true = f", true {checks[-1][1]:.3e} when checked" if checks else ""
+        return ConvergenceError(
+            f"GMRES did not reach tol={cfg.tol} in {len(history) - 1} "
+            f"iterations (relative residual {history[-1]:.3e}{true})",
+            report=report(False, true_residual), solution=x)
+
     def checked(x) -> bool:
-        """Whether check(x) meets tol; tightens `inner` when it does not."""
+        """Whether check(x) meets tol; tightens `inner` when it does not,
+        and ends the solve when it is not finite."""
         nonlocal inner
         value = check(x)
         checks.append((len(history) - 1, value))
+        if not math.isfinite(value):
+            raise failure(x)
         if value > cfg.tol:
             inner *= cfg.tol / value
         return value <= cfg.tol
@@ -176,11 +186,7 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
         if stop:  # stalled or not finite: no progress possible
             break
 
-    true = f", true {checks[-1][1]:.3e} when checked" if checks else ""
-    raise ConvergenceError(
-        f"GMRES did not reach tol={cfg.tol} in {len(history) - 1} iterations "
-        f"(relative residual {history[-1]:.3e}{true})",
-        report=report(False, r_norm), solution=x)
+    raise failure(x, r_norm)
 
 
 def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
@@ -189,27 +195,27 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
     cfg = cfg or GmresConfig()
     f = field_values(op.center_plan.subdomain, f_prime)
     f_norm = np.linalg.norm(f)
-
+    f_hat, b_hat = op.spectral_rhs(f)
     if cfg.preconditioner == "fft":
-        f_hat, rhs = op.spectral_rhs(f)
-        operator, to_nodal, check = (
-            op.spectral_preconditioned, lambda y: op.to_nodal(op.solution(y)),
-            lambda y: np.linalg.norm(op.spectral_residual(y, f_hat)) / f_norm)
+        operator, rhs, x_hat = op.spectral_preconditioned, b_hat, op.solution
     else:  # identity
-        operator, rhs, to_nodal, check = (op.unpreconditioned, f,
-                                          lambda x: x, None)
+        operator, rhs, x_hat = op.spectral_apply, f_hat, np.asarray
 
-    def nodal(x, report):
-        """x in nodal values, and the report with ||(A_c - S) x - f'||."""
-        x = to_nodal(x)
-        res = np.linalg.norm(op.unpreconditioned(x) - f)
-        return x, replace(report, true_residual=res,
-                          true_relative_residual=res / f_norm if f_norm
-                          else 0.0)
+    def check(y):
+        return np.linalg.norm(f_hat - op.spectral_apply(x_hat(y))) / f_norm
+
+    def nodal(y, report, value):
+        """p = Q x_hat, and the report with the true residual `value`."""
+        return op.to_nodal(x_hat(y)), replace(
+            report, true_residual=value * f_norm, true_relative_residual=value)
 
     try:
-        x, report = nodal(*gmres(operator, rhs, cfg=cfg, check=check))
+        y, report = gmres(operator, rhs, cfg=cfg, check=check)
     except ConvergenceError as err:
-        err.solution, err.report = nodal(err.solution, err.report)
+        err.solution, err.report = nodal(err.solution, err.report,
+                                         check(err.solution))
         raise
-    return GridField(op.coupled_id, x), report
+    # on success the last check passed on the returned iterate
+    checks = report.residual_checks
+    p, report = nodal(y, report, checks[-1][1] if checks else 0.0)
+    return GridField(op.coupled_id, p), report

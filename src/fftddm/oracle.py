@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularOperatorError
+from .errors import SingularOperatorError, ValidationError
 from .geometry import CompositeDomain, RectSubdomain, line_indices
 
 _RECT_GUARD = 10_000
@@ -23,7 +23,7 @@ def assemble_axis_matrix(bc: str, n: int, delta_t: float, delta_o: float,
     axis; kappa is added to the diagonal.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     A = np.zeros((n, n))
     idx = np.arange(n)
     A[idx, idx] = -2.0 * (delta_t + delta_o) + kappa
@@ -36,7 +36,7 @@ def assemble_axis_matrix(bc: str, n: int, delta_t: float, delta_o: float,
         A[0, (0 - 1) % n] += delta_t
         A[-1, (n) % n] += delta_t
     elif bc != "DD":
-        raise ValueError(f"unknown BC pair {bc!r}")
+        raise ValidationError(f"unknown BC pair {bc!r}")
     return A
 
 
@@ -57,7 +57,7 @@ def assemble_eigvector_matrix(bc: str, n: int) -> np.ndarray:
         return scale[None, :] * np.cos((j - 1) * (2 * k - 1) * np.pi / (2 * n))
     if bc == "PP":
         if n % 2:
-            raise ValueError("PP needs an even length")
+            raise ValidationError("PP needs an even length")
         pos = np.arange(n)[:, None]
         Q = np.zeros((n, n))
         Q[:, 0] = 1.0 / np.sqrt(n)
@@ -67,7 +67,7 @@ def assemble_eigvector_matrix(bc: str, n: int) -> np.ndarray:
         freq = np.arange(n // 2 + 1, n)
         Q[:, n // 2 + 1:] = np.sqrt(2.0 / n) * np.sin(2 * np.pi * pos * freq / n)
         return Q
-    raise ValueError(f"unknown BC pair {bc!r}")
+    raise ValidationError(f"unknown BC pair {bc!r}")
 
 
 def _x_end_mods(sub: RectSubdomain) -> tuple[float, float]:
@@ -77,7 +77,8 @@ def _x_end_mods(sub: RectSubdomain) -> tuple[float, float]:
 def assemble_rect_matrix(sub: RectSubdomain) -> np.ndarray:
     """Dense m*n x m*n operator of one rectangle, x-line-major layout."""
     if sub.size > _RECT_GUARD:
-        raise ValueError(f"rectangle too large for dense assembly ({sub.size})")
+        raise ValidationError(
+            f"rectangle too large for dense assembly ({sub.size})")
     m, n = sub.m, sub.n
     # pure Toeplitz y-block, then per-end modifiers (Neumann / half-cell D)
     Ay = assemble_axis_matrix("DD", n, sub.delta_y, sub.delta_x, sub.kappa)
@@ -134,7 +135,8 @@ def assemble_global_matrix(comp: CompositeDomain) -> np.ndarray:
     """Dense global block matrix over all subdomains in list order."""
     total = sum(s.size for s in comp.subdomains)
     if total > _RECT_GUARD:
-        raise ValueError(f"composite too large for dense assembly ({total})")
+        raise ValidationError(
+            f"composite too large for dense assembly ({total})")
     block = {sid: slice(*ends) for sid, ends in global_offsets(comp).items()}
     A = np.zeros((total, total))
     for sub in comp.subdomains:

@@ -314,8 +314,8 @@ def apply_spectral(plan: RectPlan, rows: np.ndarray) -> np.ndarray:
 
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the rectangle operator (5-point stencil
-    with the subdomain's boundary modifications); used for residual checks
-    and unpreconditioned iteration."""
+    with the subdomain's boundary modifications): the nodal reference for
+    residual checks outside the solver."""
     G = np.asarray(values, dtype=float).reshape(sub.m, sub.n)
     out = (-2.0 * (sub.delta_x + sub.delta_y) + sub.kappa) * G
     for axis, g, o in (("y", G.T, out.T), ("x", G, out)):  # axis first

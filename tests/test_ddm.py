@@ -86,45 +86,53 @@ class TestApplyR:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
+def assert_spectral_parity(comp, op):
+    """`spectral_apply` is T - S_hat from the dense oracle, column by
+    column, to rounding of the Schur term S_hat."""
+    _, T, S_hat, _ = dense_spectral(comp, op)
+    K = np.column_stack([op.spectral_apply(e) for e in np.eye(op.size)])
+    assert np.abs(K - (T - S_hat)).max() <= 1e-12 * np.abs(S_hat).max()
+
+
 class TestSchurOperator:
     def test_zero_in_zero_out(self):
         op = ddm.build_schur_operator(bench.build_cross(k_n=1).composite)
         z = np.zeros(op.size)
-        assert not op.schur(z).any()
+        assert not op.spectral_apply(z).any()
         assert not op.spectral_preconditioned(z).any()
 
-    def test_one_interface_composite_is_a_single_product(self, rng):
+    def test_one_interface_composite_is_a_single_product(self):
         comp = two_rect_composite()
-        op = ddm.build_schur_operator(comp)
-        cid = op.coupled_id
-        _, S = oracle.assemble_schur_blocks(comp, cid)
-        v = rng.standard_normal(op.size)
-        np.testing.assert_allclose(op.schur(v), S @ v, atol=1e-12)
+        assert_spectral_parity(comp, ddm.build_schur_operator(comp))
 
     @pytest.mark.parametrize("kappa", [0.0, -50.0, 3.0])
     @pytest.mark.parametrize("kn", [1, 2])
     def test_dense_equivalence_on_the_cross(self, kn, kappa):
         comp = bench.build_cross(k_n=kn, kappa=kappa).composite
         op = ddm.build_schur_operator(comp)
-        A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
-        Nc = op.size
-        eye = np.eye(Nc)
-        Sn = np.column_stack([op.schur(eye[:, j]) for j in range(Nc)])
-        assert np.abs(Sn - S).max() <= 1e-9
-        Pn = np.column_stack([nodal_preconditioned(op, eye[:, j])
-                              for j in range(Nc)])
-        Pd = eye - np.linalg.solve(A2, S)
-        assert np.abs(Pn - Pd).max() <= 1e-9
+        assert_spectral_parity(comp, op)
+        M = dense_folded_operator(comp, op)
+        P = np.column_stack([op.spectral_preconditioned(e)
+                             for e in np.eye(op.size)])
+        assert np.abs(P - M).max() <= 1e-12 * np.abs(M).max()
 
     def test_single_rectangle_has_no_neighbors(self, rng):
         sub = make_rect(4, 6, "NN", "PP", kappa=-1.0)
-        op = ddm.build_schur_operator(
-            CompositeDomain(subdomains=[sub], interfaces=[]))
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        op = ddm.build_schur_operator(comp)
         assert op.coupled_id == 0 and op.neighbors == ()
         assert op.along_rows.size == 0 and op.across_q.shape == (0, 6)
         p = rng.standard_normal(op.size)
         np.testing.assert_array_equal(op.spectral_preconditioned(p), p)
-        assert not op.schur(p).any()
+        # no Schur term: spectral_apply is T alone
+        np.testing.assert_array_equal(
+            op.spectral_apply(p),
+            rectsolver.apply_spectral(op.center_plan, p).reshape(-1))
+        _, T, S_hat, _ = dense_spectral(comp, op)
+        assert not S_hat.any()
+        want = T @ p
+        assert np.abs(op.spectral_apply(p) - want).max() \
+            <= 1e-12 * np.abs(want).max()
 
     def test_center_designation_on_the_cross(self):
         comp = bench.build_cross(k_n=1).composite
@@ -351,11 +359,7 @@ class TestLineOperators:
     def test_dense_parity(self, name):
         arms, kw = LINE_OPERATOR_CASES[name]
         comp = star_composite(arms, **kw)
-        op = ddm.build_schur_operator(comp)
-        _, S = oracle.assemble_schur_blocks(comp, 0)
-        eye = np.eye(op.size)
-        Sn = np.column_stack([op.schur(eye[:, j]) for j in range(op.size)])
-        assert np.abs(Sn - S).max() <= 1e-12 * np.abs(S).max()
+        assert_spectral_parity(comp, ddm.build_schur_operator(comp))
 
     def test_cases_cover_every_orientation(self):
         kinds = set()
@@ -428,12 +432,18 @@ class TestLineOperators:
         pytest.param(star_mixed(8), id="star-k8"),
     ])
     def test_matches_full_arm_solves(self, comp, rng):
+        # beyond the dense oracle's sizes: Q^T (A_c - S) Q x_hat with S as
+        # full arm solves, to rounding of the Schur term
         op = ddm.build_schur_operator(comp)
+        center = op.center_plan.subdomain
         for _ in range(3):
-            p = rng.standard_normal(op.size)
-            want = full_arm_schur(op, p)
-            assert np.abs(op.schur(p) - want).max() \
-                <= 1e-12 * np.abs(want).max()
+            x_hat = rng.standard_normal(op.size)
+            p = op.to_nodal(x_hat)
+            schur = to_spectral(op, full_arm_schur(op, p))
+            want = to_spectral(op, rectsolver.apply_rect_operator(center, p))
+            want -= schur
+            assert np.abs(op.spectral_apply(x_hat) - want).max() \
+                <= 1e-12 * np.abs(schur).max()
 
     def test_eliminate_arms_takes_fields_or_arrays(self, rng):
         comp = bench.build_cross(k_n=2).composite
@@ -505,11 +515,6 @@ def spectral_cases():
     return cases
 
 
-def nodal_preconditioned(op, p):
-    """(I - A_c^{-1} S) p by a full center solve, in nodal values."""
-    return p - rectsolver.solve_rect(op.center_plan, op.schur(p)).values
-
-
 def to_spectral(op, p):
     """Q^T p: the center's spectral coefficients, flat."""
     return rectsolver.to_spectral(op.center_plan, p).reshape(-1)
@@ -557,10 +562,8 @@ class TestSpectralOperator:
     @pytest.mark.parametrize("comp", spectral_cases())
     def test_matches_dense_reference(self, comp, rng):
         op = ddm.build_schur_operator(comp)
-        Q, T, S_hat, D = dense_spectral(comp, op)
+        _, T, S_hat, D = dense_spectral(comp, op)
         M = dense_folded_operator(comp, op)
-        f = rng.standard_normal(op.size)
-        f_hat = Q.T @ f
         for _ in range(3):
             y = rng.standard_normal(op.size)
             want = M @ y
@@ -569,8 +572,8 @@ class TestSpectralOperator:
             x = np.linalg.solve(T - D, T @ y)
             got = op.solution(y).reshape(-1)
             assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
-            want = f_hat - (T - S_hat) @ x
-            got = op.spectral_residual(y, f_hat)
+            want = (T - S_hat) @ x
+            got = op.spectral_apply(op.solution(y))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("comp", spectral_cases())

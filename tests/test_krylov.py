@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fftddm import bench, ddm, krylov, oracle
+from fftddm import bench, ddm, krylov, oracle, rectsolver
 from fftddm.errors import ConvergenceError, ValidationError
 from fftddm.geometry import GridField
 
-from test_ddm import dense_folded_operator, dense_spectral, star_mixed
+from test_ddm import (dense_folded_operator, dense_spectral, full_arm_schur,
+                      star_mixed)
 
 
 class TestGmresConfig:
@@ -217,13 +218,16 @@ class TestSolveCoupled:
         with pytest.raises(ValidationError, match="is not finite"):
             krylov.solve_coupled(op, GridField(op.coupled_id, f))
 
-    def test_true_residual_logged(self, cross2, rng):
+    @pytest.mark.parametrize("mode", krylov.PRECONDITIONERS)
+    def test_true_residual_logged(self, cross2, mode, rng):
+        # both modes report the value of the check that passed
         _, op = cross2
         f = rng.standard_normal(op.size)
-        _, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f),
-                                      krylov.GmresConfig(tol=1e-11))
+        cfg = krylov.GmresConfig(tol=1e-11, preconditioner=mode)
+        _, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
         assert np.isfinite(rep.true_residual)
-        assert rep.true_residual <= 1e-8 * np.linalg.norm(f)
+        assert rep.true_relative_residual <= cfg.tol
+        assert rep.true_relative_residual == rep.residual_checks[-1][1]
         assert rep.true_relative_residual == pytest.approx(
             rep.true_residual / np.linalg.norm(f), rel=1e-12)
 
@@ -304,8 +308,9 @@ class TestSpectralGmres:
         cfg = krylov.GmresConfig(m=3, max_restarts=2, preconditioner=precond)
         with pytest.raises(ConvergenceError) as err:
             krylov.solve_coupled(op, f, cfg)
-        res = np.linalg.norm(op.unpreconditioned(err.value.solution)
-                             - f.values)
+        p = err.value.solution
+        res = np.linalg.norm(rectsolver.apply_rect_operator(
+            op.center_plan.subdomain, p) - full_arm_schur(op, p) - f.values)
         rep = err.value.report
         assert rep.true_residual == pytest.approx(res, rel=1e-12)
         assert rep.true_relative_residual == pytest.approx(
@@ -346,6 +351,32 @@ class TestTrueResidualCheck:
         its = [i for i, _ in rep.residual_checks]
         assert its == sorted(its) and its[-1] == rep.iterations < N
         np.testing.assert_array_equal(calls[-1], x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_check_ends_the_solve(self, value, rng):
+        # a check that is not finite cannot tighten the inner tolerance, so
+        # the first one ends the solve with no further apply
+        A = np.diag(np.linspace(1.0, 10.0, 40))
+        b = rng.standard_normal(40)
+        applies, calls = [], []
+
+        def operator(v):
+            applies.append(1)
+            return A @ v
+
+        def check(x):
+            calls.append(x.copy())
+            return value
+
+        cfg = krylov.GmresConfig(m=10, tol=1e-8)
+        with pytest.raises(ConvergenceError) as err:
+            krylov.gmres(operator, b, cfg=cfg, check=check)
+        rep = err.value.report
+        assert len(calls) == len(rep.residual_checks) == 1
+        assert rep.residual_checks[0][0] == rep.iterations
+        # one apply per step and one residual per cycle ended before it
+        assert len(applies) == rep.iterations + (rep.iterations - 1) // cfg.m
+        np.testing.assert_array_equal(err.value.solution, calls[0])
 
     def test_failed_checks_are_reported(self, rng):
         A = rng.standard_normal((10, 10)) + 5 * np.eye(10)

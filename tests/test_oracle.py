@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fftddm import oracle
-from fftddm.errors import SingularOperatorError
+from fftddm.errors import SingularOperatorError, ValidationError
 
 from conftest import make_rect
 
@@ -27,7 +27,7 @@ class TestAxisMatrix:
         np.testing.assert_allclose(np.diag(A), -2.0 * 2.5 + 0.25)
 
     def test_unknown_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             oracle.assemble_axis_matrix("DN", 3, 1.0, 1.0)
 
 
@@ -46,7 +46,7 @@ class TestRectMatrix:
         assert A[0].sum() == pytest.approx(-2.0)
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             oracle.assemble_rect_matrix(make_rect(200, 200))
 
 

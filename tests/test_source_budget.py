@@ -1,4 +1,4 @@
-"""The library's source stays within the line budget of ROADMAP item 9."""
+"""The library's source stays within the line budget of ROADMAP item 8."""
 
 from pathlib import Path
 
