@@ -10,11 +10,11 @@ with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, so it is applied as
 a small line operator built from the arm's rectangle plan
 (`rectsolver.interface_operator`): two transforms along the line, in the
-plan's own transform or in one planned for the line's axis, unless the
-line's flanks are half-cell Dirichlet, which leaves a rank-one sweep of
-the arm.  Each arm takes two FFT rectangle solves per composite solve:
-A_i^{-1} f_i to reduce the center's right-hand side, and
-p_i = A_i^{-1}(f_i - R_{i,c} p_c) once p_c is known.
+plan's own transform or in one planned for the line's axis and shared by
+the arms whose lines take the same transform, unless the line's flanks
+are half-cell Dirichlet (a rank-one sweep of the arm).  Each arm takes
+two FFT rectangle solves per composite solve: A_i^{-1} f_i to reduce the
+center's right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
 
 The center's transform Q is orthogonal, so the center's system is solved
 on the spectral coefficients p_hat = Q^T p as (T - Q^T S Q) p_hat = Q^T f'
@@ -33,7 +33,7 @@ update back.  Full-field transforms run twice per solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -41,8 +41,9 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        field_values, line_indices)
-from .rectsolver import (RectPlan, apply_spectral, interface_operator,
-                         plan_rect, q_row, solve_rect, sweep)
+from .rectsolver import (LineBlock, RectPlan, apply_spectral,
+                         interface_operator, plan_rect, q_row, solve_values,
+                         sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -91,7 +92,7 @@ class _Neighbor:
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
     weight: float               # coupling of R_{c,i} times that of R_{i,c}
-    block: Callable             # A_i^{-1} restricted to the arm's line
+    block: Callable             # weight A_i^{-1}, diag(weight t) in a group
     across: bool                # line across the center's transform axis
     slot: int | None            # place in SchurOperator's batch; None: in D
 
@@ -106,7 +107,8 @@ class SchurOperator:
     of Q.  An arm on sweep row r adds d = weight * t_c
     (`rectsolver.interface_operator`) to D there (`fold_rows`, `fold_d`);
     unless D carries it exactly, it is applied per iteration on row
-    `along_rows[slot]` with its d in `along_d[slot]`.
+    `along_rows[slot]` with its d in `along_d[slot]`, in one of `groups`:
+    (batch, slots, line_plan, neighbor indices) per shared line transform.
     """
 
     coupled_id: int
@@ -117,6 +119,7 @@ class SchurOperator:
     across_q: np.ndarray
     fold_rows: np.ndarray
     fold_d: np.ndarray
+    groups: tuple
 
     @property
     def size(self) -> int:
@@ -155,18 +158,21 @@ class SchurOperator:
         the transform axis are read and written back by one batch of line
         transforms each way, the lines across it by one product with their
         rows of Q each way; arms carried exactly by D are skipped."""
-        plan, rows = self.center_plan, self.along_rows
-        lines = (transforms.apply_Q(plan.y_plan, x[rows]) if rows.size
-                 else x[rows], (x @ self.across_q.T).T)
-        out = tuple(np.empty_like(v) for v in lines)
-        for nb in self.neighbors:       # batch 0 along, batch 1 across
-            if nb.slot is not None:
-                v = lines[nb.across][nb.slot]
-                out[nb.across][nb.slot] = nb.weight * nb.block(v)
-        s_hat = out[1].T @ self.across_q
+        plan, rows, xr = self.center_plan, self.along_rows, x[self.along_rows]
+        lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
+                 (x @ self.across_q.T).T)
+        for batch, slots, line_plan, members in self.groups:
+            v = lines[batch][slots]     # batch 0 along, batch 1 across
+            if line_plan is not None:
+                v = transforms.apply_Qt(line_plan, v)
+            for i, j in enumerate(members):
+                v[i] = self.neighbors[j].block(v[i])
+            lines[batch][slots] = (v if line_plan is None
+                                   else transforms.apply_Q(line_plan, v))
+        s_hat = lines[1].T @ self.across_q
         if rows.size:
-            back = transforms.apply_Qt(plan.y_plan, out[0])
-            for row, s in zip(rows, back - self.along_d * x[rows]):
+            back = transforms.apply_Qt(plan.y_plan, lines[0])
+            for row, s in zip(rows, back - self.along_d * xr):
                 s_hat[row] += s
         return s_hat
 
@@ -194,7 +200,7 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
     coupled_id = comp.center
     center_plan = plan_rect(comp.subdomain(coupled_id))
     ms, nt = center_plan.shape
-    neighbors, along, across_q, fold = [], [], [], {}
+    neighbors, along, across_q, fold, groups = [], [], [], {}, {}
     for iface in comp.interfaces_of(coupled_id):
         other, edge = iface.other_side(coupled_id)
         plan = plan_rect(comp.subdomain(other))
@@ -215,6 +221,15 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
             across_q.append(q_row(center_plan, end * (nt - 1)))
         elif not exact:
             along.append((row, d))
+        line_plan = block.plan if isinstance(block, LineBlock) else None
+        block = (partial(np.multiply, weight * block.t) if line_plan else
+                 lambda v, b=block, w=weight: w * b(v))
+        if slot is not None:    # a transform is fixed by its kind and length
+            group = groups.setdefault((across, id(block)) if line_plan is None
+                                      else (across, line_plan.bc, line_plan.n),
+                                      (across, [], line_plan, []))
+            group[1].append(slot)
+            group[3].append(len(neighbors))
         neighbors.append(_Neighbor(
             plan=plan, to_center=to_c, from_center=from_c, weight=weight,
             block=block, across=across, slot=slot))
@@ -225,7 +240,8 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         along_d=np.reshape([d for _, d in along], (len(along), nt)),
         across_q=np.reshape(across_q, (len(across_q), nt)),
         fold_rows=np.array(list(fold), dtype=int),
-        fold_d=np.reshape(list(fold.values()), (len(fold), nt)))
+        fold_d=np.reshape(list(fold.values()), (len(fold), nt)),
+        groups=tuple((g[0], np.array(g[1]), *g[2:]) for g in groups.values()))
 
 
 def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
@@ -234,11 +250,17 @@ def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
 
     `f` maps subdomain id to a GridField or flat array.
     """
-    f_prime = field_values(op.center_plan.subdomain,
-                           f.get(op.coupled_id)).copy()
+    subs = (op.center_plan.subdomain, *(nb.plan.subdomain
+                                        for nb in op.neighbors))
+    return _eliminate(op, {s.id: field_values(s, f.get(s.id)) for s in subs})
+
+
+def _eliminate(op: SchurOperator, rhs: dict) -> GridField:
+    """eliminate_arms for flat values that `field_values` has passed."""
+    f_prime = rhs[op.coupled_id].copy()
     for nb in op.neighbors:
         f_prime -= nb.to_center.apply(
-            solve_rect(nb.plan, f.get(nb.plan.subdomain.id)).values)
+            solve_values(nb.plan, rhs[nb.plan.subdomain.id]))
     return GridField(op.coupled_id, f_prime)
 
 
@@ -246,24 +268,22 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
 
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides.  The coupled subdomain is `CompositeDomain.center`.  A single
-    rectangle is a center without neighbors: the fft-preconditioned GMRES
-    sees the identity and returns A_c^{-1} f after one step.
+    sides, checked here once.  The coupled subdomain is the center; a
+    single rectangle is a center without neighbors: the fft-preconditioned
+    GMRES sees the identity and returns A_c^{-1} f after one step.
     """
     from .geometry import validate
     validate(comp).require()
-    if gmres_cfg is None:
-        gmres_cfg = krylov.GmresConfig()
 
     rhs = {sub.id: field_values(sub, f.get(sub.id))
            for sub in comp.subdomains}
     op = build_schur_operator(comp)
-    p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
+    p_c, report = krylov.solve_coupled(op, _eliminate(op, rhs), gmres_cfg)
 
     fields = {op.coupled_id: p_c}
     for nb in op.neighbors:
         # back-substitution: p_i = A_i^{-1} (f_i - R_{i,c} p_c)
         sid = nb.plan.subdomain.id
-        fields[sid] = solve_rect(
-            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values))
+        fields[sid] = GridField(sid, solve_values(
+            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values)))
     return fields, report

@@ -105,7 +105,7 @@ def _tridiag_solve(beta, lower, rhs):
     ms, nt = beta.shape
     h = ms // 2
     x = _fold(rhs)
-    x2, l2 = (a[:2 * h].reshape(h, 2, nt) for a in (x, lower))
+    x2, l2 = (list(a[:2 * h].reshape(h, 2, nt)) for a in (x, lower))
     tmp = np.empty((2, nt))
     mul, sub = np.multiply, np.subtract
     for prev, low, row in zip(x2, l2, x2[1:]):
@@ -201,8 +201,12 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     """Solve A p = f on the rectangle, `f` a GridField or flat array
     (checked by `field_values`); returns p as a new GridField."""
     sub = plan.subdomain
-    values = to_spectral(plan, field_values(sub, f))
-    return GridField(sub.id, to_nodal(plan, sweep(plan, values)))
+    return GridField(sub.id, solve_values(plan, field_values(sub, f)))
+
+
+def solve_values(plan: RectPlan, values: np.ndarray) -> np.ndarray:
+    """A^{-1} values for flat values that `field_values` has passed."""
+    return to_nodal(plan, sweep(plan, to_spectral(plan, values)))
 
 
 def to_spectral(plan: RectPlan, values: np.ndarray) -> np.ndarray:
@@ -236,6 +240,18 @@ def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
 
 
+@dataclass(frozen=True)
+class LineBlock:
+    """Q diag(t) Q^T along the last axis, Q the transform of `plan`."""
+
+    plan: transforms.SpectralPlan
+    t: np.ndarray
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return transforms.apply_Q(
+            self.plan, self.t * transforms.apply_Qt(self.plan, v))
+
+
 def interface_operator(plan: RectPlan, edge: str,
                        center: RectPlan | None = None):
     """Block of A^{-1} on the node line next to the interface `edge`.
@@ -243,11 +259,11 @@ def interface_operator(plan: RectPlan, edge: str,
     Returns (block, t_c, exact).  `block` takes values on that line, in
     tangential order, to the same line of A^{-1} applied to them, without
     a full solve.  Where the line's axis is transformable the block is
-    Q diag(t) Q^T, two line transforms per apply, with t_k = (T_k^{-1})_jj,
-    T_k the mode-k tridiagonal across the line and j the line's place on
-    it.  Q is the plan's own transform for a line along its transform axis
-    (a sweep row), else a plan made for the line's axis; t is the last
-    pivot of the pivot-only elimination run from the far edge.
+    the LineBlock Q diag(t) Q^T, with t_k = (T_k^{-1})_jj, T_k the mode-k
+    tridiagonal across the line and j the line's place on it.  Q is the
+    plan's own transform for a line along its transform axis (a sweep
+    row), else a plan made for the line's axis; t is the last pivot of the
+    pivot-only elimination run from the far edge.
 
     Given the plan of a center whose sweep row is the facing line, t_c is
     t at the center's line eigenvalues moved into this rectangle's frame
@@ -282,10 +298,8 @@ def interface_operator(plan: RectPlan, edge: str,
     for _ in range(sub.count(normal) - 1):  # interface edges: no modifier
         np.divide(off * off, piv, piv)
         np.subtract(lam, piv, piv)
-    t = 1.0 / piv[0]
-    return (lambda v: transforms.apply_Q(
-        line_plan, t * transforms.apply_Qt(line_plan, v)),
-        None if center is None else 1.0 / piv[-1], exact)
+    return (LineBlock(line_plan, 1.0 / piv[0]),
+            None if center is None else 1.0 / piv[-1], exact)
 
 
 def _add_axis_terms(sub: RectSubdomain, axis: str, g, o):

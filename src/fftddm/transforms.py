@@ -113,7 +113,7 @@ def _dst1(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
     m = n + 1
     w = np.zeros(v.shape[:-1] + (2 * m,))
     w[..., 1:m] = v
-    w[..., m + 1:] = -v[..., ::-1]
+    np.negative(v[..., ::-1], out=w[..., m + 1:])
     z = np.fft.fft(w.view(np.complex128), axis=-1)
     zj = z[..., 1:]
     out = tw[0] * zj.imag
@@ -134,7 +134,7 @@ def _dct2(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
     x = np.fft.rfft(u, axis=-1) * tw
     out = np.empty(v.shape)
     out[..., :n // 2 + 1] = x.real
-    out[..., n // 2 + 1:] = -x.imag[..., (n - 1) // 2:0:-1]
+    np.negative(x.imag[..., (n - 1) // 2:0:-1], out=out[..., n // 2 + 1:])
     return out
 
 
@@ -145,7 +145,7 @@ def _dct3(a: np.ndarray, tw: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     spec = np.zeros(a.shape[:-1] + (n // 2 + 1,), dtype=complex)
     spec.real = a[..., :n // 2 + 1]
-    spec.imag[..., 1:] = -a[..., :n - n // 2 - 1:-1]
+    np.negative(a[..., :n - n // 2 - 1:-1], out=spec.imag[..., 1:])
     u = np.fft.irfft(spec * tw, n, axis=-1)
     out = np.empty(a.shape)
     out[..., ::2] = u[..., :(n + 1) // 2]

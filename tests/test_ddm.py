@@ -445,6 +445,33 @@ class TestLineOperators:
             assert np.abs(op.spectral_apply(x_hat) - want).max() \
                 <= 1e-12 * np.abs(schur).max()
 
+    def test_shared_line_transforms_match_per_arm_blocks(self, monkeypatch):
+        # on the cross the west/east and the south/north arms each share a
+        # line transform: an apply makes 6 line-transform calls, not the 10
+        # of one transform pair per arm, and solves as if it made them
+        case = bench.build_cross(k_n=8)
+        op = ddm.build_schur_operator(case.composite)
+        assert sorted(len(g[3]) for g in op.groups) == [2, 2]
+        per_arm = dataclasses.replace(op, groups=tuple(
+            (batch, [slot], line_plan, [j])
+            for batch, slots, line_plan, members in op.groups
+            for slot, j in zip(slots, members)))
+        f = ddm.eliminate_arms(op, bench.rhs_fields(case))
+        cfg = krylov.GmresConfig(m=80, tol=1e-10)
+        (p, rep), (want, want_rep) = (krylov.solve_coupled(o, f, cfg)
+                                      for o in (op, per_arm))
+        assert rep.iterations == want_rep.iterations
+        assert np.abs(p.values - want.values).max() \
+            <= 1e-13 * np.abs(want.values).max()
+        for o, calls in ((op, 6), (per_arm, 10)):
+            transformed = []
+            for name in ("apply_Q", "apply_Qt"):
+                monkeypatch.setattr(transforms, name, recording(
+                    getattr(transforms, name), transformed))
+            o.spectral_preconditioned(np.ones(o.size))
+            monkeypatch.undo()
+            assert len(transformed) == calls
+
     def test_eliminate_arms_takes_fields_or_arrays(self, rng):
         comp = bench.build_cross(k_n=2).composite
         op = ddm.build_schur_operator(comp)

@@ -170,6 +170,40 @@ class TestOrthogonalization:
         V = np.array(basis[:m])
         assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
 
+    @staticmethod
+    def captured_basis(operator, rhs, m):
+        """The first m Arnoldi vectors of one GMRES(m) cycle on `operator`,
+        taken as the operator receives them; the cycle cannot converge."""
+        basis = []
+
+        def recorded(v):
+            basis.append(v.copy())
+            return operator(v)
+
+        cfg = krylov.GmresConfig(m=m, tol=1e-15, max_restarts=1)
+        with pytest.raises(ConvergenceError):
+            krylov.gmres(recorded, rhs, cfg=cfg)
+        return np.array(basis[:m])
+
+    def test_fft_basis_orthonormal_on_the_cross(self):
+        # the second Gram-Schmidt pass runs on a few of these 14 steps
+        case = bench.build_cross(k_n=8)
+        op = ddm.build_schur_operator(case.composite)
+        f = ddm.eliminate_arms(op, bench.rhs_fields(case)).values
+        m = 14
+        V = self.captured_basis(op.spectral_preconditioned,
+                                op.spectral_rhs(f)[1], m)
+        assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
+
+    def test_grcar_basis_orthonormal(self, rng):
+        # the Grcar matrix is far from normal: v_{k-1} and v_k do not carry
+        # most of A v_k, so the local steps leave much for the classical pass
+        N, m = 300, 30
+        A = np.eye(N) - np.eye(N, k=-1) + sum(np.eye(N, k=j)
+                                              for j in (1, 2, 3))
+        V = self.captured_basis(lambda v: A @ v, rng.standard_normal(N), m)
+        assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def cross2():
