@@ -92,7 +92,7 @@ class _Neighbor:
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
     weight: float               # coupling of R_{c,i} times that of R_{i,c}
-    block: Callable             # weight A_i^{-1}, diag(weight t) in a group
+    block: Callable             # weight A_i^{-1} in its group's line form
     across: bool                # line across the center's transform axis
     slot: int | None            # place in SchurOperator's batch; None: in D
 
@@ -108,7 +108,8 @@ class SchurOperator:
     (`rectsolver.interface_operator`) to D there (`fold_rows`, `fold_d`);
     unless D carries it exactly, it is applied per iteration on row
     `along_rows[slot]` with its d in `along_d[slot]`, in one of `groups`:
-    (batch, slots, line_plan, neighbor indices) per shared line transform.
+    (batch 0 along or 1 across, slots, line_plan, member indices) per shared
+    line transform; a half-cell line's group is its own, on nodal values.
     """
 
     coupled_id: int
@@ -162,7 +163,7 @@ class SchurOperator:
         lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
                  (x @ self.across_q.T).T)
         for batch, slots, line_plan, members in self.groups:
-            v = lines[batch][slots]     # batch 0 along, batch 1 across
+            v = lines[batch][slots]
             if line_plan is not None:
                 v = transforms.apply_Qt(line_plan, v)
             for i, j in enumerate(members):
@@ -171,9 +172,8 @@ class SchurOperator:
                                    else transforms.apply_Q(line_plan, v))
         s_hat = lines[1].T @ self.across_q
         if rows.size:
-            back = transforms.apply_Qt(plan.y_plan, lines[0])
-            for row, s in zip(rows, back - self.along_d * xr):
-                s_hat[row] += s
+            s_hat[rows] += transforms.apply_Qt(plan.y_plan, lines[0]) \
+                - self.along_d * xr
         return s_hat
 
     def spectral_preconditioned(self, y: np.ndarray) -> np.ndarray:
@@ -225,9 +225,9 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         block = (partial(np.multiply, weight * block.t) if line_plan else
                  lambda v, b=block, w=weight: w * b(v))
         if slot is not None:    # a transform is fixed by its kind and length
-            group = groups.setdefault((across, id(block)) if line_plan is None
-                                      else (across, line_plan.bc, line_plan.n),
-                                      (across, [], line_plan, []))
+            key = (line_plan.bc, line_plan.n) if line_plan else len(neighbors)
+            group = groups.setdefault((across, key),
+                                      (int(across), [], line_plan, []))
             group[1].append(slot)
             group[3].append(len(neighbors))
         neighbors.append(_Neighbor(

@@ -66,12 +66,12 @@ class SolveReport:
     residual_checks: tuple = ()
 
 
-def _update(V: np.ndarray, H: np.ndarray, g: np.ndarray, k: int):
-    """V[:k]^T y, y solving the leading k x k triangle of H against g."""
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
-    return V[:k].T @ y
+def _update(V: np.ndarray, H: np.ndarray, g: list, k: int):
+    """V[:k]^T y for H[:k, :k] y = g[:k]; NaN if that triangle is singular."""
+    try:
+        return V[:k].T @ np.linalg.solve(H[:k, :k], g[:k])
+    except np.linalg.LinAlgError:
+        return np.full(V.shape[1], np.nan)
 
 
 def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
@@ -132,14 +132,14 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
     if r0_norm == 0.0:
         return x, report(True)
     for _ in range(cfg.max_restarts):
-        V = np.empty((m + 1, N))
+        V, tmp = np.empty((m + 1, N)), np.empty(N)
         H = np.zeros((m + 1, m))
         V[0] = r / r_norm
         g = [r_norm] + [0.0] * m
         cs, sn = [0.0] * m, [0.0] * m
 
         for k in range(m):
-            w = np.asarray(operator(V[k]), dtype=float)
+            w = np.array(operator(V[k]), dtype=float)  # a copy, to update
             w_norm = math.sqrt(w @ w)
             # a symmetric operator's A v_k lies in v_{k-1}, v_k and the new
             # direction: modified Gram-Schmidt takes out the first two, one
@@ -147,12 +147,12 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
             col = np.zeros(k + 2)
             for i in range(max(k + 1 - _LOCAL, 0), k + 1):
                 col[i] = h = V[i] @ w
-                w = w - h * V[i]    # new: the operator may return its input
+                w -= np.multiply(V[i], h, out=tmp)
             basis = V[:k + 1]
             before = math.sqrt(w @ w)
             for _ in range(2):
                 h = basis @ w
-                w -= h @ basis
+                w -= np.matmul(h, basis, out=tmp)
                 col[:k + 1] += h
                 h_next = math.sqrt(w @ w)
                 if h_next > _DGKS * before:
@@ -177,7 +177,7 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
             if stop := (h_next <= _BREAKDOWN * w_norm or h_next == 0.0
                         or not math.isfinite(history[-1])):
                 break
-            np.divide(w, h_next, out=V[k + 1])
+            np.multiply(w, 1.0 / h_next, out=V[k + 1])
             if history[-1] <= inner:
                 if check is None:
                     break

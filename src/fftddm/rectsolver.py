@@ -100,13 +100,13 @@ def _tridiag_solve(beta, lower, rhs):
 
     Forward steps from both ends, the twist row, one division by the
     pivots, then back steps toward both ends; each step is two ufunc
-    calls on one (2, nt) block, with positional outputs.
+    calls on a pair of rows, flat, with positional outputs.
     """
     ms, nt = beta.shape
     h = ms // 2
     x = _fold(rhs)
-    x2, l2 = (list(a[:2 * h].reshape(h, 2, nt)) for a in (x, lower))
-    tmp = np.empty((2, nt))
+    x2, l2 = (list(a[:2 * h].reshape(h, 2 * nt)) for a in (x, lower))
+    tmp = np.empty(2 * nt)
     mul, sub = np.multiply, np.subtract
     for prev, low, row in zip(x2, l2, x2[1:]):
         sub(row, mul(low, prev, tmp), row)

@@ -451,7 +451,7 @@ class TestLineOperators:
         # of one transform pair per arm, and solves as if it made them
         case = bench.build_cross(k_n=8)
         op = ddm.build_schur_operator(case.composite)
-        assert sorted(len(g[3]) for g in op.groups) == [2, 2]
+        assert sorted(len(members) for *_, members in op.groups) == [2, 2]
         per_arm = dataclasses.replace(op, groups=tuple(
             (batch, [slot], line_plan, [j])
             for batch, slots, line_plan, members in op.groups
