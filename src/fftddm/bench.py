@@ -197,20 +197,21 @@ def error_norms(case: CrossCase, fields: dict) -> tuple:
 # studies
 
 def run_convergence(kn_list, kappa: float = 0.0) -> list:
-    """Rows of (k_n, h, linf_error, l2_error, observed_order) of the
-    cross at each k_n, solved with the default GmresConfig."""
-    if list(kn_list) != sorted(kn_list):
-        raise ValidationError("k_n sweep must be nondecreasing")
+    """Rows of (k_n, h, linf_error, l2_error, observed_order) of the cross
+    at each k_n (strictly increasing), solved with the default GmresConfig;
+    the order is log(e_prev / e) / log(k_n / k_prev) in the max norm."""
+    kn_list = list(kn_list)
+    if any(a >= b for a, b in zip(kn_list, kn_list[1:])):
+        raise ValidationError("k_n sweep must be strictly increasing")
     rows = []
-    prev = None
     for kn in kn_list:
         case = build_cross(k_n=kn, kappa=kappa)
         fields, _ = solve_case(case)
         linf, l2 = error_norms(case, fields)
-        order = float("nan") if prev is None else np.log2(prev / linf)
+        order = (np.log(rows[-1]["linf_error"] / linf)
+                 / np.log(kn / rows[-1]["k_n"]) if rows else float("nan"))
         rows.append({"k_n": kn, "h": case.h, "linf_error": linf,
                      "l2_error": l2, "observed_order": order})
-        prev = linf
     return rows
 
 

@@ -7,14 +7,13 @@ gives a system on the center alone,
     (A_c - sum_i R_{c,i} A_i^{-1} R_{i,c}) p_c = f_c - sum_i R_{c,i} q_i,
 
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
-center's node line at the interface to the same line, so it is applied as
-a small line operator built from the arm's rectangle plan
-(`rectsolver.interface_operator`): two transforms along the line, in the
-plan's own transform or in one planned for the line's axis and shared by
-the arms whose lines take the same transform, unless the line's flanks
-are half-cell Dirichlet (a rank-one sweep of the arm).  Each arm takes
-two FFT rectangle solves per composite solve: A_i^{-1} f_i to reduce the
-center's right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
+center's node line at the interface to the same line, where it is weight
+Q diag(t) Q^T (`rectsolver.interface_operator`), Q a line transform
+shared by the arms whose lines take it: one transform each way and one
+stacked multiply per group.  A line with half-cell Dirichlet flanks is a
+rank-one sweep of the arm instead.  Each arm takes two FFT rectangle
+solves per composite solve: A_i^{-1} f_i to reduce the center's
+right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
 
 The center's transform Q is orthogonal, so the center's system is solved
 on the spectral coefficients p_hat = Q^T p as (T - Q^T S Q) p_hat = Q^T f'
@@ -33,17 +32,15 @@ update back.  Full-field transforms run twice per solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
-                       field_values, line_indices)
-from .rectsolver import (LineBlock, RectPlan, apply_spectral,
-                         interface_operator, plan_rect, q_row, solve_values,
-                         sweep)
+                       field_values, line_indices, validate)
+from .rectsolver import (RectPlan, apply_spectral, interface_operator,
+                         plan_rect, q_row, solve_values, sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -91,10 +88,6 @@ class _Neighbor:
     plan: RectPlan
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
-    weight: float               # coupling of R_{c,i} times that of R_{i,c}
-    block: Callable             # weight A_i^{-1} in its group's line form
-    across: bool                # line across the center's transform axis
-    slot: int | None            # place in SchurOperator's batch; None: in D
 
 
 @dataclass(frozen=True)
@@ -103,13 +96,15 @@ class SchurOperator:
 
     Each interface line is a whole center edge.  In the center's spectral
     rows (ms, nt), a line along the transform axis is a sweep row; a line
-    across it is transform column j, read through `across_q[slot]`, row j
-    of Q.  An arm on sweep row r adds d = weight * t_c
-    (`rectsolver.interface_operator`) to D there (`fold_rows`, `fold_d`);
-    unless D carries it exactly, it is applied per iteration on row
-    `along_rows[slot]` with its d in `along_d[slot]`, in one of `groups`:
-    (batch 0 along or 1 across, slots, line_plan, member indices) per shared
-    line transform; a half-cell line's group is its own, on nodal values.
+    across it is transform column j, read through a row of `across_q`, row
+    j of Q.  An arm on sweep row r adds d = weight * t_c (weight the product
+    of its couplings) to D there (`fold_rows`, `fold_d`); unless D carries
+    it exactly, it is applied per iteration on a row of `along_rows`, with d
+    in that row of `along_d`.  `groups` holds (batch 0 along or 1 across,
+    slots in that batch, line_plan, scale) per shared line transform, scale
+    the arms' weight * t stacked (arms, L): Q diag(scale) Q^T, one multiply
+    (`rectsolver.interface_operator`).  A half-cell line is its own group,
+    line_plan None and scale its weighted sweep on nodal values.
     """
 
     coupled_id: int
@@ -162,14 +157,11 @@ class SchurOperator:
         plan, rows, xr = self.center_plan, self.along_rows, x[self.along_rows]
         lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
                  (x @ self.across_q.T).T)
-        for batch, slots, line_plan, members in self.groups:
+        for batch, slots, line_plan, scale in self.groups:
             v = lines[batch][slots]
-            if line_plan is not None:
-                v = transforms.apply_Qt(line_plan, v)
-            for i, j in enumerate(members):
-                v[i] = self.neighbors[j].block(v[i])
-            lines[batch][slots] = (v if line_plan is None
-                                   else transforms.apply_Q(line_plan, v))
+            lines[batch][slots] = scale(v) if line_plan is None else \
+                transforms.apply_Q(line_plan,
+                                   scale * transforms.apply_Qt(line_plan, v))
         s_hat = lines[1].T @ self.across_q
         if rows.size:
             s_hat[rows] += transforms.apply_Qt(plan.y_plan, lines[0]) \
@@ -206,33 +198,28 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         plan = plan_rect(comp.subdomain(other))
         to_c, from_c = (make_coupling(comp, iface, sid)
                         for sid in (other, coupled_id))
+        neighbors.append(_Neighbor(plan, to_c, from_c))
         # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
         axis, end = edge_end(iface.other_side(other)[1])
         across = axis == center_plan.transform_axis
         weight = to_c.coupling * from_c.coupling
-        block, t_c, exact = interface_operator(
+        line_plan, t, t_c, exact = interface_operator(
             plan, edge, None if across else center_plan)
         row, d = end * (ms - 1), np.zeros(nt)
         if t_c is not None:
             d = weight * t_c
             fold[row] = fold.get(row, 0.0) + d
-        slot = None if exact else len(across_q if across else along)
-        if across:
-            across_q.append(q_row(center_plan, end * (nt - 1)))
-        elif not exact:
-            along.append((row, d))
-        line_plan = block.plan if isinstance(block, LineBlock) else None
-        block = (partial(np.multiply, weight * block.t) if line_plan else
-                 lambda v, b=block, w=weight: w * b(v))
-        if slot is not None:    # a transform is fixed by its kind and length
-            key = (line_plan.bc, line_plan.n) if line_plan else len(neighbors)
-            group = groups.setdefault((across, key),
-                                      (int(across), [], line_plan, []))
-            group[1].append(slot)
-            group[3].append(len(neighbors))
-        neighbors.append(_Neighbor(
-            plan=plan, to_center=to_c, from_center=from_c, weight=weight,
-            block=block, across=across, slot=slot))
+        if exact:
+            continue
+        # a transform is fixed by its kind and length
+        key = (line_plan.bc, line_plan.n) if line_plan else len(neighbors)
+        group = groups.setdefault((int(across), key), ([], line_plan, []))
+        batch = across_q if across else along
+        group[0].append(len(batch))
+        group[2].append(weight * t if line_plan else
+                        lambda v, f=t, w=weight: w * f(v))
+        batch.append(q_row(center_plan, end * (nt - 1)) if across
+                     else (row, d))
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
         neighbors=tuple(neighbors),
@@ -241,7 +228,8 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         across_q=np.reshape(across_q, (len(across_q), nt)),
         fold_rows=np.array(list(fold), dtype=int),
         fold_d=np.reshape(list(fold.values()), (len(fold), nt)),
-        groups=tuple((g[0], np.array(g[1]), *g[2:]) for g in groups.values()))
+        groups=tuple((b, np.array(s), p, np.array(c) if p else c[0])
+                     for (b, _), (s, p, c) in groups.items()))
 
 
 def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
@@ -272,7 +260,6 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     single rectangle is a center without neighbors: the fft-preconditioned
     GMRES sees the identity and returns A_c^{-1} f after one step.
     """
-    from .geometry import validate
     validate(comp).require()
 
     rhs = {sub.id: field_values(sub, f.get(sub.id))

@@ -86,9 +86,9 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
     residual (true_residual stays NaN); a failing one scales the inner
     tolerance by tol / check and the cycle goes on.  At a cycle's end the
     explicit residual must meet tol and the check pass, unless it failed
-    on that very iterate.  A breakdown or a non-finite residual estimate
-    ends the restarts, and a non-finite check the solve.  Short of tol,
-    raises ConvergenceError carrying the report and the solution.
+    on that very iterate.  A breakdown or a non-finite estimate ends the
+    restarts, a non-finite check or explicit residual the solve.  Short
+    of tol, raises ConvergenceError carrying the report and the solution.
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -190,6 +190,9 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
         x = x + _update(V, H, g, k + 1)
         r = rhs - operator(x)
         r_norm = np.linalg.norm(r)
+        if not math.isfinite(r_norm):   # never accept a non-finite iterate
+            history[-1] = r_norm / r0_norm
+            raise failure(x, r_norm)
         if (r_norm / r0_norm <= cfg.tol or stop and history[-1] <= cfg.tol
                 ) and (check is None or not last_checked and checked(x)):
             history[-1] = r_norm / r0_norm

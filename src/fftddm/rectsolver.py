@@ -240,41 +240,29 @@ def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
 
 
-@dataclass(frozen=True)
-class LineBlock:
-    """Q diag(t) Q^T along the last axis, Q the transform of `plan`."""
-
-    plan: transforms.SpectralPlan
-    t: np.ndarray
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return transforms.apply_Q(
-            self.plan, self.t * transforms.apply_Qt(self.plan, v))
-
-
 def interface_operator(plan: RectPlan, edge: str,
                        center: RectPlan | None = None):
-    """Block of A^{-1} on the node line next to the interface `edge`.
+    """A^{-1} on the node line next to the interface `edge`, in line form.
 
-    Returns (block, t_c, exact).  `block` takes values on that line, in
-    tangential order, to the same line of A^{-1} applied to them, without
-    a full solve.  Where the line's axis is transformable the block is
-    the LineBlock Q diag(t) Q^T, with t_k = (T_k^{-1})_jj, T_k the mode-k
-    tridiagonal across the line and j the line's place on it.  Q is the
-    plan's own transform for a line along its transform axis (a sweep
-    row), else a plan made for the line's axis; t is the last pivot of the
-    pivot-only elimination run from the far edge.
+    Returns (line_plan, t, t_c, exact).  Where the line's axis is
+    transformable, A^{-1} takes values on that line, in tangential order,
+    to the same line as Q diag(t) Q^T, Q the transform of `line_plan`,
+    with t_k = (T_k^{-1})_jj, T_k the mode-k tridiagonal across the line
+    and j the line's place on it.  Q is the plan's own transform for a
+    line along its transform axis (a sweep row), else one made for the
+    line's axis; t is the last pivot of the pivot-only elimination run
+    from the far edge.
 
     Given the plan of a center whose sweep row is the facing line, t_c is
     t at the center's line eigenvalues moved into this rectangle's frame
     (normal-axis diagonal and kappa), from the same pivot loop: about the
-    diagonal of Q_c^T block Q_c, and exactly that matrix, diag(t), when
-    the line's transform is the center's (`exact`).  Else t_c is None.
+    diagonal of Q_c^T Q diag(t) Q^T Q_c, and exactly t when the line's
+    transform is the center's (`exact`).  Else t_c is None.
 
     An interface's normal axis is never periodic, so no cyclic correction
     enters.  A line across the transform axis whose flanks are half-cell
-    Dirichlet has no transform: its values v are swept as v (x) Q[j, :]
-    and contracted with Q[j, :], one transform-free sweep per apply.
+    Dirichlet has no transform: line_plan is None and t the block itself,
+    one transform-free sweep of v (x) Q[j, :] contracted with Q[j, :].
     """
     sub = plan.subdomain
     normal, end = edge_end(edge)
@@ -287,7 +275,7 @@ def interface_operator(plan: RectPlan, edge: str,
                                          sub.delta(line), off, sub.kappa)
     else:
         q = q_row(plan, end * (plan.y_plan.n - 1))  # first or last position
-        return lambda v: sweep(plan, np.outer(v, q)) @ q, None, False
+        return None, lambda v: sweep(plan, np.outer(v, q)) @ q, None, False
     lam = line_plan.eigenvalues[None]
     exact = center is not None and center.y_plan.bc == line_plan.bc
     if center is not None and not exact:
@@ -298,7 +286,7 @@ def interface_operator(plan: RectPlan, edge: str,
     for _ in range(sub.count(normal) - 1):  # interface edges: no modifier
         np.divide(off * off, piv, piv)
         np.subtract(lam, piv, piv)
-    return (LineBlock(line_plan, 1.0 / piv[0]),
+    return (line_plan, 1.0 / piv[0],
             None if center is None else 1.0 / piv[-1], exact)
 
 

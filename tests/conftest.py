@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fftddm import transforms
 from fftddm.geometry import (BoundaryKind, CompositeDomain, RectSubdomain,
                              make_interface)
 
@@ -33,6 +34,15 @@ def rect_row(count, links):
     return CompositeDomain(subdomains=subs, interfaces=[
         make_interface(k, subs[i], "east", subs[i + 1], "west")
         for k, i in enumerate(links)])
+
+
+def interface_block(line_plan, t, v):
+    """The block of A^{-1} that `rectsolver.interface_operator` returns as
+    (line_plan, t), applied to line values v: Q diag(t) Q^T v with Q the
+    transform of `line_plan`, or, with no line plan, the half-cell sweep."""
+    if line_plan is None:
+        return t(v)
+    return transforms.apply_Q(line_plan, t * transforms.apply_Qt(line_plan, v))
 
 
 @pytest.fixture

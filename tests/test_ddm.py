@@ -6,10 +6,10 @@ import pytest
 from fftddm import bench, ddm, krylov, oracle, rectsolver, transforms
 from fftddm.errors import ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, GridField,
-                             RectSubdomain, line_indices, make_interface,
-                             validate)
+                             RectSubdomain, edge_end, line_indices,
+                             make_interface, validate)
 
-from conftest import make_rect, rect_row
+from conftest import interface_block, make_rect, rect_row
 
 D = BoundaryKind.DIRICHLET
 N = BoundaryKind.NEUMANN
@@ -338,11 +338,33 @@ def block_kind(plan, edge):
         mp.setattr(transforms, "make_plan",
                    recording(transforms.make_plan, made))
         mp.setattr(rectsolver, "sweep", recording(rectsolver.sweep, swept))
-        block, _, _ = rectsolver.interface_operator(plan, edge)
-        block(np.ones(line_indices(plan.subdomain, edge).size))
+        line_plan, t, _, _ = rectsolver.interface_operator(plan, edge)
+        interface_block(line_plan, t,
+                        np.ones(line_indices(plan.subdomain, edge).size))
     if swept:
         return "sweep"
     return "line-axis" if made else "plan-axis"
+
+
+def arm_lines(comp, op):
+    """(neighbor, its interface edge, across, weight) for each arm of `op`,
+    from the composite: whether the center's line runs across the center's
+    transform axis, and the product of the two couplings."""
+    for nb, iface in zip(op.neighbors, comp.interfaces_of(op.coupled_id)):
+        sid, edge = iface.other_side(op.coupled_id)
+        axis, _ = edge_end(iface.other_side(sid)[1])
+        coupling = comp.coupling(iface)
+        yield (nb, edge, axis == op.center_plan.transform_axis,
+               coupling * coupling)
+
+
+def exact_arms(comp, op):
+    """Ids of the arms whose line transform is the center's: D carries them
+    exactly."""
+    return [nb.plan.subdomain.id
+            for nb, edge, across, _ in arm_lines(comp, op) if not across
+            and rectsolver.interface_operator(nb.plan, edge,
+                                              op.center_plan)[3]]
 
 
 def full_arm_schur(op, p):
@@ -390,26 +412,24 @@ class TestLineOperators:
                                                "sweep"}
         assert {("x", "sweep"), ("y", "sweep")} <= kinds
 
-    @pytest.mark.parametrize("comp,exact_ids", [
-        pytest.param(bench.build_cross(k_n=8).composite, [], id="cross-k8"),
-        pytest.param(star_mixed(8), [2], id="star-k8"),  # south
+    @pytest.mark.parametrize("comp,exact_ids,calls", [
+        pytest.param(bench.build_cross(k_n=8).composite, [], 6, id="cross-k8"),
+        pytest.param(star_mixed(8), [2], 4, id="star-k8"),  # south
     ])
-    def test_one_sweep_per_preconditioned_apply(self, comp, exact_ids,
+    def test_one_sweep_per_preconditioned_apply(self, comp, exact_ids, calls,
                                                 monkeypatch):
-        # every arm block here has a line transform; only the center sweeps.
+        # every arm line here has a line transform; only the center sweeps.
         # An arm that D carries exactly (the star's south arm) costs nothing
-        # per apply: no block, and no line transform of the center.
+        # per apply: no group, and no line transform of the center.
         op = ddm.build_schur_operator(comp)
-        applied, swept, transformed = [], [], []
-
-        def counted(nb):
-            def block(v):
-                applied.append(nb.plan.subdomain.id)
-                return nb.block(v)
-            return dataclasses.replace(nb, block=block)
-
-        op = dataclasses.replace(
-            op, neighbors=tuple(map(counted, op.neighbors)))
+        assert exact_arms(comp, op) == exact_ids
+        # each other arm holds one slot of one group
+        slots = sorted((batch, int(s)) for batch, group, *_ in op.groups
+                       for s in group)
+        assert len(slots) == len(op.neighbors) - len(exact_ids)
+        assert slots == [(0, i) for i in range(op.along_rows.size)] \
+            + [(1, i) for i in range(len(op.across_q))]
+        swept, transformed = [], []
         op.solution(np.ones(op.size))   # D's columns, built on first use
         counting = recording(rectsolver.sweep, swept)
         monkeypatch.setattr(rectsolver, "sweep", counting)
@@ -419,13 +439,12 @@ class TestLineOperators:
                 getattr(transforms, name), transformed))
         op.spectral_preconditioned(np.ones(op.size))
         assert swept == [op.center_plan]
-        assert [nb.plan.subdomain.id for nb in op.neighbors
-                if nb.slot is None] == exact_ids
-        assert sorted(applied) == sorted(
-            nb.plan.subdomain.id for nb in op.neighbors
-            if nb.slot is not None)
-        center_lines = transformed.count(op.center_plan.y_plan)
+        center_lines = sum(p is op.center_plan.y_plan for p in transformed)
         assert center_lines == (2 if op.along_rows.size else 0)
+        # one line transform each way per group, none for an exact arm
+        for *_, line_plan, _ in op.groups:
+            assert sum(p is line_plan for p in transformed) == 2
+        assert len(transformed) == center_lines + 2 * len(op.groups) == calls
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=16).composite, id="cross-k16"),
@@ -451,11 +470,11 @@ class TestLineOperators:
         # of one transform pair per arm, and solves as if it made them
         case = bench.build_cross(k_n=8)
         op = ddm.build_schur_operator(case.composite)
-        assert sorted(len(members) for *_, members in op.groups) == [2, 2]
+        assert sorted(len(slots) for _, slots, *_ in op.groups) == [2, 2]
         per_arm = dataclasses.replace(op, groups=tuple(
-            (batch, [slot], line_plan, [j])
-            for batch, slots, line_plan, members in op.groups
-            for slot, j in zip(slots, members)))
+            (batch, slots[i:i + 1], line_plan, scale[i:i + 1])
+            for batch, slots, line_plan, scale in op.groups
+            for i in range(len(slots))))
         f = ddm.eliminate_arms(op, bench.rhs_fields(case))
         cfg = krylov.GmresConfig(m=80, tol=1e-10)
         (p, rep), (want, want_rep) = (krylov.solve_coupled(o, f, cfg)
@@ -514,7 +533,9 @@ class TestLineOperators:
         comp = star_composite({"west": (2, D, D, ()), "east": (3, D, D, ())},
                               m=1, n=4)
         op = ddm.build_schur_operator(comp)
-        assert [nb.slot for nb in op.neighbors] == [None, None]
+        assert exact_arms(comp, op) == [1, 2]
+        assert op.groups == () and op.along_rows.size == 0
+        assert op.across_q.shape == (0, 4)
         assert_matches_global_dense_lu(comp, rng)
         f = {s.id: rng.standard_normal(s.size) for s in comp.subdomains}
         _, report = ddm.ddm_solve(comp, f)
@@ -575,14 +596,14 @@ def arm_symbols(comp, op):
     center, B the arm's block and Q_c the center's line transform."""
     plan = op.center_plan
     Qc = oracle.assemble_eigvector_matrix(plan.y_plan.bc, plan.y_plan.n)
-    for nb, iface in zip(op.neighbors, comp.interfaces_of(op.coupled_id)):
-        if not nb.across:
-            edge = iface.other_side(op.coupled_id)[1]
-            block, t_c, exact = rectsolver.interface_operator(nb.plan, edge,
-                                                              plan)
-            B = np.column_stack([block(e) for e in np.eye(plan.y_plan.n)])
-            yield (None if t_c is None else nb.weight * t_c,
-                   nb.weight * Qc.T @ B @ Qc, exact)
+    for nb, edge, across, weight in arm_lines(comp, op):
+        if not across:
+            line_plan, t, t_c, exact = rectsolver.interface_operator(
+                nb.plan, edge, plan)
+            B = np.column_stack([interface_block(line_plan, t, e)
+                                 for e in np.eye(plan.y_plan.n)])
+            yield (None if t_c is None else weight * t_c,
+                   weight * Qc.T @ B @ Qc, exact)
 
 
 class TestSpectralOperator:
@@ -622,8 +643,8 @@ class TestSpectralOperator:
             (comp,) = param.values
             op = ddm.build_schur_operator(comp)
             kinds |= {(op.center_plan.transform_axis,
-                       "across" if nb.across else "along")
-                      for nb in op.neighbors}
+                       "across" if across else "along")
+                      for _, _, across, _ in arm_lines(comp, op)}
             folds |= {"none" if d is None else "exact" if exact else "approx"
                       for d, _, exact in arm_symbols(comp, op)}
         assert kinds == {(axis, kind) for axis in ("x", "y")

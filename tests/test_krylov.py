@@ -122,6 +122,16 @@ class TestGmres:
             krylov.gmres(lambda v: 2.0 * v, b, cfg=krylov.GmresConfig(m=4))
         assert err.value.report.iterations == 1
 
+    def test_nonfinite_solution_never_converges(self):
+        # A v = 0 breaks down at once with an estimate of 0, but the
+        # least-squares triangle is singular and the iterate NaN
+        with pytest.raises(ConvergenceError,
+                           match="relative residual nan") as err:
+            krylov.gmres(lambda v: 0 * v, np.ones(5))
+        rep = err.value.report
+        assert not rep.converged and np.isnan(rep.true_residual)
+        assert np.isnan(err.value.solution).all()
+
     def test_nonzero_initial_guess(self, rng):
         A = rng.standard_normal((10, 10)) + 5 * np.eye(10)
         b = rng.standard_normal(10)

@@ -8,7 +8,7 @@ from fftddm import oracle, rectsolver
 from fftddm.errors import SingularOperatorError, ValidationError
 from fftddm.geometry import GridField, line_indices
 
-from conftest import make_rect
+from conftest import interface_block, make_rect
 
 PAIRS = ("DD", "NN", "PP")
 
@@ -143,8 +143,9 @@ class TestInterfaceOperator:
         line = line_indices(sub, edge)
         want = np.linalg.inv(oracle.assemble_rect_matrix(sub))[
             np.ix_(line, line)]
-        block, t_c, exact = rectsolver.interface_operator(plan, edge)
-        got = np.column_stack([block(e) for e in np.eye(line.size)])
+        line_plan, t, t_c, exact = rectsolver.interface_operator(plan, edge)
+        got = np.column_stack([interface_block(line_plan, t, e)
+                               for e in np.eye(line.size)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert t_c is None and not exact
 
