@@ -158,20 +158,18 @@ def _node_grid(sub: RectSubdomain):
     return X.ravel(), Y.ravel()
 
 
+def _fields(case: CrossCase, fn) -> dict:
+    """{id: GridField of fn(case, x, y) at the subdomain's nodes}."""
+    return {sub.id: GridField(sub.id, fn(case, *_node_grid(sub)))
+            for sub in case.composite.subdomains}
+
+
 def exact_fields(case: CrossCase) -> dict:
-    out = {}
-    for sub in case.composite.subdomains:
-        x, y = _node_grid(sub)
-        out[sub.id] = GridField(sub.id, manufactured_solution(case, x, y))
-    return out
+    return _fields(case, manufactured_solution)
 
 
 def rhs_fields(case: CrossCase) -> dict:
-    out = {}
-    for sub in case.composite.subdomains:
-        x, y = _node_grid(sub)
-        out[sub.id] = GridField(sub.id, manufactured_rhs(case, x, y))
-    return out
+    return _fields(case, manufactured_rhs)
 
 
 def solve_case(case: CrossCase, cfg: krylov.GmresConfig | None = None):

@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        field_values, line_indices, validate)
 from .rectsolver import (RectPlan, apply_spectral, interface_operator,
-                         plan_rect, q_row, solve_values, sweep)
+                         plan_rect, q_row, solve_rect, sweep)
 from . import krylov, rectsolver, transforms
 
 
@@ -238,17 +238,11 @@ def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
 
     `f` maps subdomain id to a GridField or flat array.
     """
-    subs = (op.center_plan.subdomain, *(nb.plan.subdomain
-                                        for nb in op.neighbors))
-    return _eliminate(op, {s.id: field_values(s, f.get(s.id)) for s in subs})
-
-
-def _eliminate(op: SchurOperator, rhs: dict) -> GridField:
-    """eliminate_arms for flat values that `field_values` has passed."""
-    f_prime = rhs[op.coupled_id].copy()
+    center = op.center_plan.subdomain
+    f_prime = field_values(center, f.get(center.id)).copy()
     for nb in op.neighbors:
         f_prime -= nb.to_center.apply(
-            solve_values(nb.plan, rhs[nb.plan.subdomain.id]))
+            solve_rect(nb.plan, f.get(nb.plan.subdomain.id)).values)
     return GridField(op.coupled_id, f_prime)
 
 
@@ -256,21 +250,21 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
 
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides, checked here once.  The coupled subdomain is the center; a
-    single rectangle is a center without neighbors: the fft-preconditioned
-    GMRES sees the identity and returns A_c^{-1} f after one step.
+    sides.  The coupled subdomain is the center; a single rectangle is a
+    center without neighbors: the fft-preconditioned GMRES sees the
+    identity and returns A_c^{-1} f after one step.
     """
     validate(comp).require()
 
     rhs = {sub.id: field_values(sub, f.get(sub.id))
            for sub in comp.subdomains}
     op = build_schur_operator(comp)
-    p_c, report = krylov.solve_coupled(op, _eliminate(op, rhs), gmres_cfg)
+    p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
 
     fields = {op.coupled_id: p_c}
     for nb in op.neighbors:
         # back-substitution: p_i = A_i^{-1} (f_i - R_{i,c} p_c)
         sid = nb.plan.subdomain.id
-        fields[sid] = GridField(sid, solve_values(
-            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values)))
+        fields[sid] = solve_rect(
+            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values))
     return fields, report

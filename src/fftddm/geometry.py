@@ -57,11 +57,6 @@ def edge_end(edge: str) -> tuple[str, int]:
     raise ValidationError(f"unknown edge {edge!r}")
 
 
-def edge_axis(edge: str) -> str:
-    """Axis normal to the given edge: 'x' for west/east, 'y' for south/north."""
-    return edge_end(edge)[0]
-
-
 @dataclass(frozen=True)
 class RectSubdomain:
     """One uniform rectangle grid.
@@ -80,17 +75,10 @@ class RectSubdomain:
     kappa: float = 0.0
     half_cell_dirichlet: frozenset = frozenset()
 
-    @property
-    def delta_x(self) -> float:
-        return 1.0 / (self.dx * self.dx)
-
-    @property
-    def delta_y(self) -> float:
-        return 1.0 / (self.dy * self.dy)
-
     def delta(self, axis: str) -> float:
         """1/spacing^2 along `axis`."""
-        return self.delta_x if axis == "x" else self.delta_y
+        h = self.dx if axis == "x" else self.dy
+        return 1.0 / (h * h)
 
     def count(self, axis: str) -> int:
         """Number of nodes along `axis`."""
@@ -135,7 +123,7 @@ class RectSubdomain:
         """Extra diagonal term (units of the axis delta) at the node line
         adjacent to `edge`: +delta for Neumann, -delta for half-cell
         Dirichlet, 0 otherwise."""
-        delta = self.delta(edge_axis(edge))
+        delta = self.delta(edge_end(edge)[0])
         kind = self.edge_bc[edge]
         if kind is BoundaryKind.NEUMANN:
             return +delta
@@ -252,7 +240,7 @@ class CompositeDomain:
     def coupling(self, iface: Interface) -> float:
         """The weight across `iface`: 1/spacing^2 normal to it."""
         sid, edge = iface.side_a
-        return self.subdomain(sid).delta(edge_axis(edge))
+        return self.subdomain(sid).delta(edge_end(edge)[0])
 
 
 def _edge_line_geometry(sub: RectSubdomain, edge: str):
@@ -340,7 +328,7 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
     if np.max(np.abs(tan_a - tan_b)) > tol:
         report.violations.append(
             f"interface {iface.id}: paired nodes are not coincident")
-    normal = edge_axis(edge_a)
+    normal = edge_end(edge_a)[0]
     if not np.isclose(sub_a.delta(normal), sub_b.delta(normal), rtol=1e-9):
         report.violations.append(
             f"interface {iface.id}: spacing mismatch normal to the interface")

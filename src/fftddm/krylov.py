@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class SolveReport:
     iterations: int
     residual_history: np.ndarray
     wall_time: float
-    true_residual: float = field(default=float("nan"))
-    # ||(A_c - S) p - f'|| / ||f'||, set by solve_coupled
+    # check(x) of the returned x, ||(A_c - S) p - f'|| / ||f'|| in
+    # solve_coupled; NaN when GMRES has no check
     true_relative_residual: float = field(default=float("nan"))
     # (iteration, true relative residual) of each check GMRES made
     residual_checks: tuple = ()
@@ -74,48 +74,53 @@ def _update(V: np.ndarray, H: np.ndarray, g: list, k: int):
         return np.full(V.shape[1], np.nan)
 
 
-def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
-          cfg: GmresConfig | None = None, check=None):
-    """Restarted GMRES; returns (solution, SolveReport).
+def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
+          check=None):
+    """Restarted GMRES from x = 0; returns (solution, SolveReport).
 
     `operator` maps a length-N vector to a length-N vector; residuals in
     the report are 2-norms relative to the initial one.  `check`, if
     given, maps an iterate to its true relative residual.  Once GMRES's
     estimate meets its inner tolerance (first tol) it forms the iterate
     and asks: a passing check returns it at once, sparing GMRES's own
-    residual (true_residual stays NaN); a failing one scales the inner
-    tolerance by tol / check and the cycle goes on.  At a cycle's end the
-    explicit residual must meet tol and the check pass, unless it failed
-    on that very iterate.  A breakdown or a non-finite estimate ends the
-    restarts, a non-finite check or explicit residual the solve.  Short
-    of tol, raises ConvergenceError carrying the report and the solution.
+    residual; a failing one scales the inner tolerance by tol / check and
+    the cycle goes on.  At a cycle's end the explicit residual must meet
+    tol and the check pass, unless it failed on that very iterate.  A
+    breakdown or a non-finite estimate ends the restarts, a non-finite
+    check or explicit residual the solve.  Short of tol, raises
+    ConvergenceError carrying the report and the solution.  The report's
+    true relative residual is the passing check's value, or one more
+    check of the solution that falls short.
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
     N = rhs.size
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(N)
     start = time.perf_counter()
 
-    r = rhs - operator(x) if x.any() else rhs.copy()
+    r = rhs                     # the residual of x, never written in place
     r_norm = r0_norm = math.sqrt(r @ r)
     history = [1.0 if r0_norm else 0.0]
     checks = []
     inner = cfg.tol
     m = min(cfg.m, N)
 
-    def report(converged: bool, true_residual: float = np.nan):
+    def report(converged: bool, true: float = np.nan):
         return SolveReport(converged=converged, iterations=len(history) - 1,
                            residual_history=np.asarray(history),
                            wall_time=time.perf_counter() - start,
-                           true_residual=true_residual,
+                           true_relative_residual=true,
                            residual_checks=tuple(checks))
 
-    def failure(x, true_residual: float = np.nan):
+    def failure(x, value=None):
+        """ConvergenceError for x, `value` check(x) if already known."""
+        if value is None:
+            value = np.nan if check is None else check(x)
         true = f", true {checks[-1][1]:.3e} when checked" if checks else ""
         return ConvergenceError(
             f"GMRES did not reach tol={cfg.tol} in {len(history) - 1} "
             f"iterations (relative residual {history[-1]:.3e}{true})",
-            report=report(False, true_residual), solution=x)
+            report=report(False, value), solution=x)
 
     def checked(x) -> bool:
         """Whether check(x) meets tol; tightens `inner` when it does not,
@@ -124,13 +129,13 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
         value = check(x)
         checks.append((len(history) - 1, value))
         if not math.isfinite(value):
-            raise failure(x)
+            raise failure(x, value)
         if value > cfg.tol:
             inner *= cfg.tol / value
         return value <= cfg.tol
 
     if r0_norm == 0.0:
-        return x, report(True)
+        return x, report(True, np.nan if check is None else 0.0)
     for _ in range(cfg.max_restarts):
         V, tmp = np.empty((m + 1, N)), np.empty(N)
         H = np.zeros((m + 1, m))
@@ -183,7 +188,7 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
                     break
                 x_k = x + _update(V, H, g, k + 1)
                 if checked(x_k):
-                    return x_k, report(True)
+                    return x_k, report(True, checks[-1][1])
 
         # a check that failed at the cycle's last step is not repeated
         last_checked = checks and checks[-1][0] == len(history) - 1
@@ -192,15 +197,15 @@ def gmres(operator, rhs: np.ndarray, x0: np.ndarray | None = None,
         r_norm = np.linalg.norm(r)
         if not math.isfinite(r_norm):   # never accept a non-finite iterate
             history[-1] = r_norm / r0_norm
-            raise failure(x, r_norm)
+            raise failure(x)
         if (r_norm / r0_norm <= cfg.tol or stop and history[-1] <= cfg.tol
                 ) and (check is None or not last_checked and checked(x)):
             history[-1] = r_norm / r0_norm
-            return x, report(True, r_norm)
+            return x, report(True, checks[-1][1] if checks else np.nan)
         if stop:  # stalled or not finite: no progress possible
             break
 
-    raise failure(x, r_norm)
+    raise failure(x)
 
 
 def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
@@ -218,18 +223,9 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
     def check(y):
         return np.linalg.norm(f_hat - op.spectral_apply(x_hat(y))) / f_norm
 
-    def nodal(y, report, value):
-        """p = Q x_hat, and the report with the true residual `value`."""
-        return op.to_nodal(x_hat(y)), replace(
-            report, true_residual=value * f_norm, true_relative_residual=value)
-
     try:
         y, report = gmres(operator, rhs, cfg=cfg, check=check)
     except ConvergenceError as err:
-        err.solution, err.report = nodal(err.solution, err.report,
-                                         check(err.solution))
+        err.solution = op.to_nodal(x_hat(err.solution))
         raise
-    # on success the last check passed on the returned iterate
-    checks = report.residual_checks
-    p, report = nodal(y, report, checks[-1][1] if checks else 0.0)
-    return GridField(op.coupled_id, p), report
+    return GridField(op.coupled_id, op.to_nodal(x_hat(y))), report

@@ -81,16 +81,16 @@ def assemble_rect_matrix(sub: RectSubdomain) -> np.ndarray:
             f"rectangle too large for dense assembly ({sub.size})")
     m, n = sub.m, sub.n
     # pure Toeplitz y-block, then per-end modifiers (Neumann / half-cell D)
-    Ay = assemble_axis_matrix("DD", n, sub.delta_y, sub.delta_x, sub.kappa)
+    Ay = assemble_axis_matrix("DD", n, sub.delta("y"), sub.delta("x"), sub.kappa)
     if sub.axis_pair("y") == "PP":
-        Ay[0, -1] += sub.delta_y
-        Ay[-1, 0] += sub.delta_y
+        Ay[0, -1] += sub.delta("y")
+        Ay[-1, 0] += sub.delta("y")
     else:
         Ay[0, 0] += sub.end_modifier("south")
         Ay[-1, -1] += sub.end_modifier("north")
 
     A = np.kron(np.eye(m), Ay)
-    off = sub.delta_x * np.eye(n)
+    off = sub.delta("x") * np.eye(n)
     big = np.arange(m)
     for i in big[:-1]:
         A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] += off

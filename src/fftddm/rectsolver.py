@@ -201,12 +201,8 @@ def solve_rect(plan: RectPlan, f: GridField) -> GridField:
     """Solve A p = f on the rectangle, `f` a GridField or flat array
     (checked by `field_values`); returns p as a new GridField."""
     sub = plan.subdomain
-    return GridField(sub.id, solve_values(plan, field_values(sub, f)))
-
-
-def solve_values(plan: RectPlan, values: np.ndarray) -> np.ndarray:
-    """A^{-1} values for flat values that `field_values` has passed."""
-    return to_nodal(plan, sweep(plan, to_spectral(plan, values)))
+    return GridField(sub.id, to_nodal(plan, sweep(
+        plan, to_spectral(plan, field_values(sub, f)))))
 
 
 def to_spectral(plan: RectPlan, values: np.ndarray) -> np.ndarray:
@@ -319,7 +315,7 @@ def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     with the subdomain's boundary modifications): the nodal reference for
     residual checks outside the solver."""
     G = np.asarray(values, dtype=float).reshape(sub.m, sub.n)
-    out = (-2.0 * (sub.delta_x + sub.delta_y) + sub.kappa) * G
+    out = (-2.0 * (sub.delta("x") + sub.delta("y")) + sub.kappa) * G
     for axis, g, o in (("y", G.T, out.T), ("x", G, out)):  # axis first
         _add_axis_terms(sub, axis, g, o)
     return out.reshape(-1)

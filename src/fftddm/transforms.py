@@ -45,13 +45,14 @@ def eigenvalues(bc: str, n: int, delta_t: float, delta_o: float,
     return lam + kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPlan:
     """Prepared eigenbasis transform for one axis of one rectangle.
 
     Immutable; apply_Q / apply_Qt allocate their own scratch, so one plan
     may be shared across threads.  `twiddles` holds the read-only kernel
-    factors for (Q^T, Q), with the orthonormal scaling folded in.
+    factors for (Q^T, Q), with the orthonormal scaling folded in.  Plans
+    compare by identity: their fields are arrays.
     """
 
     bc: str

@@ -6,9 +6,8 @@ import pytest
 from fftddm import bench
 from fftddm.errors import ValidationError
 from fftddm.geometry import (AXIS_EDGES, OPPOSITE, BoundaryKind,
-                             CompositeDomain, edge_axis, edge_end,
-                             line_indices, load_composite, make_interface,
-                             validate)
+                             CompositeDomain, edge_end, line_indices,
+                             load_composite, make_interface, validate)
 
 from conftest import make_rect, rect_row
 
@@ -194,11 +193,11 @@ class TestCenter:
 
 class TestTypedErrors:
     @pytest.mark.parametrize("call,name", [
-        (lambda comp: edge_axis("wset"), "'wset'"),
+        (lambda comp: edge_end("wset"), "'wset'"),
         (lambda comp: line_indices(comp.subdomains[0], "wset"), "'wset'"),
         (lambda comp: comp.subdomain(9), "id 9"),
         (lambda comp: comp.interfaces[0].other_side(9), "subdomain 9"),
-    ], ids=["edge_axis", "line_indices", "subdomain", "other_side"])
+    ], ids=["edge_end", "line_indices", "subdomain", "other_side"])
     def test_unknown_edge_or_id(self, call, name):
         comp = bench.build_cross(k_n=1).composite
         with pytest.raises(ValidationError, match=name):

@@ -82,16 +82,19 @@ class TestGmres:
             calls.append(1)
             return A @ v
 
+        def check(x):
+            return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
         with pytest.raises(ConvergenceError) as excinfo:
-            krylov.gmres(operator, b, cfg=cfg)
+            krylov.gmres(operator, b, cfg=cfg, check=check)
         rep = excinfo.value.report
         assert not rep.converged
         assert rep.residual_history.size == 1 + rep.iterations == 7
         # one apply per Arnoldi step and one residual per cycle, no more
         assert len(calls) == rep.iterations + 3
-        x = excinfo.value.solution
-        assert rep.true_residual == pytest.approx(
-            np.linalg.norm(b - A @ x), rel=1e-12)
+        # the estimate never met tol, so only the solution was checked
+        assert rep.residual_checks == ()
+        assert rep.true_relative_residual == check(excinfo.value.solution)
 
     @pytest.mark.parametrize("finite_applies", [0, 4])
     def test_nonfinite_residual_stops_at_once(self, finite_applies, rng):
@@ -129,17 +132,8 @@ class TestGmres:
                            match="relative residual nan") as err:
             krylov.gmres(lambda v: 0 * v, np.ones(5))
         rep = err.value.report
-        assert not rep.converged and np.isnan(rep.true_residual)
+        assert not rep.converged and np.isnan(rep.true_relative_residual)
         assert np.isnan(err.value.solution).all()
-
-    def test_nonzero_initial_guess(self, rng):
-        A = rng.standard_normal((10, 10)) + 5 * np.eye(10)
-        b = rng.standard_normal(10)
-        x0 = rng.standard_normal(10)
-        cfg = krylov.GmresConfig(m=10, tol=1e-12)
-        x, rep = krylov.gmres(lambda v: A @ v, b, x0=x0, cfg=cfg)
-        assert rep.converged
-        np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-9)
 
 
 class TestOrthogonalization:
@@ -271,11 +265,8 @@ class TestSolveCoupled:
         f = rng.standard_normal(op.size)
         cfg = krylov.GmresConfig(tol=1e-11, preconditioner=mode)
         _, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
-        assert np.isfinite(rep.true_residual)
         assert rep.true_relative_residual <= cfg.tol
         assert rep.true_relative_residual == rep.residual_checks[-1][1]
-        assert rep.true_relative_residual == pytest.approx(
-            rep.true_residual / np.linalg.norm(f), rel=1e-12)
 
     @pytest.mark.parametrize("kn", [8, 16])
     def test_fft_iterations_nonincreasing_in_m(self, kn):
@@ -358,7 +349,6 @@ class TestSpectralGmres:
         res = np.linalg.norm(rectsolver.apply_rect_operator(
             op.center_plan.subdomain, p) - full_arm_schur(op, p) - f.values)
         rep = err.value.report
-        assert rep.true_residual == pytest.approx(res, rel=1e-12)
         assert rep.true_relative_residual == pytest.approx(
             res / np.linalg.norm(f.values), rel=1e-12)
 
@@ -389,9 +379,9 @@ class TestTrueResidualCheck:
         assert rep.converged
         # the passing check spares recomputing GMRES's own residual
         assert len(applies) == rep.iterations
-        assert np.isnan(rep.true_residual)
         assert np.linalg.norm(b - A @ x) <= tol / 100 * np.linalg.norm(b)
         values = [v for _, v in rep.residual_checks]
+        assert rep.true_relative_residual == values[-1]
         assert len(values) == len(calls) >= 2
         assert values[-1] <= tol < values[0]
         its = [i for i, _ in rep.residual_checks]

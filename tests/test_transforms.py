@@ -68,6 +68,13 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             plan.eigenvalues[0] = 0.0
 
+    def test_plans_compare_by_identity(self):
+        a, b = (transforms.make_plan("NN", 8, 1.0, 1.0, 0.0) for _ in range(2))
+        assert a == a and a != b
+        plans = [a, b, a]
+        assert b in plans and plans.count(a) == 2 and plans.index(b) == 1
+        assert len({a, b}) == 2
+
 
 class TestApplyQ:
     def test_dd_n3_first_basis_vector(self):
