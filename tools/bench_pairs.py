@@ -8,13 +8,16 @@ metric that NEW's `BENCHMARK.json` lists, prints each side's median, the
 distance between the quartiles of OLD's runs and the number of pairs in
 which NEW reads better (ties count for neither side): a gain needs wins
 in nine tenths of the pairs and a median difference wider than OLD's
-quartile spread.
+quartile spread.  Each side's failed and attempted operations and its
+runs that missed their correctness gates are printed beside the table: a
+gain does not count when NEW fails more operations than OLD.
 
     python3 tools/bench_pairs.py OLD_CHECKOUT . --workload cross-k128 \\
-        --pairs 10 --seconds 60
+        --pairs 10
 
-Each run's result is the last line of its standard output, one JSON
-object.  Only the standard library is used.
+Every run uses seed 1 and, unless `--seconds` says otherwise, the run
+length of NEW's `BENCHMARK.json`.  Each run's result is the last line of
+its standard output, one JSON object.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -27,20 +30,26 @@ import sys
 from pathlib import Path
 
 SIDES = ("old", "new")
+SEED = 1
+PAIR_METRIC = "solve_s.p50.adj"  # printed after every pair
+NAN = float("nan")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one benchmark run in the checkout `root`."""
+def run_once(root: Path, workload: str, seconds: float) -> dict:
+    """The result line of one benchmark run in the checkout `root`, its
+    metrics flattened to {name: value}."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RuntimeError(f"run in {root} failed ({proc.returncode}):\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    result["metrics"] = {name: m["value"]
+                         for name, m in result["metrics"].items()}
+    return result
 
 
 def spread(values: list) -> float:
@@ -57,25 +66,27 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="the change's checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float,
+                        help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     roots = dict(zip(SIDES, (args.old, args.new)))
-    metrics = json.loads((args.new / "BENCHMARK.json").read_text())[
-        "end_to_end"]
+    bench = json.loads((args.new / "BENCHMARK.json").read_text())
+    seconds = args.seconds or bench["run_seconds"]
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES[::-1] if i % 2 else SIDES:
-            runs[side].append(run_once(roots[side], args.workload, args.seed,
-                                       args.seconds))
+            runs[side].append(run_once(roots[side], args.workload, seconds))
+        last = {side: runs[side][-1] for side in SIDES}
         print(f"pair {i}: " + "  ".join(
-            f"{side} {runs[side][-1].get('solve_s.p50.adj', float('nan')):.4g}"
-            " s" for side in SIDES), flush=True)
+            f"{side} {last[side]['metrics'].get(PAIR_METRIC, NAN):.4g} s"
+            + ("" if last[side]["correct"] else " INCORRECT")
+            for side in SIDES), flush=True)
     print(f"\n{'metric':22s} {'unit':6s} {'old p50':>11s} {'new p50':>11s} "
           f"{'change':>8s} {'old IQR':>10s} {'new wins':>9s}")
-    for m in metrics:
+    for m in bench["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
-        old, new = ([run.get(name) for run in runs[side]] for side in SIDES)
+        old, new = ([run["metrics"].get(name) for run in runs[side]]
+                    for side in SIDES)
         if None in old or None in new:
             print(f"{name:22s} missing from some runs")
             continue
@@ -84,8 +95,16 @@ def main(argv=None) -> int:
         change = f"{100 * (n - o) / o:+.1f}%" if o else "-"
         print(f"{name:22s} {m['unit']:6s} {o:11.4g} {n:11.4g} {change:>8s} "
               f"{spread(old):10.3g} {wins:4d}/{len(old)}")
+    failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
+    print()
+    for side in SIDES:
+        incorrect = sum(not run["correct"] for run in runs[side])
+        print(f"{side}: {failed[side]} of "
+              f"{sum(run['attempted'] for run in runs[side])} operations "
+              f"failed, {incorrect} of {len(runs[side])} runs incorrect")
+    if failed["new"] > failed["old"]:
+        print("new fails more operations than old: no gain counts")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
