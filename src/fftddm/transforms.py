@@ -2,13 +2,17 @@
 
 For each axis BC pair ('DD', 'NN', 'PP') the axis matrix A has a known
 orthonormal eigenvector matrix Q (sine, shifted-cosine and real Fourier
-bases respectively).  Applying Q and Q^T costs O(n log n) and
-diagonalizes the axis operator:  Q^T A Q = diag(lambda).  Each kernel runs
-one FFT of about n points on real data: the sine transform (DST-I) reads
-its length-2(n+1) odd extension as n+1 complex pairs and takes one
-half-length complex FFT, the cosine transforms use Makhoul's length-n
-reordering with a real FFT, and the real Fourier basis is one real FFT.
-Twiddle factors are computed once per `SpectralPlan`.
+bases respectively).  Applying Q and Q^T diagonalizes the axis
+operator:  Q^T A Q = diag(lambda).  Each kernel but the short sine
+transform runs one FFT of about n points on real data, at O(n log n): the
+sine transform (DST-I) reads its length-2(n+1) odd extension as n+1
+complex pairs and takes one half-length complex FFT, the cosine
+transforms use Makhoul's length-n reordering with a real FFT, and the
+real Fourier basis is one real FFT.  A DST-I of length n <= _DENSE_DST is
+one product with the cached sine matrix instead: its FFT runs on n + 1
+points, which these grids make prime or nearly so (2k + 1, 4k + 1), and
+there the dense product is faster at every row count.  Twiddle factors
+are computed once per `SpectralPlan`.
 
 Sign and ordering conventions match `oracle.assemble_eigvector_matrix`
 column for column; the eigenvalue array from `eigenvalues` is ordered the
@@ -21,6 +25,7 @@ n = 2 and 3, and the diagonalization property tests enforce it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,7 @@ import numpy as np
 from .errors import ValidationError
 
 BC_PAIRS = ("DD", "NN", "PP")
+_DENSE_DST = 256                # longest DST-I applied as a dense product
 
 
 def eigenvalues(bc: str, n: int, delta_t: float, delta_o: float,
@@ -51,7 +57,8 @@ class SpectralPlan:
 
     Immutable; apply_Q / apply_Qt allocate their own scratch, so one plan
     may be shared across threads.  `twiddles` holds the read-only kernel
-    factors for (Q^T, Q), with the orthonormal scaling folded in.  Plans
+    factors for (Q^T, Q), with the orthonormal scaling folded in; for a
+    DST-I of length n <= _DENSE_DST both are the sine matrix Q itself.  Plans
     compare by identity: their fields are arrays.
     """
 
@@ -61,8 +68,24 @@ class SpectralPlan:
     twiddles: tuple
 
 
+@functools.lru_cache(maxsize=None)   # one per n <= _DENSE_DST at most
+def _sine_matrix(n: int) -> np.ndarray:
+    """The read-only DST-I matrix sqrt(2/M) sin(pi j k / M), M = n + 1,
+    read from one sine table at j k mod 2M, so every entry is a rounded
+    sine of an angle in [0, 2 pi)."""
+    m = n + 1
+    table = np.sqrt(2.0 / m) * np.sin(np.pi * np.arange(2 * m) / m)
+    j = np.arange(1, n + 1)
+    q = table[np.outer(j, j) % (2 * m)]
+    q.setflags(write=False)
+    return q
+
+
 def _twiddles(bc: str, n: int) -> tuple:
     """Kernel factors (for Q^T, for Q) of one transform; see the kernels."""
+    if bc == "DD" and n <= _DENSE_DST:
+        q = _sine_matrix(n)
+        return q, q                                    # Q is symmetric
     if bc == "DD":
         theta = np.pi * np.arange(1, n + 1) / (n + 1)
         s = 0.25 * np.sqrt(2.0 / (n + 1))
@@ -189,7 +212,7 @@ def apply_Q(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     v = _checked(plan, v)
     tw = plan.twiddles[1]
     if plan.bc == "DD":
-        return _dst1(v, tw)
+        return v @ tw if plan.n <= _DENSE_DST else _dst1(v, tw)
     if plan.bc == "NN":
         return _dct3(v, tw)
     return _irdft(v, tw)
@@ -200,7 +223,7 @@ def apply_Qt(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     v = _checked(plan, v)
     tw = plan.twiddles[0]
     if plan.bc == "DD":
-        return _dst1(v, tw)
+        return v @ tw if plan.n <= _DENSE_DST else _dst1(v, tw)
     if plan.bc == "NN":
         return _dct2(v, tw)
     return _rdft(v, tw)

@@ -13,7 +13,7 @@ class TestGmresConfig:
     @pytest.mark.parametrize("kwargs", [
         {"m": 0}, {"tol": 0.0}, {"tol": -1e-8}, {"max_restarts": 0},
         {"preconditioner": "ilu"}, {"preconditioner": "jacobi"}, {"tol": 1.0},
-        {"m": 2.5}, {"max_restarts": 2.5},
+        {"m": 2.5}, {"max_restarts": 2.5}, {"m": True}, {"max_restarts": True},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValidationError):

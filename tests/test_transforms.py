@@ -68,6 +68,15 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             plan.eigenvalues[0] = 0.0
 
+    def test_short_sine_plans_share_one_read_only_matrix(self):
+        a, b = (transforms.make_plan("DD", 192, 1.0, d, 0.5) for d in (1, 2))
+        q = a.twiddles[0]
+        assert q.shape == (192, 192) and not q.flags.writeable
+        assert all(t is q for t in (*a.twiddles, *b.twiddles))
+        # longer sine transforms keep the FFT kernel's three twiddle rows
+        assert transforms.make_plan("DD", 257, 1.0, 1.0).twiddles[0].shape \
+            == (3, 257)
+
     def test_plans_compare_by_identity(self):
         a, b = (transforms.make_plan("NN", 8, 1.0, 1.0, 0.0) for _ in range(2))
         assert a == a and a != b
@@ -138,8 +147,10 @@ class TestDiagonalization:
         assert err <= 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
-# every small length, plus 64, and 192 and 256, whose n + 1 is prime
-PARITY_NS = list(range(1, 34)) + [64, 192, 256]
+# every small length, plus 64, and 192 and 256, whose n + 1 is prime; then
+# 257, 384, 512 and 513, past the last dense sine transform, so the FFT
+# kernel _dst1 is checked too
+PARITY_NS = list(range(1, 34)) + [64, 192, 256, 257, 384, 512, 513]
 
 
 class TestFftMatchesDense:

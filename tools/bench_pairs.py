@@ -10,7 +10,8 @@ which NEW reads better (ties count for neither side): a gain needs wins
 in nine tenths of the pairs and a median difference wider than OLD's
 quartile spread.  Each side's failed and attempted operations and its
 runs that missed their correctness gates are printed beside the table: a
-gain does not count when NEW fails more operations than OLD.
+gain does not count when NEW fails a larger share of its operations than
+OLD (shares, not counts: the faster side attempts more).
 
     python3 tools/bench_pairs.py OLD_CHECKOUT . --workload cross-k128 \\
         --pairs 10
@@ -69,6 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     roots = dict(zip(SIDES, (args.old, args.new)))
     bench = json.loads((args.new / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
@@ -95,15 +98,19 @@ def main(argv=None) -> int:
         change = f"{100 * (n - o) / o:+.1f}%" if o else "-"
         print(f"{name:22s} {m['unit']:6s} {o:11.4g} {n:11.4g} {change:>8s} "
               f"{spread(old):10.3g} {wins:4d}/{len(old)}")
-    failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
+    share = {}
     print()
     for side in SIDES:
+        failed = sum(run["failed"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        share[side] = failed / attempted
         incorrect = sum(not run["correct"] for run in runs[side])
-        print(f"{side}: {failed[side]} of "
-              f"{sum(run['attempted'] for run in runs[side])} operations "
-              f"failed, {incorrect} of {len(runs[side])} runs incorrect")
-    if failed["new"] > failed["old"]:
-        print("new fails more operations than old: no gain counts")
+        print(f"{side}: {failed} of {attempted} operations failed "
+              f"({100 * share[side]:.2f}%), {incorrect} of {len(runs[side])} "
+              f"runs incorrect")
+    if share["new"] > share["old"]:
+        print("new fails a larger share of operations than old: "
+              "no gain counts")
     return 0
 
 if __name__ == "__main__":
