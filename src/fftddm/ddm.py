@@ -15,18 +15,19 @@ rank-one sweep of the arm instead.  Each arm takes two FFT rectangle
 solves per composite solve: A_i^{-1} f_i to reduce the center's
 right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
 
-The center's transform Q is orthogonal, so the center's system is solved
-on the spectral coefficients p_hat = Q^T p as (T - Q^T S Q) p_hat = Q^T f'
-(`SchurOperator.spectral_apply`, T = Q^T A_c Q), with the nodal residual
-norms; T^{-1}, the per-mode sweep, is the fft preconditioner.  An arm on
-a sweep row r of the center adds a per-mode diagonal d to D at row r, and
-the fft GMRES runs right-preconditioned by (T - D)^{-1} T (Chan &
-Resasco's modified fast solver): p_hat = (T - D)^{-1} T y, y + sum_r c_r
-y[r].  An arm whose line transform is the center's is diag(d) exactly and
+The center's mode-n tridiagonal is A_s + lambda_n I, with A_s = W diag(mu)
+W^T in closed form (`rectsolver.sweep_basis`), so its system is solved on
+the orthogonal eigenbasis coefficients p~ = (W (x) Q)^T p as (T - S) p~ =
+f~ (`SchurOperator.spectral_apply`), T = diag(mu_k + lambda_n), with the
+nodal residual norms; T^{-1}, one elementwise product, is the fft
+preconditioner.  An arm on sweep row r adds w_r w_r^T (x) diag(d) to the
+fold D, w_r = W^T e_r, and the fft GMRES runs right-preconditioned by
+(T - D)^{-1} T (Chan & Resasco's modified fast solver): p~ = y + sum_r c_r
+(w_r^T y).  An arm whose line transform is the center's is d exactly and
 drops out of the per-iteration operator.  Only the interface lines leave
-the Fourier basis: a line along the transform axis is one line transform
-each way, a line across it one product with a row of Q and a rank-one
-update back.  Full-field transforms run twice per solve.
+the eigenbasis: a line along the transform axis is W[r] p~ and one line
+transform each way, a line across it W (p~ q_j), q_j a row of Q; one
+product writes all lines back.  An iteration sweeps nothing.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        field_values, line_indices, validate)
-from .rectsolver import (RectPlan, apply_spectral, interface_operator,
-                         plan_rect, q_row, solve_rect, sweep)
+from .rectsolver import (RectPlan, interface_operator, plan_rect, q_row,
+                         solve_rect)
 from . import krylov, rectsolver, transforms
 
 
@@ -92,14 +93,14 @@ class _Neighbor:
 
 @dataclass(frozen=True)
 class SchurOperator:
-    """Matrix-free Q^T (A_c - sum S) Q on the coupled subdomain, FFT-backed.
+    """Matrix-free A_c - sum S in the center's eigenbasis, FFT-backed.
 
-    Each interface line is a whole center edge.  In the center's spectral
-    rows (ms, nt), a line along the transform axis is a sweep row; a line
-    across it is transform column j, read through a row of `across_q`, row
-    j of Q.  An arm on sweep row r adds d = weight * t_c (weight the product
-    of its couplings) to D there (`fold_rows`, `fold_d`); unless D carries
-    it exactly, it is applied per iteration on a row of `along_rows`, with d
+    Each interface line is a whole center edge.  A line along the
+    transform axis is a sweep row; a line across it is transform column
+    j, read through a row of `across_q`, row j of Q.  An arm on sweep row
+    r adds d = weight * t_c (weight the product of its couplings) to the
+    fold there (`fold_rows`, `fold_d`); unless the fold carries it
+    exactly, it is applied per iteration on a row of `along_rows`, with d
     in that row of `along_d`.  `groups` holds (batch 0 along or 1 across,
     slots in that batch, line_plan, scale) per shared line transform, scale
     the arms' weight * t stacked (arms, L): Q diag(scale) Q^T, one multiply
@@ -121,68 +122,83 @@ class SchurOperator:
     def size(self) -> int:
         return self.center_plan.subdomain.size
 
-    def to_nodal(self, p_hat: np.ndarray) -> np.ndarray:
-        """Q p_hat: the center's nodal values, flat."""
-        return rectsolver.to_nodal(self.center_plan, p_hat)
+    @cached_property
+    def eigenbasis(self) -> tuple:
+        """(W, t, 1 / t), built on first use: the eigenvectors W of the
+        center's sweep axis (`rectsolver.sweep_basis`) and T's eigenvalues
+        t = mu_k + lambda_n, (ms, nt), in the basis W (x) Q."""
+        W, mu = rectsolver.sweep_basis(self.center_plan)
+        t = mu[:, None] + self.center_plan.y_plan.eigenvalues
+        return W, t, 1.0 / t
+
+    def to_nodal(self, p: np.ndarray) -> np.ndarray:
+        """(W (x) Q) p: the center's nodal values, flat."""
+        W = self.eigenbasis[0]
+        return rectsolver.to_nodal(self.center_plan,
+                                   W @ np.reshape(p, self.center_plan.shape))
 
     def spectral_rhs(self, f: np.ndarray) -> tuple:
-        """(Q^T f, T^{-1} Q^T f), flat."""
-        f_hat = rectsolver.to_spectral(self.center_plan, f)
-        return f_hat.reshape(-1), sweep(self.center_plan, f_hat).reshape(-1)
+        """((W (x) Q)^T f, T^{-1} of it), flat."""
+        W, _, r = self.eigenbasis
+        f_t = W.T @ rectsolver.to_spectral(self.center_plan, f)
+        return f_t.reshape(-1), (r * f_t).reshape(-1)
 
     @cached_property
     def _fold_columns(self) -> np.ndarray:
-        """c_r = (T - D)^{-1} d_r e_r for each fold row r, (rows, ms, nt):
-        Woodbury from z_r = T^{-1} d_r e_r, one sweep each, and the
-        per-mode capacitance I - G with G[i, j] = z_j[r_i]."""
-        plan, rows = self.center_plan, self.fold_rows
-        z = np.zeros((rows.size,) + plan.shape)
-        z[np.arange(rows.size), rows] = self.fold_d
-        z = np.reshape([sweep(plan, e) for e in z], z.shape)
-        cap = np.eye(rows.size) - np.moveaxis(z[:, rows], 2, 0).swapaxes(1, 2)
+        """c_r = (T - D)^{-1} d_r w_r for each fold row r, (rows, ms, nt),
+        with w_r = W^T e_r and D = sum_r w_r w_r^T (x) diag(d_r): Woodbury
+        from z_r = T^{-1} d_r w_r, elementwise, and the per-mode
+        capacitance I - G with G[i, j] = w_ri^T z_j."""
+        W, _, r = self.eigenbasis
+        w = W[self.fold_rows]
+        z = r * w[:, :, None] * self.fold_d[:, None, :]
+        cap = np.eye(len(w)) - np.einsum("ik,jkn->nij", w, z)
         return np.einsum("imn,nij->jmn", z, np.linalg.inv(cap), order="C")
 
     def solution(self, y: np.ndarray) -> np.ndarray:
-        """x_hat = (T - D)^{-1} T y = y + sum_r c_r y[r], spectral rows."""
+        """x = (T - D)^{-1} T y = y + sum_r c_r (w_r^T y), (ms, nt)."""
         y = np.reshape(y, self.center_plan.shape)
-        x = np.einsum("jmn,jn->mn", self._fold_columns, y[self.fold_rows])
+        x = np.einsum("jmn,jn->mn", self._fold_columns,
+                      self.eigenbasis[0][self.fold_rows] @ y)
         x += y
         return x
 
     def _folded_schur(self, x: np.ndarray) -> np.ndarray:
-        """(Q^T S Q - D) x for x = x_hat in spectral rows.  The lines along
-        the transform axis are read and written back by one batch of line
-        transforms each way, the lines across it by one product with their
-        rows of Q each way; arms carried exactly by D are skipped."""
-        plan, rows, xr = self.center_plan, self.along_rows, x[self.along_rows]
+        """(S - D) x, S the arms' term.  Lines along the transform axis are
+        rows W[r] x, taken to nodal values by one batch of line transforms;
+        lines across it are W (x across_q^T).  One product writes them all
+        back; arms carried exactly by D are skipped."""
+        plan, rows, W = self.center_plan, self.along_rows, self.eigenbasis[0]
+        xr = W[rows] @ x
         lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
-                 (x @ self.across_q.T).T)
+                 (W @ (x @ self.across_q.T)).T)
         for batch, slots, line_plan, scale in self.groups:
             v = lines[batch][slots]
             lines[batch][slots] = scale(v) if line_plan is None else \
                 transforms.apply_Q(line_plan,
                                    scale * transforms.apply_Qt(line_plan, v))
-        s_hat = lines[1].T @ self.across_q
         if rows.size:
-            s_hat[rows] += transforms.apply_Qt(plan.y_plan, lines[0]) \
-                - self.along_d * xr
-        return s_hat
+            xr = transforms.apply_Qt(plan.y_plan, lines[0]) - self.along_d * xr
+        return np.hstack([W[rows].T, W.T @ lines[1].T]) \
+            @ np.vstack([xr, self.across_q])
 
     def spectral_preconditioned(self, y: np.ndarray) -> np.ndarray:
-        """y - T^{-1} (Q^T S Q - D) x_hat with x_hat = (T - D)^{-1} T y, on
-        flat spectral coefficients: T^{-1} (T - Q^T S Q), the paper's
+        """y - T^{-1} (S - D) x with x = (T - D)^{-1} T y, on flat
+        eigenbasis coefficients: T^{-1} (T - S), the paper's
         left-preconditioned operator, right-preconditioned by
-        (T - D)^{-1} T; one sweep."""
-        s_hat = self._folded_schur(self.solution(y))
-        return np.reshape(y, -1) - sweep(self.center_plan, s_hat).reshape(-1)
+        (T - D)^{-1} T; T^{-1} is one elementwise product."""
+        s = self._folded_schur(self.solution(y))
+        return np.reshape(y, -1) - (self.eigenbasis[2] * s).reshape(-1)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:
-        """(T - Q^T S Q) x_hat = Q^T (A_c - sum S) Q x_hat on spectral
-        coefficients, flat: the coupled system in the center's basis, with
-        no full transform."""
+        """(T - S) x = (W (x) Q)^T (A_c - sum S) (W (x) Q) x on flat
+        eigenbasis coefficients: the coupled system in the center's
+        basis, with no full transform."""
         x = np.reshape(x, self.center_plan.shape)
-        out = apply_spectral(self.center_plan, x) - self._folded_schur(x)
-        out[self.fold_rows] -= self.fold_d * x[self.fold_rows]
+        W, t, _ = self.eigenbasis
+        w = W[self.fold_rows]
+        out = t * x - self._folded_schur(x)
+        out -= w.T @ (self.fold_d * (w @ x))
         return out.reshape(-1)
 
 

@@ -10,12 +10,12 @@ along those two vectors; the pass still takes out more than rounding (a
 median of 28% of ||w|| on the cross at k_n=128), but almost always
 leaves more than 1/sqrt(2) of it, so the second rarely runs.
 `solve_coupled` runs it on `ddm.SchurOperator.spectral_apply`, the
-center's system in spectral coefficients, with the true relative residual
-||f' - (A_c - S) p|| / ||f'|| as `check`, under one of two
-preconditioners:
+center's system in the eigenbasis that makes A_c diagonal, with the true
+relative residual ||f' - (A_c - S) p|| / ||f'|| as `check`, under one of
+two preconditioners:
 
-  * fft       the paper's A_c^{-1} (A_c - S) p = A_c^{-1} f', right-
-              preconditioned by the arms' folded diagonal
+  * fft       the paper's A_c^{-1} (A_c - S) p = A_c^{-1} f', A_c^{-1} one
+              elementwise product, right-preconditioned by the arms' fold
   * identity  none: (A_c - S) p = f', the baseline without a preconditioner
 """
 

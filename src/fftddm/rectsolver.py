@@ -236,6 +236,30 @@ def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
 
 
+def sweep_basis(plan: RectPlan) -> tuple:
+    """(W, mu): orthonormal eigenvectors, as the columns of W (ms, ms), and
+    eigenvalues of the sweep-axis matrix A_s, the per-mode tridiagonal less
+    its diagonal lambda_n: T_n = W diag(mu + lambda_n) W^T.
+
+    Both are closed forms.  A DD axis takes the sine basis of
+    `transforms.sine_matrix`, shifted by half a spacing at a half-cell
+    end; an NN or PP axis the transform of its own kind, whose eigenvalues
+    carry the diagonal -2 delta_s that A_s lacks.  A two-row cyclic axis
+    doubles the coupling, as its PP transform does.
+    """
+    sub = plan.subdomain
+    axis = "x" if plan.transform_axis == "y" else "y"
+    ms, off = sub.count(axis), sub.delta(axis)
+    if plan.solve_pair == "DD":
+        half = [int(sub.end_modifier(e) < 0) for e in AXIS_EDGES[axis]]
+        k = np.arange(1, ms + 1)
+        return (transforms.sine_matrix(ms, *half),
+                2.0 * off * np.cos(np.pi * k / (ms + 1 - sum(half) / 2)))
+    s_plan = transforms.make_plan(plan.solve_pair, ms, off, 0.0)
+    return (transforms.apply_Qt(s_plan, np.eye(ms)),
+            s_plan.eigenvalues + 2.0 * off)
+
+
 def interface_operator(plan: RectPlan, edge: str,
                        center: RectPlan | None = None):
     """A^{-1} on the node line next to the interface `edge`, in line form.
@@ -286,30 +310,6 @@ def interface_operator(plan: RectPlan, edge: str,
             None if center is None else 1.0 / piv[-1], exact)
 
 
-def _add_axis_terms(sub: RectSubdomain, axis: str, g, o):
-    """o += the stencil's neighbour, wrap and end terms along `axis`, on
-    views g, o whose first index runs along that axis."""
-    d = sub.delta(axis)
-    o[1:] += d * g[:-1]
-    o[:-1] += d * g[1:]
-    if sub.axis_pair(axis) == "PP":
-        o[0] += d * g[-1]
-        o[-1] += d * g[0]
-    else:
-        for row, edge in zip((0, -1), AXIS_EDGES[axis]):
-            o[row] += sub.end_modifier(edge) * g[row]
-
-
-def apply_spectral(plan: RectPlan, rows: np.ndarray) -> np.ndarray:
-    """T rows = Q^T A Q rows: the per-mode tridiagonals times spectral
-    rows (ms, nt), or their flat form; returns (ms, nt)."""
-    rows = np.reshape(rows, plan.shape)
-    out = plan.y_plan.eigenvalues * rows
-    _add_axis_terms(plan.subdomain, "x" if plan.transform_axis == "y"
-                    else "y", rows, out)
-    return out
-
-
 def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the rectangle operator (5-point stencil
     with the subdomain's boundary modifications): the nodal reference for
@@ -317,5 +317,13 @@ def apply_rect_operator(sub: RectSubdomain, values: np.ndarray) -> np.ndarray:
     G = np.asarray(values, dtype=float).reshape(sub.m, sub.n)
     out = (-2.0 * (sub.delta("x") + sub.delta("y")) + sub.kappa) * G
     for axis, g, o in (("y", G.T, out.T), ("x", G, out)):  # axis first
-        _add_axis_terms(sub, axis, g, o)
+        d = sub.delta(axis)
+        o[1:] += d * g[:-1]
+        o[:-1] += d * g[1:]
+        if sub.axis_pair(axis) == "PP":
+            o[0] += d * g[-1]
+            o[-1] += d * g[0]
+        else:
+            for row, edge in zip((0, -1), AXIS_EDGES[axis]):
+                o[row] += sub.end_modifier(edge) * g[row]
     return out.reshape(-1)

@@ -4,15 +4,15 @@ For each axis BC pair ('DD', 'NN', 'PP') the axis matrix A has a known
 orthonormal eigenvector matrix Q (sine, shifted-cosine and real Fourier
 bases respectively).  Applying Q and Q^T diagonalizes the axis
 operator:  Q^T A Q = diag(lambda).  Each kernel but the short sine
-transform runs one FFT of about n points on real data, at O(n log n): the
-sine transform (DST-I) reads its length-2(n+1) odd extension as n+1
-complex pairs and takes one half-length complex FFT, the cosine
-transforms use Makhoul's length-n reordering with a real FFT, and the
-real Fourier basis is one real FFT.  A DST-I of length n <= _DENSE_DST is
-one product with the cached sine matrix instead: its FFT runs on n + 1
-points, which these grids make prime or nearly so (2k + 1, 4k + 1), and
-there the dense product is faster at every row count.  Twiddle factors
-are computed once per `SpectralPlan`.
+transform runs one real FFT of about n points, at O(n log n): the sine
+transform (DST-I) one of length 2(n+1), the cosine transforms one of
+length n after Makhoul's reordering, and the real Fourier basis one of
+length n.  A DST-I of length n <= _DENSE_DST is one product with the
+cached sine matrix instead: its FFT runs on 2(n + 1) points, and these
+grids make n + 1 prime or nearly so (2k + 1, 4k + 1), so there the dense
+product is faster at every row count.  Twiddle factors are computed once
+per `SpectralPlan`.  `sine_matrix` also gives the shifted sine bases of
+an axis with half-cell Dirichlet ends.
 
 Sign and ordering conventions match `oracle.assemble_eigvector_matrix`
 column for column; the eigenvalue array from `eigenvalues` is ordered the
@@ -58,8 +58,8 @@ class SpectralPlan:
     Immutable; apply_Q / apply_Qt allocate their own scratch, so one plan
     may be shared across threads.  `twiddles` holds the read-only kernel
     factors for (Q^T, Q), with the orthonormal scaling folded in; for a
-    DST-I of length n <= _DENSE_DST both are the sine matrix Q itself.  Plans
-    compare by identity: their fields are arrays.
+    DST-I both are the sine matrix Q itself up to length _DENSE_DST, and
+    one scale past it.  Plans compare by identity: their fields are arrays.
     """
 
     bc: str
@@ -68,30 +68,30 @@ class SpectralPlan:
     twiddles: tuple
 
 
-@functools.lru_cache(maxsize=None)   # one per n <= _DENSE_DST at most
-def _sine_matrix(n: int) -> np.ndarray:
-    """The read-only DST-I matrix sqrt(2/M) sin(pi j k / M), M = n + 1,
-    read from one sine table at j k mod 2M, so every entry is a rounded
-    sine of an angle in [0, 2 pi)."""
-    m = n + 1
-    table = np.sqrt(2.0 / m) * np.sin(np.pi * np.arange(2 * m) / m)
+@functools.lru_cache(maxsize=None)   # one per length and ends in use
+def sine_matrix(n: int, first: int = 0, last: int = 0) -> np.ndarray:
+    """The read-only matrix of unit columns sin(pi k (j - s) / L), j, k =
+    1..n, s = first / 2, L = n + 1 - (first + last) / 2: the eigenvectors
+    of tridiag(1, 0, 1) with -1 added to row 0 if `first` and to row n - 1
+    if `last` (half-cell Dirichlet ends), eigenvalues 2 cos(pi k / L).
+    With neither it is the symmetric DST-I matrix.  Entries are read from
+    one sine table at k (2j - first) mod 4L, each a rounded sine of an
+    angle in [0, 2 pi)."""
+    m = 2 * n + 2 - first - last        # 2L
+    table = np.sin(np.pi * np.arange(2 * m) / m)
     j = np.arange(1, n + 1)
-    q = table[np.outer(j, j) % (2 * m)]
+    q = table[np.outer(2 * j - first, j) % (2 * m)]
+    q /= np.linalg.norm(q, axis=0)
     q.setflags(write=False)
     return q
 
 
 def _twiddles(bc: str, n: int) -> tuple:
     """Kernel factors (for Q^T, for Q) of one transform; see the kernels."""
-    if bc == "DD" and n <= _DENSE_DST:
-        q = _sine_matrix(n)
-        return q, q                                    # Q is symmetric
-    if bc == "DD":
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        s = 0.25 * np.sqrt(2.0 / (n + 1))
-        tw = np.stack([s * (np.sin(theta) - 1.0), s * (np.sin(theta) + 1.0),
-                       2.0 * s * np.cos(theta)])
-        return tw, tw                                  # Q is symmetric
+    if bc == "DD":                                     # Q is symmetric
+        q = sine_matrix(n) if n <= _DENSE_DST else \
+            np.array(-np.sqrt(2.0 / (n + 1)))
+        return q, q
     half = np.arange(n // 2 + 1)
     if bc == "NN":
         scale = np.where(half == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
@@ -123,27 +123,14 @@ def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
 # kernels; all operate along the last axis of a (..., n) array and return
 # Q @ v or Q^T @ v with the scaling carried by the twiddles
 
-def _dst1(v: np.ndarray, tw: np.ndarray) -> np.ndarray:
-    """sqrt(2/M) sum_k v_k sin(pi j k / M), M = n + 1, via one length-M
-    complex FFT of the odd extension w read as pairs z_t = w_2t + i w_2t+1.
-
-    With Z = FFT(z), the even and odd samples transform to
-    E_j = (Z_j + conj Z_M-j) / 2 (imaginary, as they are odd themselves, so
-    Re Z_M-j = -Re Z_j) and O_j = (Z_j - conj Z_M-j) / 2i; the sine sum is
-    -Im(E_j + exp(-i pi j / M) O_j) / 2, a real combination of Im Z_j,
-    Im Z_M-j and Re Z_j with the cos/sin(pi j / M) weights in tw.
-    """
+def _dst1(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sqrt(2/M) sum_k v_k sin(pi j k / M), M = n + 1, via one length-2M
+    real FFT of v at positions 1..n: the imaginary part of its term j is
+    -sum_k v_k sin(pi j k / M), and `scale` is -sqrt(2/M)."""
     n = v.shape[-1]
-    m = n + 1
-    w = np.zeros(v.shape[:-1] + (2 * m,))
-    w[..., 1:m] = v
-    np.negative(v[..., ::-1], out=w[..., m + 1:])
-    z = np.fft.fft(w.view(np.complex128), axis=-1)
-    zj = z[..., 1:]
-    out = tw[0] * zj.imag
-    out += tw[1] * z[..., :0:-1].imag
-    out += tw[2] * zj.real
-    return out
+    w = np.zeros(v.shape[:-1] + (2 * n + 2,))
+    w[..., 1:n + 1] = v
+    return scale * np.fft.rfft(w, axis=-1).imag[..., 1:n + 1]
 
 
 def _dct2(v: np.ndarray, tw: np.ndarray) -> np.ndarray:

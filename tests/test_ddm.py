@@ -124,10 +124,10 @@ class TestSchurOperator:
         assert op.along_rows.size == 0 and op.across_q.shape == (0, 6)
         p = rng.standard_normal(op.size)
         np.testing.assert_array_equal(op.spectral_preconditioned(p), p)
-        # no Schur term: spectral_apply is T alone
-        np.testing.assert_array_equal(
-            op.spectral_apply(p),
-            rectsolver.apply_spectral(op.center_plan, p).reshape(-1))
+        # no Schur term: spectral_apply is T alone, diag(mu + lambda)
+        _, mu = rectsolver.sweep_basis(op.center_plan)
+        np.testing.assert_array_equal(op.spectral_apply(p), (
+            mu[:, None] + op.center_plan.y_plan.eigenvalues).reshape(-1) * p)
         _, T, S_hat, _ = dense_spectral(comp, op)
         assert not S_hat.any()
         want = T @ p
@@ -318,6 +318,9 @@ LINE_OPERATOR_CASES = {
     # transform, have no transform of their own
     "half-cell-flanks": ({"south": (3, D, D, ("west", "east")),
                           "north": (2, D, D, ("west", "east"))}, {}),
+    # a one-row center: two approximate arms on its one sweep row
+    "one-row-two-arms": ({"west": (2, D, N, ()), "east": (3, D, N, ())},
+                         {"m": 1, "n": 4}),
 }
 
 
@@ -416,11 +419,11 @@ class TestLineOperators:
         pytest.param(bench.build_cross(k_n=8).composite, [], 6, id="cross-k8"),
         pytest.param(star_mixed(8), [2], 4, id="star-k8"),  # south
     ])
-    def test_one_sweep_per_preconditioned_apply(self, comp, exact_ids, calls,
-                                                monkeypatch):
-        # every arm line here has a line transform; only the center sweeps.
-        # An arm that D carries exactly (the star's south arm) costs nothing
-        # per apply: no group, and no line transform of the center.
+    def test_no_sweep_per_apply(self, comp, exact_ids, calls, monkeypatch):
+        # every arm line here has a line transform, and T is diagonal in
+        # the center's eigenbasis: an apply sweeps nothing.  An arm that D
+        # carries exactly (the star's south arm) costs nothing per apply:
+        # no group, and no line transform of the center.
         op = ddm.build_schur_operator(comp)
         assert exact_arms(comp, op) == exact_ids
         # each other arm holds one slot of one group
@@ -429,22 +432,26 @@ class TestLineOperators:
         assert len(slots) == len(op.neighbors) - len(exact_ids)
         assert slots == [(0, i) for i in range(op.along_rows.size)] \
             + [(1, i) for i in range(len(op.across_q))]
-        swept, transformed = [], []
         op.solution(np.ones(op.size))   # D's columns, built on first use
+        swept = []
         counting = recording(rectsolver.sweep, swept)
         monkeypatch.setattr(rectsolver, "sweep", counting)
-        monkeypatch.setattr(ddm, "sweep", counting)
-        for name in ("apply_Q", "apply_Qt"):
-            monkeypatch.setattr(transforms, name, recording(
-                getattr(transforms, name), transformed))
-        op.spectral_preconditioned(np.ones(op.size))
-        assert swept == [op.center_plan]
-        center_lines = transformed.count(op.center_plan.y_plan)
-        assert center_lines == (2 if op.along_rows.size else 0)
-        # one line transform each way per group, none for an exact arm
-        for *_, line_plan, _ in op.groups:
-            assert transformed.count(line_plan) == 2
-        assert len(transformed) == center_lines + 2 * len(op.groups) == calls
+        # also where ddm would import it by name
+        monkeypatch.setattr(ddm, "sweep", counting, raising=False)
+        for apply in (op.spectral_preconditioned, op.spectral_apply):
+            transformed = []
+            for name in ("apply_Q", "apply_Qt"):
+                monkeypatch.setattr(transforms, name, recording(
+                    getattr(transforms, name), transformed))
+            apply(np.ones(op.size))
+            assert swept == []
+            center_lines = transformed.count(op.center_plan.y_plan)
+            assert center_lines == (2 if op.along_rows.size else 0)
+            # one line transform each way per group, none for an exact arm
+            for *_, line_plan, _ in op.groups:
+                assert transformed.count(line_plan) == 2
+            assert len(transformed) == center_lines + 2 * len(op.groups) \
+                == calls
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=8).composite, id="cross-k8"),
@@ -537,10 +544,11 @@ class TestLineOperators:
         with pytest.raises(ValidationError, match=f"subdomain {sid}"):
             ddm.eliminate_arms(op, f)
 
-    @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep"])
+    @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep",
+                                      "one-row-two-arms"])
     def test_ddm_solve_matches_global_dense_lu(self, name, rng):
-        assert_matches_global_dense_lu(
-            star_composite(LINE_OPERATOR_CASES[name][0]), rng)
+        arms, kw = LINE_OPERATOR_CASES[name]
+        assert_matches_global_dense_lu(star_composite(arms, **kw), rng)
 
     def test_exact_folds_leave_a_direct_solve(self, rng):
         # both arms' lines are the one-row center's sweep row, with the
@@ -580,25 +588,30 @@ def spectral_cases():
 
 
 def to_spectral(op, p):
-    """Q^T p: the center's spectral coefficients, flat."""
-    return rectsolver.to_spectral(op.center_plan, p).reshape(-1)
+    """(W (x) Q)^T p: the center's eigenbasis coefficients, flat."""
+    W = op.eigenbasis[0]
+    return (W.T @ rectsolver.to_spectral(op.center_plan, p)).reshape(-1)
 
 
 def dense_spectral(comp, op):
-    """The center's system in spectral coefficients from the dense oracle:
-    (Q, T, S_hat, D) with Q taking flat spectral rows to flat nodal values,
-    T = Q^T A_c Q, S_hat = Q^T S Q and D the operator's fold."""
+    """The center's system in eigenbasis coefficients from the dense
+    oracle: (Q, T, S_hat, D) with Q taking flat coefficients to flat nodal
+    values, T = Q^T A_c Q, S_hat = Q^T S Q and D the operator's fold.  Q is
+    the line transform's Q_t (x) I conjugated by P = W (x) I_nt, W the
+    sweep axis's eigenvectors, so D = P^T diag(d) P is not diagonal."""
     plan = op.center_plan
     sub = plan.subdomain
     ms, nt = plan.shape
+    P = np.kron(op.eigenbasis[0], np.eye(nt))
     Q = np.kron(np.eye(ms),
                 oracle.assemble_eigvector_matrix(plan.y_plan.bc, nt))
     if plan.transform_axis == "x":      # spectral rows run along y
         Q = Q[np.arange(sub.size).reshape(sub.n, sub.m).T.reshape(-1)]
+    Q = Q @ P
     A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
     D = np.zeros((ms, nt))
     D[op.fold_rows] = op.fold_d
-    return Q, Q.T @ A2 @ Q, Q.T @ S @ Q, np.diag(D.reshape(-1))
+    return Q, Q.T @ A2 @ Q, Q.T @ S @ Q, P.T @ np.diag(D.reshape(-1)) @ P
 
 
 def dense_folded_operator(comp, op):

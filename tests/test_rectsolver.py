@@ -150,22 +150,49 @@ class TestInterfaceOperator:
         assert t_c is None and not exact
 
 
-class TestApplySpectral:
+# sweep-axis cases: (pair, half-cell ends); a half-cell end is Dirichlet
+SWEEP_AXES = [("DD", ()), ("DD", ("west",)), ("DD", ("east",)),
+              ("DD", ("west", "east")), ("NN", ()), ("PP", ())]
+
+
+class TestSweepBasis:
+    @pytest.mark.parametrize("pair,half,ms", [
+        (pair, half, ms) for pair, half in SWEEP_AXES
+        for ms in (1, 2, 3, 8, 9) if pair != "PP" or ms % 2 == 0])
+    def test_diagonalizes_the_sweep_axis(self, pair, half, ms):
+        # y stays pure, so x is the sweep axis
+        sub = make_rect(ms, 3, pair, "DD", dx=0.3, dy=0.2, kappa=-1.0,
+                        half=half)
+        plan = rectsolver.plan_rect(sub)
+        assert plan.transform_axis == "y"
+        delta = sub.delta("x")
+        # the axis matrix less its diagonal; two periodic rows couple twice
+        A = oracle.assemble_axis_matrix(pair, ms, delta, 0.0) \
+            + 2.0 * delta * np.eye(ms)
+        if pair == "DD":
+            A[0, 0] += sub.end_modifier("west")
+            A[-1, -1] += sub.end_modifier("east")
+        W, mu = rectsolver.sweep_basis(plan)
+        assert np.abs(W.T @ W - np.eye(ms)).max() <= 1e-13
+        assert np.abs(W.T @ A @ W - np.diag(mu)).max() <= 1e-13 * delta
+
     @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa,half", [
         (*case, ()) for case in pair_cases(4)] + [
         (x, y, m, n, kappa, half)
         for x, y, m, n, kappa, _, half in interface_cases(4) if half])
-    def test_is_the_operator_in_spectral_rows(self, x_pair, y_pair, m, n,
-                                              kappa, half, rng):
-        # T = Q^T A Q, with the sweep axis's wrap and end terms
+    def test_diagonalizes_the_rectangle(self, x_pair, y_pair, m, n, kappa,
+                                        half):
+        # (W (x) Q)^T A (W (x) Q) = diag(mu_k + lambda_n), either axis
+        # transformed
         sub = make_rect(m, n, x_pair, y_pair, dx=0.3, dy=0.2, kappa=kappa,
                         half=half)
         plan = rectsolver.plan_rect(sub)
-        rows = rng.standard_normal(plan.shape)
-        want = rectsolver.to_spectral(plan, rectsolver.apply_rect_operator(
-            sub, rectsolver.to_nodal(plan, rows)))
-        got = rectsolver.apply_spectral(plan, rows)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        W, mu = rectsolver.sweep_basis(plan)
+        B = np.column_stack([rectsolver.to_nodal(plan, W @ e.reshape(
+            plan.shape)) for e in np.eye(sub.size)])
+        t = (mu[:, None] + plan.y_plan.eigenvalues).reshape(-1)
+        got = B.T @ oracle.assemble_rect_matrix(sub) @ B
+        assert np.abs(got - np.diag(t)).max() <= 1e-12 * np.abs(t).max()
 
 
 class TestFactorTridiag:
