@@ -10,10 +10,9 @@ with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, where it is weight
 Q diag(t) Q^T (`rectsolver.interface_operator`), Q a line transform
 shared by the arms whose lines take it: one transform each way and one
-stacked multiply per group.  A line with half-cell Dirichlet flanks is a
-rank-one sweep of the arm instead.  Each arm takes two FFT rectangle
-solves per composite solve: A_i^{-1} f_i to reduce the center's
-right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
+stacked multiply per group.  Each arm takes two FFT rectangle solves per
+composite solve: A_i^{-1} f_i to reduce the center's right-hand side, and
+p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
 
 The center's mode-n tridiagonal is A_s + lambda_n I, with A_s = W diag(mu)
 W^T in closed form (`rectsolver.sweep_basis`), so its system is solved on
@@ -104,8 +103,7 @@ class SchurOperator:
     in that row of `along_d`.  `groups` holds (batch 0 along or 1 across,
     slots in that batch, line_plan, scale) per shared line transform, scale
     the arms' weight * t stacked (arms, L): Q diag(scale) Q^T, one multiply
-    (`rectsolver.interface_operator`).  A half-cell line is its own group,
-    line_plan None and scale its weighted sweep on nodal values.
+    (`rectsolver.interface_operator`).
     """
 
     coupled_id: int
@@ -174,9 +172,8 @@ class SchurOperator:
                  (W @ (x @ self.across_q.T)).T)
         for batch, slots, line_plan, scale in self.groups:
             v = lines[batch][slots]
-            lines[batch][slots] = scale(v) if line_plan is None else \
-                transforms.apply_Q(line_plan,
-                                   scale * transforms.apply_Qt(line_plan, v))
+            lines[batch][slots] = transforms.apply_Q(
+                line_plan, scale * transforms.apply_Qt(line_plan, v))
         if rows.size:
             xr = transforms.apply_Qt(plan.y_plan, lines[0]) - self.along_d * xr
         return np.hstack([W[rows].T, W.T @ lines[1].T]) \
@@ -227,13 +224,12 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
             fold[row] = fold.get(row, 0.0) + d
         if exact:
             continue
-        # a transform is fixed by its kind and length
-        key = (line_plan.bc, line_plan.n) if line_plan else len(neighbors)
-        group = groups.setdefault((int(across), key), ([], line_plan, []))
+        # a transform is fixed by its kind, length and half-cell ends
+        key = (int(across), line_plan.bc, line_plan.n, line_plan.ends)
+        group = groups.setdefault(key, ([], line_plan, []))
         batch = across_q if across else along
         group[0].append(len(batch))
-        group[2].append(weight * t if line_plan else
-                        lambda v, f=t, w=weight: w * f(v))
+        group[2].append(weight * t)
         batch.append(q_row(center_plan, end * (nt - 1)) if across
                      else (row, d))
     return SchurOperator(
@@ -244,8 +240,8 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         across_q=np.reshape(across_q, (len(across_q), nt)),
         fold_rows=np.array(list(fold), dtype=int),
         fold_d=np.reshape(list(fold.values()), (len(fold), nt)),
-        groups=tuple((b, np.array(s), p, np.array(c) if p else c[0])
-                     for (b, _), (s, p, c) in groups.items()))
+        groups=tuple((b, np.array(s), p, np.array(c))
+                     for (b, *_), (s, p, c) in groups.items()))
 
 
 def eliminate_arms(op: SchurOperator, f: dict) -> GridField:

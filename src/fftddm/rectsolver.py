@@ -1,13 +1,14 @@
 """Direct O(N log N) Helmholtz-Poisson solver on a single rectangle.
 
 Pipeline: eigenbasis transform along one axis, one tridiagonal solve per
-spectral mode along the other axis, inverse transform.  The transform
-axis must carry one of the pure pair forms (plain Dirichlet/interface,
-Neumann, periodic); the solve axis tolerates arbitrary per-end diagonal
-modifications, which is where half-cell Dirichlet edges and Neumann
-corner terms in the sweep direction land.  The tridiagonal solves are a
-twisted factorization, eliminated from both ends toward a middle row: a
-sweep takes ms / 2 sequential steps, each on every mode at once.
+spectral mode along the other axis, inverse transform.  Every axis has a
+transform (`transforms.make_plan`), a shifted sine basis where a Dirichlet
+end is half-cell; y is transformed unless only y has half-cell ends, as a
+half-cell transform is a dense product.  The sweep axis takes its end
+modifiers (half-cell Dirichlet, Neumann corners) on the diagonal.  The
+tridiagonal solves are a twisted factorization, eliminated from both ends
+toward a middle row: a sweep takes ms / 2 sequential steps, each on every
+mode at once.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .geometry import (AXIS_EDGES, OPPOSITE, GridField, RectSubdomain,
 _PIVOT_RTOL = 1e-13
 
 
-def _transformable(sub: RectSubdomain, axis: str) -> bool:
-    return sub.axis_pair(axis) != "DD" or not any(
-        map(sub.end_modifier, AXIS_EDGES[axis]))
+def _half(sub: RectSubdomain, axis: str) -> tuple:
+    """(first, last): 1 at each half-cell Dirichlet end of `axis`."""
+    return tuple(int(sub.end_modifier(e) < 0) for e in AXIS_EDGES[axis])
 
 
 @dataclass(frozen=True)
@@ -160,18 +161,13 @@ def plan_rect(subdomain: RectSubdomain) -> RectPlan:
     all-Neumann rectangle with kappa = 0).
     """
     sub = subdomain
-    for axis, s_axis in (("y", "x"), ("x", "y")):
-        if _transformable(sub, axis):
-            break
-    else:
-        raise ValidationError(
-            f"subdomain {sub.id}: neither axis is in a pure transformable "
-            f"form (half-cell Dirichlet on both axes?)")
-
+    axis, s_axis = ("x", "y") if any(_half(sub, "y")) and not any(
+        _half(sub, "x")) else ("y", "x")
     delta_s = sub.delta(s_axis)
     s_pair = sub.axis_pair(s_axis)
     plan = transforms.make_plan(sub.axis_pair(axis), sub.count(axis),
-                                sub.delta(axis), delta_s, sub.kappa)
+                                sub.delta(axis), delta_s, sub.kappa,
+                                _half(sub, axis))
     lam = plan.eigenvalues
 
     diag = np.tile(lam, (sub.count(s_axis), 1))
@@ -241,63 +237,50 @@ def sweep_basis(plan: RectPlan) -> tuple:
     eigenvalues of the sweep-axis matrix A_s, the per-mode tridiagonal less
     its diagonal lambda_n: T_n = W diag(mu + lambda_n) W^T.
 
-    Both are closed forms.  A DD axis takes the sine basis of
-    `transforms.sine_matrix`, shifted by half a spacing at a half-cell
-    end; an NN or PP axis the transform of its own kind, whose eigenvalues
-    carry the diagonal -2 delta_s that A_s lacks.  A two-row cyclic axis
+    Both are the closed forms of the axis's own transform, planned with
+    the normal delta -delta_s, which cancels the diagonal -2 delta_s that
+    A_s lacks.  A DD axis's W is the cached `transforms.sine_matrix`,
+    shifted by half a spacing at a half-cell end.  A two-row cyclic axis
     doubles the coupling, as its PP transform does.
     """
     sub = plan.subdomain
     axis = "x" if plan.transform_axis == "y" else "y"
-    ms, off = sub.count(axis), sub.delta(axis)
-    if plan.solve_pair == "DD":
-        half = [int(sub.end_modifier(e) < 0) for e in AXIS_EDGES[axis]]
-        k = np.arange(1, ms + 1)
-        return (transforms.sine_matrix(ms, *half),
-                2.0 * off * np.cos(np.pi * k / (ms + 1 - sum(half) / 2)))
-    s_plan = transforms.make_plan(plan.solve_pair, ms, off, 0.0)
-    return (transforms.apply_Qt(s_plan, np.eye(ms)),
-            s_plan.eigenvalues + 2.0 * off)
+    ms, off, ends = sub.count(axis), sub.delta(axis), _half(sub, axis)
+    s_plan = transforms.make_plan(plan.solve_pair, ms, off, -off, 0.0, ends)
+    return (transforms.sine_matrix(ms, *ends) if plan.solve_pair == "DD"
+            else transforms.apply_Qt(s_plan, np.eye(ms)), s_plan.eigenvalues)
 
 
 def interface_operator(plan: RectPlan, edge: str,
                        center: RectPlan | None = None):
     """A^{-1} on the node line next to the interface `edge`, in line form.
 
-    Returns (line_plan, t, t_c, exact).  Where the line's axis is
-    transformable, A^{-1} takes values on that line, in tangential order,
-    to the same line as Q diag(t) Q^T, Q the transform of `line_plan`,
-    with t_k = (T_k^{-1})_jj, T_k the mode-k tridiagonal across the line
-    and j the line's place on it.  Q is the plan's own transform for a
-    line along its transform axis (a sweep row), else one made for the
-    line's axis; t is the last pivot of the pivot-only elimination run
-    from the far edge.
+    Returns (line_plan, t, t_c, exact).  A^{-1} takes values on that
+    line, in tangential order, to the same line as Q diag(t) Q^T, Q the
+    transform of `line_plan`, with t_k = (T_k^{-1})_jj, T_k the mode-k
+    tridiagonal across the line and j the line's place on it.  Q is the
+    plan's own transform for a line along its transform axis (a sweep
+    row), else one made for the line's axis, half-cell ends included; t
+    is the last pivot of the pivot-only elimination run from the far edge.
 
     Given the plan of a center whose sweep row is the facing line, t_c is
     t at the center's line eigenvalues moved into this rectangle's frame
     (normal-axis diagonal and kappa), from the same pivot loop: about the
     diagonal of Q_c^T Q diag(t) Q^T Q_c, and exactly t when the line's
-    transform is the center's (`exact`).  Else t_c is None.
-
-    An interface's normal axis is never periodic, so no cyclic correction
-    enters.  A line across the transform axis whose flanks are half-cell
-    Dirichlet has no transform: line_plan is None and t the block itself,
-    one transform-free sweep of v (x) Q[j, :] contracted with Q[j, :].
+    transform is the center's (`exact`: same pair and ends).  Else t_c
+    is None.  An interface's normal axis is never periodic, so no cyclic
+    correction enters.
     """
     sub = plan.subdomain
-    normal, end = edge_end(edge)
+    normal = edge_end(edge)[0]
     line = "y" if normal == "x" else "x"
     off = sub.delta(normal)
-    if normal != plan.transform_axis:
-        line_plan = plan.y_plan
-    elif _transformable(sub, line):
-        line_plan = transforms.make_plan(sub.axis_pair(line), sub.count(line),
-                                         sub.delta(line), off, sub.kappa)
-    else:
-        q = q_row(plan, end * (plan.y_plan.n - 1))  # first or last position
-        return None, lambda v: sweep(plan, np.outer(v, q)) @ q, None, False
+    line_plan = plan.y_plan if normal != plan.transform_axis else \
+        transforms.make_plan(sub.axis_pair(line), sub.count(line),
+                             sub.delta(line), off, sub.kappa, _half(sub, line))
     lam = line_plan.eigenvalues[None]
-    exact = center is not None and center.y_plan.bc == line_plan.bc
+    exact = center is not None and (center.y_plan.bc, center.y_plan.ends) \
+        == (line_plan.bc, line_plan.ends)
     if center is not None and not exact:
         c = center.subdomain
         shift = 2.0 * (c.delta(normal) - off) + sub.kappa - c.kappa

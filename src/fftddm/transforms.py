@@ -10,9 +10,10 @@ length n after Makhoul's reordering, and the real Fourier basis one of
 length n.  A DST-I of length n <= _DENSE_DST is one product with the
 cached sine matrix instead: its FFT runs on 2(n + 1) points, and these
 grids make n + 1 prime or nearly so (2k + 1, 4k + 1), so there the dense
-product is faster at every row count.  Twiddle factors are computed once
-per `SpectralPlan`.  `sine_matrix` also gives the shifted sine bases of
-an axis with half-cell Dirichlet ends.
+product is faster at every row count.  A Dirichlet axis with half-cell
+ends (`ends`) takes the shifted sine basis of `sine_matrix`, which is not
+symmetric, as two dense products (Q^T and Q) at any length.  Twiddle
+factors are computed once per `SpectralPlan`.
 
 Sign and ordering conventions match `oracle.assemble_eigvector_matrix`
 column for column; the eigenvalue array from `eigenvalues` is ordered the
@@ -37,18 +38,20 @@ _DENSE_DST = 256                # longest DST-I applied as a dense product
 
 
 def eigenvalues(bc: str, n: int, delta_t: float, delta_o: float,
-                kappa: float = 0.0) -> np.ndarray:
-    """Eigenvalue array of the axis matrix, ordered to match apply_Q."""
+                kappa: float = 0.0, ends: tuple = (0, 0)) -> np.ndarray:
+    """Eigenvalue array of the axis matrix, ordered to match apply_Q:
+    -2 (delta_t + delta_o) + 2 delta_t cos(theta_j) + kappa.  `ends` marks
+    a DD axis's half-cell ends (first, last)."""
     j = np.arange(1, n + 1, dtype=float)
     if bc == "DD":
-        lam = -2.0 * (delta_t + delta_o) + 2.0 * delta_t * np.cos(j * np.pi / (n + 1))
+        theta = j * np.pi / (n + 1 - sum(ends) / 2)
     elif bc == "NN":
-        lam = -2.0 * (delta_t + delta_o) + 2.0 * delta_t * np.cos((j - 1) * np.pi / n)
+        theta = (j - 1) * np.pi / n
     elif bc == "PP":
-        lam = -2.0 * (delta_t + delta_o) + 2.0 * delta_t * np.cos(2.0 * np.pi * (j - 1) / n)
+        theta = 2.0 * np.pi * (j - 1) / n
     else:
         raise ValidationError(f"unknown BC pair {bc!r}")
-    return lam + kappa
+    return -2.0 * (delta_t + delta_o) + 2.0 * delta_t * np.cos(theta) + kappa
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +62,15 @@ class SpectralPlan:
     may be shared across threads.  `twiddles` holds the read-only kernel
     factors for (Q^T, Q), with the orthonormal scaling folded in; for a
     DST-I both are the sine matrix Q itself up to length _DENSE_DST, and
-    one scale past it.  Plans compare by identity: their fields are arrays.
+    one scale past it; for a DD axis with half-cell `ends` they are Q and
+    Q^T.  Plans compare by identity: their fields are arrays.
     """
 
     bc: str
     n: int
     eigenvalues: np.ndarray
     twiddles: tuple
+    ends: tuple
 
 
 @functools.lru_cache(maxsize=None)   # one per length and ends in use
@@ -86,8 +91,11 @@ def sine_matrix(n: int, first: int = 0, last: int = 0) -> np.ndarray:
     return q
 
 
-def _twiddles(bc: str, n: int) -> tuple:
+def _twiddles(bc: str, n: int, ends: tuple) -> tuple:
     """Kernel factors (for Q^T, for Q) of one transform; see the kernels."""
+    if any(ends):
+        q = sine_matrix(n, *ends)
+        return q, q.T
     if bc == "DD":                                     # Q is symmetric
         q = sine_matrix(n) if n <= _DENSE_DST else \
             np.array(-np.sqrt(2.0 / (n + 1)))
@@ -105,18 +113,22 @@ def _twiddles(bc: str, n: int) -> tuple:
 
 
 def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
-              kappa: float = 0.0) -> SpectralPlan:
+              kappa: float = 0.0, ends: tuple = (0, 0)) -> SpectralPlan:
     if n < 1:
         raise ValidationError("transform length must be >= 1")
     if bc not in BC_PAIRS:
         raise ValidationError(f"unknown BC pair {bc!r}")
     if bc == "PP" and n % 2:
         raise ValidationError("periodic transforms need an even length")
-    lam = eigenvalues(bc, n, delta_t, delta_o, kappa)
-    twiddles = _twiddles(bc, n)
+    if bc != "DD" and any(ends):
+        raise ValidationError("half-cell ends need a DD pair")
+    ends = tuple(ends)
+    lam = eigenvalues(bc, n, delta_t, delta_o, kappa, ends)
+    twiddles = _twiddles(bc, n, ends)
     for a in (lam, *twiddles):
         a.setflags(write=False)
-    return SpectralPlan(bc=bc, n=n, eigenvalues=lam, twiddles=twiddles)
+    return SpectralPlan(bc=bc, n=n, eigenvalues=lam, twiddles=twiddles,
+                        ends=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,7 @@ def apply_Q(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     v = _checked(plan, v)
     tw = plan.twiddles[1]
     if plan.bc == "DD":
-        return v @ tw if plan.n <= _DENSE_DST else _dst1(v, tw)
+        return v @ tw if tw.ndim else _dst1(v, tw)
     if plan.bc == "NN":
         return _dct3(v, tw)
     return _irdft(v, tw)
@@ -210,7 +222,7 @@ def apply_Qt(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     v = _checked(plan, v)
     tw = plan.twiddles[0]
     if plan.bc == "DD":
-        return v @ tw if plan.n <= _DENSE_DST else _dst1(v, tw)
+        return v @ tw if tw.ndim else _dst1(v, tw)
     if plan.bc == "NN":
         return _dct2(v, tw)
     return _rdft(v, tw)

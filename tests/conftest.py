@@ -39,9 +39,7 @@ def rect_row(count, links):
 def interface_block(line_plan, t, v):
     """The block of A^{-1} that `rectsolver.interface_operator` returns as
     (line_plan, t), applied to line values v: Q diag(t) Q^T v with Q the
-    transform of `line_plan`, or, with no line plan, the half-cell sweep."""
-    if line_plan is None:
-        return t(v)
+    transform of `line_plan`."""
     return transforms.apply_Q(line_plan, t * transforms.apply_Qt(line_plan, v))
 
 

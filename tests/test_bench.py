@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fftddm import bench, cli, krylov, oracle
+from fftddm import bench, cli, ddm, krylov, oracle
 from fftddm.errors import ValidationError
-from fftddm.geometry import validate
+from fftddm.geometry import BoundaryKind, validate
 
 L = 1.0 / 7.0
+D = BoundaryKind.DIRICHLET
+I = BoundaryKind.INTERFACE
 
 
 class TestBuildCross:
@@ -49,6 +52,17 @@ class TestPsiCoefficients:
     def test_psi_y_endpoints(self, y, want):
         case = bench.build_cross(k_n=1)
         assert bench._psi_y(case, y) == pytest.approx(want, abs=1e-12)
+
+
+def dirichlet_cross(k_n):
+    """The cross with half-cell Dirichlet data on every outer edge."""
+    comp = bench.build_cross(k_n=k_n).composite
+    subs = [dataclasses.replace(
+        sub, edge_bc={e: k if k is I else D for e, k in sub.edge_bc.items()},
+        half_cell_dirichlet=frozenset(
+            e for e, k in sub.edge_bc.items() if k is not I))
+        for sub in comp.subdomains]
+    return dataclasses.replace(comp, subdomains=subs)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +131,25 @@ class TestConvergence:
     def test_unsorted_sweep_rejected(self, kn_list):
         with pytest.raises(ValidationError):
             bench.run_convergence(kn_list)
+
+    def test_all_dirichlet_half_cell_cross_is_second_order(self):
+        # every outer edge half-cell Dirichlet, flanks included, so each arm
+        # has half-cell ends on both axes; u = sin(7 pi x) sin(7 pi y)
+        # vanishes on every outer edge, each on a multiple of L = 1/7
+        errors = []
+        for kn in (8, 16, 32, 64):
+            comp = dirichlet_cross(kn)
+            exact, f = {}, {}
+            for sub in comp.subdomains:
+                X, Y = np.meshgrid(sub.x_nodes(), sub.y_nodes(),
+                                   indexing="ij")
+                exact[sub.id] = np.sin(7 * np.pi * X) * np.sin(7 * np.pi * Y)
+                f[sub.id] = -2.0 * (7 * np.pi) ** 2 * exact[sub.id].ravel()
+            fields, _ = ddm.ddm_solve(comp, f)
+            errors.append(max(np.abs(fields[sid].values - u.ravel()).max()
+                              for sid, u in exact.items()))
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
     def test_kn2_matches_dense_global_solve(self):
         case = bench.build_cross(k_n=2)

@@ -315,9 +315,14 @@ LINE_OPERATOR_CASES = {
                  {"dx": 0.25, "dy": 0.25, "kappa": 0.0,
                   "center_half": ("north",)}),
     # half-cell flanks: y-transformed arms whose lines, across their
-    # transform, have no transform of their own
+    # transform, take a shifted sine transform of their own
     "half-cell-flanks": ({"south": (3, D, D, ("west", "east")),
                           "north": (2, D, D, ("west", "east"))}, {}),
+    # half-cell ends on both axes of each arm, which transforms y by a
+    # shifted sine basis: the south arm's line runs across that transform
+    # and takes a shifted sine transform of its own, the west arm's along it
+    "half-cell-both-axes": ({"south": (3, D, D, ("south", "west")),
+                             "west": (2, D, D, ("west", "north"))}, {}),
     # a one-row center: two approximate arms on its one sweep row
     "one-row-two-arms": ({"west": (2, D, N, ()), "east": (3, D, N, ())},
                          {"m": 1, "n": 4}),
@@ -334,19 +339,17 @@ def recording(func, calls):
 
 def block_kind(plan, edge):
     """How an arm's interface block is applied: 'plan-axis' by the plan's
-    own line transforms, 'line-axis' by a transform planned for the line,
-    'sweep' by a rank-one sweep of the arm."""
-    made, swept = [], []
+    own line transforms, 'line-axis' by a transform planned for the line;
+    with '-half' where that transform has half-cell ends."""
+    made = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "make_plan",
                    recording(transforms.make_plan, made))
-        mp.setattr(rectsolver, "sweep", recording(rectsolver.sweep, swept))
         line_plan, t, _, _ = rectsolver.interface_operator(plan, edge)
         interface_block(line_plan, t,
                         np.ones(line_indices(plan.subdomain, edge).size))
-    if swept:
-        return "sweep"
-    return "line-axis" if made else "plan-axis"
+    kind = "line-axis" if made else "plan-axis"
+    return kind + "-half" if any(line_plan.ends) else kind
 
 
 def arm_lines(comp, op):
@@ -411,25 +414,28 @@ class TestLineOperators:
                 arm, edge = iface.other_side(0)
                 plan = rectsolver.plan_rect(comp.subdomain(arm))
                 kinds.add((plan.transform_axis, block_kind(plan, edge)))
-        assert {kind for _, kind in kinds} == {"plan-axis", "line-axis",
-                                               "sweep"}
-        assert {("x", "sweep"), ("y", "sweep")} <= kinds
+        assert {kind for _, kind in kinds} == {
+            "plan-axis", "line-axis", "plan-axis-half", "line-axis-half"}
+        assert {("x", "line-axis-half"), ("y", "line-axis-half"),
+                ("y", "plan-axis-half")} <= kinds
 
     @pytest.mark.parametrize("comp,exact_ids,calls", [
         pytest.param(bench.build_cross(k_n=8).composite, [], 6, id="cross-k8"),
         pytest.param(star_mixed(8), [2], 4, id="star-k8"),  # south
-    ])
+    ] + [pytest.param(star_composite(arms, **kw), None, None, id=name)
+         for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())])
     def test_no_sweep_per_apply(self, comp, exact_ids, calls, monkeypatch):
-        # every arm line here has a line transform, and T is diagonal in
-        # the center's eigenbasis: an apply sweeps nothing.  An arm that D
+        # every arm line has a line transform, and T is diagonal in the
+        # center's eigenbasis: an apply sweeps nothing.  An arm that D
         # carries exactly (the star's south arm) costs nothing per apply:
         # no group, and no line transform of the center.
         op = ddm.build_schur_operator(comp)
-        assert exact_arms(comp, op) == exact_ids
+        exact = exact_arms(comp, op)
+        assert exact_ids is None or exact == exact_ids
         # each other arm holds one slot of one group
         slots = sorted((batch, int(s)) for batch, group, *_ in op.groups
                        for s in group)
-        assert len(slots) == len(op.neighbors) - len(exact_ids)
+        assert len(slots) == len(op.neighbors) - len(exact)
         assert slots == [(0, i) for i in range(op.along_rows.size)] \
             + [(1, i) for i in range(len(op.across_q))]
         op.solution(np.ones(op.size))   # D's columns, built on first use
@@ -450,8 +456,8 @@ class TestLineOperators:
             # one line transform each way per group, none for an exact arm
             for *_, line_plan, _ in op.groups:
                 assert transformed.count(line_plan) == 2
-            assert len(transformed) == center_lines + 2 * len(op.groups) \
-                == calls
+            assert len(transformed) == center_lines + 2 * len(op.groups)
+            assert calls is None or len(transformed) == calls
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=8).composite, id="cross-k8"),
@@ -631,8 +637,7 @@ def arm_symbols(comp, op):
                 nb.plan, edge, plan)
             B = np.column_stack([interface_block(line_plan, t, e)
                                  for e in np.eye(plan.y_plan.n)])
-            yield (None if t_c is None else weight * t_c,
-                   weight * Qc.T @ B @ Qc, exact)
+            yield weight * t_c, weight * Qc.T @ B @ Qc, exact
 
 
 class TestSpectralOperator:
@@ -674,11 +679,11 @@ class TestSpectralOperator:
             kinds |= {(op.center_plan.transform_axis,
                        "across" if across else "along")
                       for _, _, across, _ in arm_lines(comp, op)}
-            folds |= {"none" if d is None else "exact" if exact else "approx"
-                      for d, _, exact in arm_symbols(comp, op)}
+            folds |= {"exact" if exact else "approx"
+                      for _, _, exact in arm_symbols(comp, op)}
         assert kinds == {(axis, kind) for axis in ("x", "y")
                          for kind in ("along", "across")}
-        assert folds == {"none", "exact", "approx"}
+        assert folds == {"exact", "approx"}
 
     def test_exact_symbol_is_the_arm_in_the_center_basis(self):
         comp = star_mixed(8)
@@ -700,3 +705,60 @@ class TestSpectralOperator:
             diag = np.diag(block)
             assert np.abs(d - diag).max() <= 0.03 * np.abs(diag).max()
         assert sorted(op.fold_rows) == [0, op.center_plan.shape[0] - 1]
+
+
+RANDOM_STARS = 120
+KAPPAS = (-50.0, -3.0, 0.0, 2.0)
+
+
+def random_star(seed):
+    """A valid star composite drawn from `seed`: a center of 1-6 by 1-6
+    nodes with 1-4 arms of depth 1-4, each with Dirichlet, Neumann or
+    periodic flanks; half-cell Dirichlet ends, each with probability one
+    half, on the arms' outer edges and Dirichlet flanks and on the
+    center's free edges; dx != dy and kappa from KAPPAS."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(c) for c in rng.integers(1, 7, size=2))
+    flanks = {"west": ("south", "north"), "east": ("south", "north"),
+              "south": ("west", "east"), "north": ("west", "east")}
+    arms = {}
+    for edge in map(str, rng.permutation(list(flanks))[:rng.integers(1, 5)]):
+        length = n if edge in ("west", "east") else m
+        kinds = (D, N, P) if length % 2 == 0 else (D, N)
+        flank = kinds[rng.integers(len(kinds))]
+        half = [e for e in (edge,) + (flanks[edge] if flank is D else ())
+                if rng.random() < 0.5]
+        arms[edge] = (int(rng.integers(1, 5)), D, flank, tuple(half))
+    center_half = tuple(e for e in flanks
+                        if e not in arms and rng.random() < 0.5)
+    dx, dy = rng.uniform(0.1, 0.3, size=2)
+    return star_composite(arms, m=m, n=n, dx=dx, dy=dy,
+                          kappa=KAPPAS[rng.integers(len(KAPPAS))],
+                          center_half=center_half)
+
+
+class TestRandomStars:
+    @pytest.mark.parametrize("seed", range(RANDOM_STARS))
+    def test_matches_global_dense_lu(self, seed, rng):
+        assert_matches_global_dense_lu(random_star(seed), rng)
+
+    def test_sample_covers_the_arm_kinds(self):
+        # every block kind, with and without half-cell ends on both of the
+        # arm's axes, every flank kind and every kappa
+        kinds, flanks, kappas = set(), set(), set()
+        for seed in range(RANDOM_STARS):
+            comp = random_star(seed)
+            kappas.add(comp.subdomain(0).kappa)
+            for iface in comp.interfaces_of(0):
+                arm, edge = iface.other_side(0)
+                sub = comp.subdomain(arm)
+                plan = rectsolver.plan_rect(sub)
+                both = all(any(rectsolver._half(sub, a)) for a in "xy")
+                kinds.add((block_kind(plan, edge), both))
+                flanks.add(sub.axis_pair("y" if edge in ("west", "east")
+                                         else "x"))
+        # an arm with half-cell ends on both axes has them on its line too
+        assert kinds == {("plan-axis", False), ("line-axis", False),
+                         ("line-axis-half", False), ("plan-axis-half", True),
+                         ("line-axis-half", True)}
+        assert flanks == {"DD", "NN", "PP"} and kappas == set(KAPPAS)

@@ -6,11 +6,22 @@ import pytest
 
 from fftddm import oracle, rectsolver
 from fftddm.errors import SingularOperatorError, ValidationError
-from fftddm.geometry import GridField, line_indices
+from fftddm.geometry import AXIS_EDGES, GridField, edge_end, line_indices
 
 from conftest import interface_block, make_rect
 
 PAIRS = ("DD", "NN", "PP")
+# (first, last) half-cell ends of one Dirichlet axis
+HALF_ENDS = ((1, 0), (0, 1), (1, 1))
+
+
+def ends_id(ends):
+    return "".join(map(str, ends))
+
+
+def half_edges(axis, ends):
+    """The edges of `axis` that carry the half-cell `ends`."""
+    return tuple(e for e, h in zip(AXIS_EDGES[axis], ends) if h)
 
 
 def pair_cases(max_mn=8):
@@ -99,6 +110,21 @@ class TestSolveRect:
         got = rectsolver.solve_rect(rectsolver.plan_rect(sub), f).values
         np.testing.assert_allclose(got, want, atol=1e-11)
 
+    @pytest.mark.parametrize("x_ends,y_ends", list(itertools.product(
+        HALF_ENDS, repeat=2)), ids=ends_id)
+    def test_half_cell_ends_on_both_axes(self, x_ends, y_ends, rng):
+        # y, the transform axis, takes the shifted sine basis
+        half = half_edges("x", x_ends) + half_edges("y", y_ends)
+        for m, n in itertools.product(range(1, 6), repeat=2):
+            sub = make_rect(m, n, dx=0.3, dy=0.2, kappa=-1.5, half=half)
+            plan = rectsolver.plan_rect(sub)
+            assert plan.transform_axis == "y" and plan.y_plan.ends == y_ends
+            A = oracle.assemble_rect_matrix(sub)
+            f = rng.standard_normal(sub.size)
+            want = oracle.dense_lu_solve(A, f)
+            got = rectsolver.solve_rect(plan, f).values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_residual_at_64x64(self, rng):
         sub = make_rect(64, 64, dx=1 / 65, dy=1 / 65)
         plan = rectsolver.plan_rect(sub)
@@ -148,6 +174,30 @@ class TestInterfaceOperator:
                                for e in np.eye(line.size)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert t_c is None and not exact
+
+    @pytest.mark.parametrize("far_half", [False, True])
+    @pytest.mark.parametrize("line_ends", HALF_ENDS, ids=ends_id)
+    @pytest.mark.parametrize("edge", ["west", "east", "south", "north"])
+    def test_half_cell_line_matches_dense_inverse_block(self, edge,
+                                                        line_ends, far_half):
+        # the line's own axis has half-cell ends, and with far_half the far
+        # edge too: the line takes a shifted sine transform, of its own or
+        # the plan's, never a sweep
+        normal, end = edge_end(edge)
+        line = "y" if normal == "x" else "x"
+        half = half_edges(line, line_ends) \
+            + ((AXIS_EDGES[normal][1 - end],) if far_half else ())
+        for m, n in itertools.product(range(1, 6), repeat=2):
+            sub = make_rect(m, n, dx=0.3, dy=0.2, kappa=2.0, half=half)
+            plan = rectsolver.plan_rect(sub)
+            idx = line_indices(sub, edge)
+            want = np.linalg.inv(oracle.assemble_rect_matrix(sub))[
+                np.ix_(idx, idx)]
+            line_plan, t, _, _ = rectsolver.interface_operator(plan, edge)
+            assert line_plan.ends == line_ends
+            got = np.column_stack([interface_block(line_plan, t, e)
+                                   for e in np.eye(idx.size)])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # sweep-axis cases: (pair, half-cell ends); a half-cell end is Dirichlet

@@ -50,6 +50,57 @@ class TestEigenvalues:
             transforms.eigenvalues("DN", 4, 1.0, 1.0)
 
 
+# (first, last) half-cell ends of a Dirichlet axis
+HALF_ENDS = ((1, 0), (0, 1), (1, 1))
+
+
+def half_cell_axis_matrix(n, ends, delta_t, delta_o, kappa):
+    """The DD axis matrix with -delta_t added at each half-cell end."""
+    A = oracle.assemble_axis_matrix("DD", n, delta_t, delta_o, kappa=kappa)
+    A[0, 0] -= delta_t * ends[0]
+    A[-1, -1] -= delta_t * ends[1]
+    return A
+
+
+class TestHalfCellPlans:
+    @pytest.mark.parametrize("ends", HALF_ENDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+    def test_diagonalizes_the_axis(self, n, ends):
+        plan = transforms.make_plan("DD", n, 1.3, 0.4, 0.2, ends)
+        assert plan.ends == ends
+        Q = np.column_stack(
+            [transforms.apply_Q(plan, col) for col in np.eye(n)])
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
+        D = Q.T @ half_cell_axis_matrix(n, ends, 1.3, 0.4, 0.2) @ Q
+        lam = plan.eigenvalues
+        assert np.abs(D - np.diag(lam)).max() \
+            <= 1e-12 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_dense_at_any_length(self, n, rng):
+        # Q is not symmetric: Q^T and Q are two products with the cached
+        # shifted sine matrix, past the DST-I's dense cut too
+        plan = transforms.make_plan("DD", n, 1.0, 1.0, 0.0, (0, 1))
+        Q = transforms.sine_matrix(n, 0, 1)
+        assert plan.twiddles[0] is Q and plan.twiddles[1].base is Q
+        V = rng.standard_normal((2, n))
+        np.testing.assert_array_equal(transforms.apply_Qt(plan, V), V @ Q)
+        np.testing.assert_array_equal(transforms.apply_Q(plan, V), V @ Q.T)
+
+    def test_pure_ends_keep_the_dst1(self):
+        a, b = (transforms.make_plan("DD", 9, 1.0, 1.0, 0.0, e)
+                for e in ((0, 0), [0, 0]))
+        np.testing.assert_array_equal(
+            a.eigenvalues, transforms.eigenvalues("DD", 9, 1.0, 1.0))
+        assert a.twiddles[0] is a.twiddles[1] is b.twiddles[0]
+        assert a.ends == b.ends == (0, 0)
+
+    @pytest.mark.parametrize("bc", ["NN", "PP"])
+    def test_ends_need_a_dirichlet_pair(self, bc):
+        with pytest.raises(ValidationError, match="half-cell"):
+            transforms.make_plan(bc, 4, 1.0, 1.0, 0.0, (1, 0))
+
+
 class TestMakePlan:
     def test_pp_odd_rejected(self):
         with pytest.raises(ValidationError):
