@@ -9,24 +9,20 @@ gives a system on the center alone,
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, where it is weight
 Q diag(t) Q^T (`rectsolver.interface_operator`), Q a line transform
-shared by the arms whose lines take it: one transform each way and one
-stacked multiply per group.  Each arm takes two FFT rectangle solves per
-composite solve: A_i^{-1} f_i to reduce the center's right-hand side, and
-p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
+shared by the arms whose lines take it.  Each arm takes two FFT rectangle
+solves per composite solve: A_i^{-1} f_i to reduce the center's
+right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
 
-The center's mode-n tridiagonal is A_s + lambda_n I, with A_s = W diag(mu)
-W^T in closed form (`rectsolver.sweep_basis`), so its system is solved on
-the orthogonal eigenbasis coefficients p~ = (W (x) Q)^T p as (T - S) p~ =
-f~ (`SchurOperator.spectral_apply`), T = diag(mu_k + lambda_n), with the
-nodal residual norms; T^{-1}, one elementwise product, is the fft
-preconditioner.  An arm on sweep row r adds w_r w_r^T (x) diag(d) to the
-fold D, w_r = W^T e_r, and the fft GMRES runs right-preconditioned by
-(T - D)^{-1} T (Chan & Resasco's modified fast solver): p~ = y + sum_r c_r
-(w_r^T y).  An arm whose line transform is the center's is d exactly and
-drops out of the per-iteration operator.  Only the interface lines leave
-the eigenbasis: a line along the transform axis is W[r] p~ and one line
-transform each way, a line across it W (p~ q_j), q_j a row of Q; one
-product writes all lines back.  An iteration sweeps nothing.
+The center's system is solved on its eigenbasis coefficients p~ = (W (x)
+Q)^T p as (T - S) p~ = f~, T = diag(mu_k + lambda_n) (`sweep_basis`).
+The fft GMRES runs the paper's T^{-1} (T - S), right-preconditioned by
+(T - D)^{-1} T (Chan & Resasco's modified fast solver), D the arms'
+symbols folded onto their sweep rows.  That operator is y - T^{-1} (S -
+D) x, and S - D writes only the interface lines, so GMRES runs on the
+coordinates of b and of T^{-1} W^T at each interface node, a basis of
+1 + |interface| vectors, each stored with its dual (`coordinates`).  An
+iteration expands two such vectors onto the eigenbasis, one for the
+operator and one for a dual, reads the arms' lines and sweeps nothing.
 """
 
 from __future__ import annotations
@@ -36,11 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
 from .geometry import (CompositeDomain, GridField, Interface, edge_end,
                        field_values, line_indices, validate)
-from .rectsolver import (RectPlan, interface_operator, plan_rect, q_row,
-                         solve_rect)
+from .rectsolver import RectPlan, interface_operator, plan_rect, solve_rect
 from . import krylov, rectsolver, transforms
 
 
@@ -54,17 +48,12 @@ class CouplingMap:
 
     from_id: int
     to_id: int
-    from_size: int
     to_size: int
     from_idx: np.ndarray
     to_idx: np.ndarray
     coupling: float
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if values.shape != (self.from_size,):
-            raise ValidationError(
-                f"field length {values.shape} does not match subdomain "
-                f"{self.from_id} (size {self.from_size})")
         out = np.zeros(self.to_size)
         out[self.to_idx] = self.coupling * values[self.from_idx]
         return out
@@ -76,8 +65,7 @@ def make_coupling(comp: CompositeDomain, iface: Interface,
     to_id, to_edge = iface.other_side(from_id)
     from_edge = iface.other_side(to_id)[1]
     sub_f, sub_t = comp.subdomain(from_id), comp.subdomain(to_id)
-    return CouplingMap(from_id=from_id, to_id=to_id,
-                       from_size=sub_f.size, to_size=sub_t.size,
+    return CouplingMap(from_id=from_id, to_id=to_id, to_size=sub_t.size,
                        from_idx=line_indices(sub_f, from_edge),
                        to_idx=line_indices(sub_t, to_edge),
                        coupling=comp.coupling(iface))
@@ -94,16 +82,15 @@ class _Neighbor:
 class SchurOperator:
     """Matrix-free A_c - sum S in the center's eigenbasis, FFT-backed.
 
-    Each interface line is a whole center edge.  A line along the
-    transform axis is a sweep row; a line across it is transform column
-    j, read through a row of `across_q`, row j of Q.  An arm on sweep row
-    r adds d = weight * t_c (weight the product of its couplings) to the
-    fold there (`fold_rows`, `fold_d`); unless the fold carries it
-    exactly, it is applied per iteration on a row of `along_rows`, with d
-    in that row of `along_d`.  `groups` holds (batch 0 along or 1 across,
-    slots in that batch, line_plan, scale) per shared line transform, scale
-    the arms' weight * t stacked (arms, L): Q diag(scale) Q^T, one multiply
-    (`rectsolver.interface_operator`).
+    Each interface line is a whole center edge: a sweep row along the
+    transform axis, else transform column j, read through row j of Q (a
+    row of `across_q`).  An arm on sweep row r adds d = weight * t_c
+    (weight the product of its couplings) to the fold there (`fold_rows`,
+    `fold_d`); unless the fold carries it exactly, it is applied per
+    iteration on a row of `along_rows`, d in that row of `along_d`.
+    `groups` holds (batch 0 along or 1 across, slots in that batch,
+    line_plan, scale) per shared line transform, scale the arms' weight *
+    t stacked (arms, L): Q diag(scale) Q^T (`interface_operator`).
     """
 
     coupled_id: int
@@ -135,18 +122,16 @@ class SchurOperator:
         return rectsolver.to_nodal(self.center_plan,
                                    W @ np.reshape(p, self.center_plan.shape))
 
-    def spectral_rhs(self, f: np.ndarray) -> tuple:
-        """((W (x) Q)^T f, T^{-1} of it), flat."""
-        W, _, r = self.eigenbasis
-        f_t = W.T @ rectsolver.to_spectral(self.center_plan, f)
-        return f_t.reshape(-1), (r * f_t).reshape(-1)
+    def spectral_rhs(self, f: np.ndarray) -> np.ndarray:
+        """(W (x) Q)^T f, flat."""
+        return (self.eigenbasis[0].T @ rectsolver.to_spectral(
+            self.center_plan, f)).reshape(-1)
 
     @cached_property
     def _fold_columns(self) -> np.ndarray:
-        """c_r = (T - D)^{-1} d_r w_r for each fold row r, (rows, ms, nt),
-        with w_r = W^T e_r and D = sum_r w_r w_r^T (x) diag(d_r): Woodbury
-        from z_r = T^{-1} d_r w_r, elementwise, and the per-mode
-        capacitance I - G with G[i, j] = w_ri^T z_j."""
+        """c_r = (T - D)^{-1} d_r w_r per fold row r, (rows, ms, nt), w_r =
+        W^T e_r, D = sum_r w_r w_r^T (x) diag(d_r): Woodbury from z_r =
+        T^{-1} d_r w_r and the capacitance I - G, G[i, j] = w_ri^T z_j."""
         W, _, r = self.eigenbasis
         w = W[self.fold_rows]
         z = r * w[:, :, None] * self.fold_d[:, None, :]
@@ -161,12 +146,26 @@ class SchurOperator:
         x += y
         return x
 
-    def _folded_schur(self, x: np.ndarray) -> np.ndarray:
-        """(S - D) x, S the arms' term.  Lines along the transform axis are
-        rows W[r] x, taken to nodal values by one batch of line transforms;
-        lines across it are W (x across_q^T).  One product writes them all
-        back; arms carried exactly by D are skipped."""
+    @cached_property
+    def _interface(self) -> tuple:
+        """(R, I, A, B, Qj, W[R], W[I]): the along arms' distinct rows R,
+        the other rows I, A and B summing each along and across arm onto
+        its line, and the across arms' distinct rows Qj of Q.  Coordinates
+        (z, l) stand for G (ms, nt) with rows z on R and l Qj on I: a basis
+        of the interface nodes, whose corners go with R."""
+        R, a = np.unique(self.along_rows, return_inverse=True)
+        Qj, b = np.unique(self.across_q, axis=0, return_inverse=True)
+        I = np.setdiff1d(np.arange(self.center_plan.shape[0]), R)
+        W = self.eigenbasis[0]
+        return (R, I, np.eye(R.size)[a], np.eye(len(Qj))[b.ravel()], Qj,
+                W[R], W[I])
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """The flat interface coordinates (z, l) of (S - D) x: lines W[r] x
+        along the transform axis, in nodal values by one batch of line
+        transforms, and W (x across_q^T) across it; exact arms skipped."""
         plan, rows, W = self.center_plan, self.along_rows, self.eigenbasis[0]
+        R, I, A, B = self._interface[:4]
         xr = W[rows] @ x
         lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
                  (W @ (x @ self.across_q.T)).T)
@@ -176,16 +175,48 @@ class SchurOperator:
                 line_plan, scale * transforms.apply_Qt(line_plan, v))
         if rows.size:
             xr = transforms.apply_Qt(plan.y_plan, lines[0]) - self.along_d * xr
-        return np.hstack([W[rows].T, W.T @ lines[1].T]) \
-            @ np.vstack([xr, self.across_q])
+        return np.concatenate([
+            (A.T @ xr + lines[1][:, R].T @ self.across_q).ravel(),
+            (lines[1][:, I].T @ B).ravel()])
 
-    def spectral_preconditioned(self, y: np.ndarray) -> np.ndarray:
-        """y - T^{-1} (S - D) x with x = (T - D)^{-1} T y, on flat
-        eigenbasis coefficients: T^{-1} (T - S), the paper's
-        left-preconditioned operator, right-preconditioned by
-        (T - D)^{-1} T; T^{-1} is one elementwise product."""
-        s = self._folded_schur(self.solution(y))
-        return np.reshape(y, -1) - (self.eigenbasis[2] * s).reshape(-1)
+    def _scatter(self, c: np.ndarray) -> np.ndarray:
+        """W^T G, (ms, nt), of flat interface coordinates c = (z, l): one
+        product [W[R]^T, W[I]^T l] [z; Qj]."""
+        Qj, WR, WI = self._interface[4:7]
+        z = c[:len(WR) * Qj.shape[1]].reshape(len(WR), Qj.shape[1])
+        l = c[z.size:].reshape(len(WI), len(Qj))
+        return np.concatenate([WR.T, WI.T @ l], axis=1) \
+            @ np.concatenate([z, Qj])
+
+    def coordinates(self, f: np.ndarray) -> tuple:
+        """fft GMRES on coordinates c = (c_0, z, l) of Phi c = c_0 b + T^{-1}
+        W^T G, b = T^{-1} (f - W^T G_f), G_f the interface part of flat
+        eigenbasis coefficients f.  P y = y - T^{-1} (S - D) (T - D)^{-1} T y
+        maps Phi's range into itself.  Returns (c -> the coordinates of
+        P Phi c, (1, G_f), c -> the dual Phi^T Phi c, c -> Phi c)."""
+        Qj, WR, WI = self._interface[4:7]
+        _, t, r = self.eigenbasis
+
+        def read(u):            # the interface coordinates of W u, u flat
+            u = u.reshape(t.shape)
+            return np.concatenate([(WR @ u).ravel(),
+                                   (WI @ (u @ Qj.T)).ravel()])
+
+        rhs = np.concatenate([[1.0], read(f)])
+        b = (r * (f.reshape(t.shape) - self._scatter(rhs[1:]))).ravel()
+
+        def expand(c):
+            v = self._scatter(c[1:])
+            v *= r
+            return v.reshape(-1) + c[0] * b
+
+        def dual(c):            # Phi^T of the expanded vector
+            v = expand(c)
+            return np.concatenate([[b @ v], read(r.ravel() * v)])
+
+        return (lambda c: c - np.concatenate(
+                    [[0.0], self._gather(self.solution(expand(c)))]),
+                rhs, dual, expand)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:
         """(T - S) x = (W (x) Q)^T (A_c - sum S) (W (x) Q) x on flat
@@ -194,7 +225,7 @@ class SchurOperator:
         x = np.reshape(x, self.center_plan.shape)
         W, t, _ = self.eigenbasis
         w = W[self.fold_rows]
-        out = t * x - self._folded_schur(x)
+        out = t * x - self._scatter(self._gather(x))
         out -= w.T @ (self.fold_d * (w @ x))
         return out.reshape(-1)
 
@@ -230,8 +261,9 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
         batch = across_q if across else along
         group[0].append(len(batch))
         group[2].append(weight * t)
-        batch.append(q_row(center_plan, end * (nt - 1)) if across
-                     else (row, d))
+        # across: row j of Q, Q^T e_j, reads the line's nodal values
+        batch.append(transforms.apply_Qt(center_plan.y_plan, np.eye(
+            1, nt, end * (nt - 1))[0]) if across else (row, d))
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
         neighbors=tuple(neighbors),

@@ -1,21 +1,17 @@
 """Restarted GMRES and companions for the coupled interface system.
 
-The workhorse is `gmres`, a restarted GMRES with Givens-rotation least
-squares.  Each Arnoldi step takes the last two basis vectors out of A v_k
-by modified Gram-Schmidt, then makes one classical Gram-Schmidt pass over
-the basis (two products with it) and a second only when the DGKS test
-asks, when the first leaves at most 1/sqrt(2) of ||w||.  For a
-near-symmetric operator, such as the Schur system's, A v_k lies mostly
-along those two vectors; the pass still takes out more than rounding (a
-median of 28% of ||w|| on the cross at k_n=128), but almost always
-leaves more than 1/sqrt(2) of it, so the second rarely runs.
-`solve_coupled` runs it on `ddm.SchurOperator.spectral_apply`, the
-center's system in the eigenbasis that makes A_c diagonal, with the true
-relative residual ||f' - (A_c - S) p|| / ||f'|| as `check`, under one of
-two preconditioners:
+`gmres` is a restarted GMRES with Givens-rotation least squares; each
+Arnoldi step makes two local modified Gram-Schmidt steps and a classical
+pass over the basis, and a second pass on the DGKS test.  Given a `dual`
+it runs on coordinates c of vectors Phi c, each basis vector kept with
+its dual Phi^T Phi c, so that its inner products are the grid's.
+`solve_coupled` solves the center's system in the eigenbasis that makes
+A_c diagonal, with the true relative residual ||f' - (A_c - S) p|| /
+||f'|| as `check`, under one of two preconditioners:
 
   * fft       the paper's A_c^{-1} (A_c - S) p = A_c^{-1} f', A_c^{-1} one
-              elementwise product, right-preconditioned by the arms' fold
+              elementwise product, right-preconditioned by the arms' fold,
+              on the interface coordinates (`ddm.SchurOperator.coordinates`)
   * identity  none: (A_c - S) p = f', the baseline without a preconditioner
 """
 
@@ -34,7 +30,6 @@ PRECONDITIONERS = ("identity", "fft")
 
 _BREAKDOWN = 1e-14
 _LOCAL = 2                      # modified Gram-Schmidt steps per Arnoldi step
-_DGKS = 1 / math.sqrt(2)        # reorthogonalize when a pass leaves less
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ def _update(V: np.ndarray, H: np.ndarray, g: list, k: int):
 
 
 def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
-          check=None):
+          check=None, dual=None):
     """Restarted GMRES from x = 0; returns (solution, SolveReport).
 
     `operator` maps a length-N vector to a length-N vector; residuals in
@@ -96,6 +91,11 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     ConvergenceError carrying the report and the solution.  The report's
     true relative residual is the passing check's value, or one more
     check of the solution that falls short.
+
+    `dual`, if given, maps coordinates c of a vector to its dual d, so
+    that <c', c> = c' . d: GMRES then runs on coordinates, keeps each
+    basis vector with its dual and forms the dual of each new one after
+    its Gram-Schmidt pass.  Without it vectors are their own duals.
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -103,8 +103,14 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     x = np.zeros(N)
     start = time.perf_counter()
 
-    r = rhs                     # the residual of x, never written in place
-    r_norm = r0_norm = math.sqrt(r @ r)
+    def paired(c):              # (c, d) stacked, read as [:N] and [-N:]
+        return c if dual is None else np.concatenate([c, dual(c)])
+
+    def norm(v) -> float:
+        return math.sqrt(max(v[:N] @ v[-N:], 0.0))
+
+    r = rhs = paired(rhs)       # r the residual of x, never written in place
+    r_norm = r0_norm = norm(r)
     history = [1.0 if r0_norm else 0.0]
     checks = []
     inner = cfg.tol
@@ -142,32 +148,32 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     if r0_norm == 0.0:
         return x, report(True, np.nan if check is None else 0.0)
     for _ in range(cfg.max_restarts):
-        V, tmp = np.empty((m + 1, N)), np.empty(N)
+        V, tmp = np.empty((m + 1, r.size)), np.empty(N)
         H = np.zeros((m + 1, m))
         V[0] = r / r_norm
         g = [r_norm] + [0.0] * m
         cs, sn = [0.0] * m, [0.0] * m
 
         for k in range(m):
-            w = np.array(operator(V[k]), dtype=float)  # a copy, to update
-            w_norm = math.sqrt(w @ w)
+            w = np.array(operator(V[k, :N]), dtype=float)  # a copy, to update
             # a near-symmetric operator's A v_k lies mostly along v_{k-1}
             # and v_k: modified Gram-Schmidt takes those out, one classical
-            # pass the rest of the basis, a second only on the DGKS test
+            # pass the rest of the basis, a second only on the DGKS test,
+            # when the first leaves at most 1/sqrt(2): ||h|| >= ||w|| left
             col = np.zeros(k + 2)
             for i in range(max(k + 1 - _LOCAL, 0), k + 1):
-                col[i] = h = V[i] @ w
-                w -= np.multiply(V[i], h, out=tmp)
+                col[i] = h = V[i, -N:] @ w
+                w -= np.multiply(V[i, :N], h, out=tmp)
             basis = V[:k + 1]
-            before = math.sqrt(w @ w)
             for _ in range(2):
-                h = basis @ w
-                w -= np.matmul(h, basis, out=tmp)
+                h = basis[:, -N:] @ w
+                w -= np.matmul(h, basis[:, :N], out=tmp)
                 col[:k + 1] += h
-                h_next = math.sqrt(w @ w)
-                if h_next > _DGKS * before:
+                w_pair = paired(w)          # w's dual formed once per pass
+                h_next = norm(w_pair)
+                if h_next * h_next > h @ h:
                     break
-                before = h_next
+            w_norm = math.sqrt(h_next * h_next + col @ col)  # ||A v_k||
             col[k + 1] = h_next
 
             # apply accumulated Givens rotations to the new column, on
@@ -187,19 +193,19 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
             if stop := (h_next <= _BREAKDOWN * w_norm or h_next == 0.0
                         or not math.isfinite(history[-1])):
                 break
-            np.multiply(w, 1.0 / h_next, out=V[k + 1])
+            np.multiply(w_pair, 1.0 / h_next, out=V[k + 1])
             if history[-1] <= inner:
                 if check is None:
                     break
-                x_k = x + _update(V, H, g, k + 1)
+                x_k = x + _update(V[:, :N], H, g, k + 1)
                 if checked(x_k):
                     return x_k, report(True, checks[-1][1])
 
         # a check that failed at the cycle's last step is not repeated
         last_checked = checks and checks[-1][0] == len(history) - 1
-        x = x + _update(V, H, g, k + 1)
-        r = rhs - operator(x)
-        r_norm = np.linalg.norm(r)
+        x = x + _update(V[:, :N], H, g, k + 1)
+        r = paired(rhs[:N] - operator(x))
+        r_norm = norm(r)
         if not math.isfinite(r_norm):   # never accept a non-finite iterate
             history[-1] = r_norm / r0_norm
             raise failure(x)
@@ -219,17 +225,18 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
     cfg = cfg or GmresConfig()
     f = field_values(op.center_plan.subdomain, f_prime)
     f_norm = np.linalg.norm(f)
-    f_hat, b_hat = op.spectral_rhs(f)
-    if cfg.preconditioner == "fft":
-        operator, rhs, x_hat = op.spectral_preconditioned, b_hat, op.solution
+    f_hat = op.spectral_rhs(f)
+    if cfg.preconditioner == "fft":   # on interface coordinates
+        operator, rhs, dual, expand = op.coordinates(f_hat)
+        x_hat = lambda c: op.solution(expand(c))
     else:  # identity
-        operator, rhs, x_hat = op.spectral_apply, f_hat, np.asarray
+        operator, rhs, dual, x_hat = op.spectral_apply, f_hat, None, np.asarray
 
     def check(y):
         return np.linalg.norm(f_hat - op.spectral_apply(x_hat(y))) / f_norm
 
     try:
-        y, report = gmres(operator, rhs, cfg=cfg, check=check)
+        y, report = gmres(operator, rhs, cfg=cfg, check=check, dual=dual)
     except ConvergenceError as err:
         err.solution = op.to_nodal(x_hat(err.solution))
         raise

@@ -148,20 +148,6 @@ def assemble_global_matrix(comp: CompositeDomain) -> np.ndarray:
     return A
 
 
-def assemble_schur_blocks(comp: CompositeDomain,
-                          cid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A_c, S): the dense operator of subdomain `cid` and its Schur term
-    S = sum_i R_{c,i} A_i^{-1} R_{i,c} over the neighbors i of `cid`."""
-    A_c = assemble_rect_matrix(comp.subdomain(cid))
-    S = np.zeros_like(A_c)
-    for iface in comp.interfaces_of(cid):
-        oid = iface.other_side(cid)[0]
-        A_i = assemble_rect_matrix(comp.subdomain(oid))
-        S += assemble_coupling_matrix(comp, oid, cid) @ np.linalg.solve(
-            A_i, assemble_coupling_matrix(comp, cid, oid))
-    return A_c, S
-
-
 def dense_lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Partial-pivoting dense solve; raises on singular input."""
     M = np.asarray(M, dtype=float)

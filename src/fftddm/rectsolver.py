@@ -219,14 +219,6 @@ def to_nodal(plan: RectPlan, phat: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def q_row(plan: RectPlan, j: int) -> np.ndarray:
-    """Row j of the transform matrix Q: the coefficients that give the
-    nodal value at transform position j, Q^T e_j."""
-    unit = np.zeros(plan.y_plan.n)
-    unit[j] = 1.0
-    return transforms.apply_Qt(plan.y_plan, unit)
-
-
 def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)

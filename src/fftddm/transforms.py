@@ -10,7 +10,8 @@ length n after Makhoul's reordering, and the real Fourier basis one of
 length n.  A DST-I of length n <= _DENSE_DST is one product with the
 cached sine matrix instead: its FFT runs on 2(n + 1) points, and these
 grids make n + 1 prime or nearly so (2k + 1, 4k + 1), so there the dense
-product is faster at every row count.  A Dirichlet axis with half-cell
+product is faster at every row count; so is one with (Q, Q^T) for the
+cosine and Fourier bases up to n = _DENSE_FFT.  A Dirichlet axis with half-cell
 ends (`ends`) takes the shifted sine basis of `sine_matrix`, which is not
 symmetric, as two dense products (Q^T and Q) at any length.  Twiddle
 factors are computed once per `SpectralPlan`.
@@ -35,6 +36,7 @@ from .errors import ValidationError
 
 BC_PAIRS = ("DD", "NN", "PP")
 _DENSE_DST = 256                # longest DST-I applied as a dense product
+_DENSE_FFT = 128                # longest NN or PP transform applied so
 
 
 def eigenvalues(bc: str, n: int, delta_t: float, delta_o: float,
@@ -62,8 +64,9 @@ class SpectralPlan:
     may be shared across threads.  `twiddles` holds the read-only kernel
     factors for (Q^T, Q), with the orthonormal scaling folded in; for a
     DST-I both are the sine matrix Q itself up to length _DENSE_DST, and
-    one scale past it; for a DD axis with half-cell `ends` they are Q and
-    Q^T.  Plans compare by identity: their fields are arrays.
+    one scale past it; for a DD axis with half-cell `ends`, and an NN or
+    PP one up to length _DENSE_FFT, they are Q and Q^T.  Plans compare by
+    identity: their fields are arrays.
     """
 
     bc: str
@@ -104,20 +107,21 @@ def _twiddles(bc: str, n: int, ends: tuple) -> tuple:
     if bc == "NN":
         scale = np.where(half == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
         phase = np.exp(0.5j * np.pi * half / n)
-        return (scale * phase.conj(),
-                np.where(half == 0, n, 0.5 * n) * scale * phase)
-    # PP: weights of the cosine amplitudes; the sine ones equal the interior
-    ends = (half == 0) | (half == n // 2)
-    weight = np.where(ends, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
-    return weight, np.where(ends, n, 0.5 * n) * weight
+        tw = (scale * phase.conj(),
+              np.where(half == 0, n, 0.5 * n) * scale * phase)
+    else:  # PP: cosine amplitude weights; the sine ones equal the interior
+        ends = (half == 0) | (half == n // 2)
+        weight = np.where(ends, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+        tw = weight, np.where(ends, n, 0.5 * n) * weight
+    if n > _DENSE_FFT:
+        return tw
+    return tuple(kernel(np.eye(n), t) for kernel, t in zip(_KERNELS[bc], tw))
 
 
 def make_plan(bc: str, n: int, delta_t: float, delta_o: float,
               kappa: float = 0.0, ends: tuple = (0, 0)) -> SpectralPlan:
     if n < 1:
         raise ValidationError("transform length must be >= 1")
-    if bc not in BC_PAIRS:
-        raise ValidationError(f"unknown BC pair {bc!r}")
     if bc == "PP" and n % 2:
         raise ValidationError("periodic transforms need an even length")
     if bc != "DD" and any(ends):
@@ -198,31 +202,25 @@ def _irdft(a: np.ndarray, tw: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n, axis=-1)
 
 
-def _checked(plan: SpectralPlan, v) -> np.ndarray:
+_KERNELS = {"DD": (_dst1, _dst1), "NN": (_dct2, _dct3), "PP": (_rdft, _irdft)}
+
+
+def _apply(plan: SpectralPlan, v, which: int) -> np.ndarray:
+    """Q^T v (which 0) or Q v (which 1) along the last axis: one dense
+    product where the plan's factor is a matrix, else its FFT kernel."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != plan.n:
         raise ValidationError(
             f"length mismatch: expected {plan.n}, got {v.shape[-1]}")
-    return v
+    tw = plan.twiddles[which]
+    return v @ tw if tw.ndim == 2 else _KERNELS[plan.bc][which](v, tw)
 
 
 def apply_Q(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     """Q @ v along the last axis (spectral coefficients -> nodal values)."""
-    v = _checked(plan, v)
-    tw = plan.twiddles[1]
-    if plan.bc == "DD":
-        return v @ tw if tw.ndim else _dst1(v, tw)
-    if plan.bc == "NN":
-        return _dct3(v, tw)
-    return _irdft(v, tw)
+    return _apply(plan, v, 1)
 
 
 def apply_Qt(plan: SpectralPlan, v: np.ndarray) -> np.ndarray:
     """Q^T @ v along the last axis (nodal values -> spectral coefficients)."""
-    v = _checked(plan, v)
-    tw = plan.twiddles[0]
-    if plan.bc == "DD":
-        return v @ tw if tw.ndim else _dst1(v, tw)
-    if plan.bc == "NN":
-        return _dct2(v, tw)
-    return _rdft(v, tw)
+    return _apply(plan, v, 0)

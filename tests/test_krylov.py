@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fftddm import bench, ddm, krylov, oracle, rectsolver
+from fftddm import bench, ddm, krylov, rectsolver
 from fftddm.errors import ConvergenceError, ValidationError
-from fftddm.geometry import GridField
+from fftddm.geometry import CompositeDomain, GridField
 
-from test_ddm import (dense_folded_operator, dense_spectral, full_arm_schur,
-                      star_mixed)
+from conftest import make_rect
+from test_bench import dirichlet_cross
+from test_ddm import (D, N, LINE_OPERATOR_CASES, dense_folded_operator,
+                      dense_schur, dense_spectral, full_arm_schur,
+                      random_star, star_composite, star_mixed)
 
 
 class TestGmresConfig:
@@ -166,9 +171,10 @@ class TestOrthogonalization:
         assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
 
     @staticmethod
-    def captured_basis(operator, rhs, m):
+    def captured_basis(operator, rhs, m, dual=None):
         """The first m Arnoldi vectors of one GMRES(m) cycle on `operator`,
-        taken as the operator receives them; the cycle cannot converge."""
+        taken as the operator receives them (coordinates, given a `dual`);
+        the cycle cannot converge."""
         basis = []
 
         def recorded(v):
@@ -177,17 +183,20 @@ class TestOrthogonalization:
 
         cfg = krylov.GmresConfig(m=m, tol=1e-15, max_restarts=1)
         with pytest.raises(ConvergenceError):
-            krylov.gmres(recorded, rhs, cfg=cfg)
+            krylov.gmres(recorded, rhs, cfg=cfg, dual=dual)
         return np.array(basis[:m])
 
     def test_fft_basis_orthonormal_on_the_cross(self):
-        # the second Gram-Schmidt pass runs on a few of these 14 steps
+        # the second Gram-Schmidt pass runs on a few of these 14 steps; the
+        # basis is kept as interface coordinates, orthonormal once expanded
         case = bench.build_cross(k_n=8)
         op = ddm.build_schur_operator(case.composite)
         f = ddm.eliminate_arms(op, bench.rhs_fields(case)).values
         m = 14
-        V = self.captured_basis(op.spectral_preconditioned,
-                                op.spectral_rhs(f)[1], m)
+        apply, rhs, dual, expand = op.coordinates(op.spectral_rhs(f))
+        C = self.captured_basis(apply, rhs, m, dual)
+        assert C.shape == (m, 1 + 2 * 32 + 2 * 14)
+        V = np.array([expand(c) for c in C])
         assert np.abs(V @ V.T - np.eye(m)).max() <= m * np.finfo(float).eps
 
     def test_second_pass_runs_when_the_first_cancels(self, rng):
@@ -229,7 +238,7 @@ class TestSolveCoupled:
     @pytest.mark.parametrize("mode", krylov.PRECONDITIONERS)
     def test_all_modes_match_dense(self, cross2, mode, rng):
         comp, op = cross2
-        A2, S = oracle.assemble_schur_blocks(comp, op.coupled_id)
+        A2, S = dense_schur(comp, op.coupled_id)
         f = rng.standard_normal(op.size)
         want = np.linalg.solve(A2 - S, f)
         cfg = krylov.GmresConfig(tol=1e-12, preconditioner=mode)
@@ -456,3 +465,132 @@ class TestTrueResidualCheck:
         cfg = krylov.GmresConfig(m=10, tol=1e-7)
         _, rep = krylov.solve_coupled(op, f, cfg)
         assert rep.converged and rep.true_relative_residual <= cfg.tol
+
+
+def grid_fft_gmres(op, f, cfg):
+    """The fft GMRES on whole eigenbasis vectors, the reference for the
+    interface coordinates: T^{-1} (T - S) (T - D)^{-1} T from
+    `spectral_apply`, with solve_coupled's check; returns (nodal solution,
+    report) or raises ConvergenceError with the nodal solution."""
+    r = op.eigenbasis[2].reshape(-1)
+    f_hat = op.spectral_rhs(f)
+
+    def check(y):
+        return np.linalg.norm(f_hat - op.spectral_apply(op.solution(y))) \
+            / np.linalg.norm(f)
+
+    try:
+        y, rep = krylov.gmres(lambda y: r * op.spectral_apply(op.solution(y)),
+                              r * f_hat, cfg=cfg, check=check)
+    except ConvergenceError as err:
+        err.solution = op.to_nodal(op.solution(err.solution))
+        raise
+    return op.to_nodal(op.solution(y)), rep
+
+
+def interface_only(op, f):
+    """`f` kept on the center's interface nodes alone: then b lies in the
+    span of the interface coordinates' columns."""
+    mask = np.zeros(op.size, dtype=bool)
+    for nb in op.neighbors:
+        mask[nb.from_center.from_idx] = True
+    return np.where(mask, f, 0.0)
+
+
+def coordinate_cases():
+    cases = [pytest.param(bench.build_cross(k_n=kn).composite, m,
+                          id=f"cross-k{kn}-m{m}")
+             for kn in (8, 32) for m in (5, 10, 80)]
+    cases += [pytest.param(star_composite(arms, **kw), 10, id=name)
+              for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())]
+    cases += [
+        pytest.param(star_mixed(16), 10, id="star-k16"),
+        # two across arms on the one transform column: every center node
+        # is an interface node, so b lies in their coordinates' span
+        pytest.param(star_composite({"south": (2, D, N, ()),
+                                     "north": (3, D, D, ())}, m=4, n=1),
+                     10, id="one-column"),
+        # two along arms on the one sweep row (a 1 x 2 center with three
+        # arms), or two across arms on the one transform column (a 2 x 1
+        # center with four), each with corners: their lines must share
+        # coordinates, or the iterates drift from the grid's
+        pytest.param(random_star(94), 10, id="one-row-three-arms"),
+        pytest.param(random_star(112), 80, id="one-column-four-arms"),
+        pytest.param(dirichlet_cross(8), 80, id="dirichlet-cross-k8"),
+        pytest.param(CompositeDomain(subdomains=[make_rect(
+            4, 6, "NN", "PP", kappa=-1.0)], interfaces=[]), 10,
+                     id="single-rectangle"),
+    ]
+    return cases
+
+
+class TestInterfaceCoordinates:
+    """fft GMRES on the interface coordinates makes the iterates of GMRES
+    on whole eigenbasis vectors: the same iterations and checks, and the
+    same field to rounding."""
+
+    @pytest.mark.parametrize("on_interface", [False, True],
+                             ids=["rhs", "rhs-on-interface"])
+    @pytest.mark.parametrize("comp,m", coordinate_cases())
+    def test_matches_grid_gmres(self, comp, m, on_interface):
+        op = ddm.build_schur_operator(comp)
+        f = np.random.default_rng(m).standard_normal(op.size)
+        if on_interface and op.neighbors:
+            f = interface_only(op, f)
+        cfg = krylov.GmresConfig(m=m, tol=1e-10, max_restarts=500)
+        p, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        want, ref = grid_fft_gmres(op, f, cfg)
+        assert rep.converged and rep.iterations == ref.iterations
+        assert [i for i, _ in rep.residual_checks] == [
+            i for i, _ in ref.residual_checks]
+        assert np.abs(p.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_rhs_takes_no_step(self):
+        op = ddm.build_schur_operator(bench.build_cross(k_n=8).composite)
+        applies = []
+        operator, rhs, dual, expand = op.coordinates(np.zeros(op.size))
+        _, rep = krylov.gmres(lambda c: applies.append(1) or operator(c),
+                              rhs, dual=dual)
+        assert rep.converged and rep.iterations == 0 and not applies
+        assert not expand(rhs).any() and not dual(rhs).any()
+
+    def test_convergence_error_matches_grid_gmres(self):
+        case = bench.build_cross(k_n=8)
+        op = ddm.build_schur_operator(case.composite)
+        f = ddm.eliminate_arms(op, bench.rhs_fields(case))
+        cfg = krylov.GmresConfig(m=3, max_restarts=2)
+        with pytest.raises(ConvergenceError) as got:
+            krylov.solve_coupled(op, f, cfg)
+        with pytest.raises(ConvergenceError) as want:
+            grid_fft_gmres(op, f.values, cfg)
+        p, ref = got.value.solution, want.value.solution
+        assert p.shape == (op.size,)     # nodal values, not coordinates
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert got.value.report.iterations == want.value.report.iterations
+
+    def test_coordinates_are_the_interface_nodes(self):
+        # 1 + the center's interface nodes, each corner once: on the cross
+        # at k_n=8 two sweep rows of 32 and two columns of 16 - 2 rows
+        op = ddm.build_schur_operator(bench.build_cross(k_n=8).composite)
+        _, rhs, dual, expand = op.coordinates(np.ones(op.size))
+        assert rhs.size == 1 + 2 * 32 + 2 * 14
+        # the dual gives the grid inner products of the expanded vectors
+        rng = np.random.default_rng(5)
+        c, e = rng.standard_normal((2, rhs.size))
+        assert c @ dual(e) == pytest.approx(expand(c) @ expand(e), rel=1e-12)
+
+    def test_peak_memory_is_a_few_center_fields(self):
+        # the basis holds 81 vectors of about 2 |interface| numbers, not
+        # of N: at k_n=64 the grid basis alone took 81 N doubles
+        case = bench.build_cross(k_n=64)
+        op = ddm.build_schur_operator(case.composite)
+        f = ddm.eliminate_arms(op, bench.rhs_fields(case))
+        cfg = krylov.GmresConfig(m=80, tol=1e-10)
+        krylov.solve_coupled(op, f, cfg)     # the operator's cached parts
+        tracemalloc.start()
+        try:
+            krylov.solve_coupled(op, f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 8 * op.size

@@ -128,6 +128,19 @@ class TestMakePlan:
         assert transforms.make_plan("DD", 257, 1.0, 1.0).twiddles[0].shape \
             == ()
 
+    @pytest.mark.parametrize("bc", ["NN", "PP"])
+    def test_short_cosine_and_fourier_plans_are_dense(self, bc):
+        # up to length 128 one product with (Q, Q^T) beats the FFT call;
+        # past it the plan keeps the FFT kernel's twiddle rows
+        short, long = (transforms.make_plan(bc, n, 1.0, 1.0)
+                       for n in (128, 130))
+        Q = oracle.assemble_eigvector_matrix(bc, 128)
+        assert all(t.ndim == 2 and not t.flags.writeable
+                   for t in short.twiddles)
+        np.testing.assert_allclose(short.twiddles[0], Q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(short.twiddles[1], Q.T, rtol=0, atol=1e-12)
+        assert all(t.ndim == 1 for t in long.twiddles)
+
     def test_plans_compare_by_identity(self):
         a, b = (transforms.make_plan("NN", 8, 1.0, 1.0, 0.0) for _ in range(2))
         assert a == a and a != b
@@ -200,8 +213,10 @@ class TestDiagonalization:
 
 # every small length, plus 64, and 192 and 256, whose n + 1 is prime; then
 # 257, 384, 512 and 513, past the last dense sine transform, so the FFT
-# kernel _dst1 is checked too
-PARITY_NS = list(range(1, 34)) + [64, 192, 256, 257, 384, 512, 513]
+# kernel _dst1 is checked too; 126 to 130 straddle the dense cut of the
+# cosine and Fourier bases, so their FFT kernels run at 129 and 130
+PARITY_NS = list(range(1, 34)) + [64, 126, 127, 128, 129, 130, 192, 256,
+                                   257, 384, 512, 513]
 
 
 class TestFftMatchesDense:

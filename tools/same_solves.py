@@ -9,13 +9,16 @@ otherwise).  Prints both sides' GMRES iterations and check schedules (the
 iterations at which the true residual was checked) and the largest
 difference between the two sides' fields, absolute and relative to the
 largest value of NEW's.  A change that claims unchanged iterates reads
-the same iterations and schedules and a difference of 0.
+the same iterations and schedules and a difference of 0, or, with
+`--rtol R`, a difference of at most R times NEW's largest value (for a
+change that reorders the arithmetic but not the iterates).
 
     python3 tools/same_solves.py OLD_CHECKOUT . --workload cross-k128 \\
-        --workload star-mixed
+        --workload star-mixed --rtol 1e-12
 
 Without `--workload`, every workload that NEW's `BENCHMARK.json` lists
-is solved.  Exits with status 1 when any workload differs.  Only the
+is solved.  Exits with status 1 when any workload differs: iterations,
+check schedules and convergence must always match exactly.  Only the
 standard library and numpy are used.
 """
 
@@ -82,6 +85,9 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="the change's checkout")
     parser.add_argument("--workload", action="append",
                         help="a workload name; may be repeated")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest field difference allowed, relative to "
+                             "NEW's largest value (default 0: identical)")
     args = parser.parse_args(argv)
     names = args.workload or [
         w["name"] for w in json.loads(
@@ -94,7 +100,7 @@ def main(argv=None) -> int:
             runs = {side: solve(roots[side].resolve(), name, paths[side])
                     for side in SIDES}
             diff, scale = field_difference(paths["old"], paths["new"])
-            agree = diff == 0.0 and all(
+            agree = diff <= args.rtol * scale and all(
                 runs["old"][key] == runs["new"][key]
                 for key in ("iterations", "checks", "converged"))
             same &= agree
