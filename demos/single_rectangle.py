@@ -38,8 +38,8 @@ def run(m=96, n=96):
     plan_n = plan_rect(sub_n)
     p_n = solve_rect(plan_n, f.ravel())
     res_n = apply_rect_operator(sub_n, p_n.values) - f.ravel()
-    print(f"Neumann-x square  {m}x{n}: solver kind "
-          f"'{plan_n.x_solver_kind}', residual {np.abs(res_n).max():.2e}")
+    print(f"Neumann-x square  {m}x{n}: sweep pair "
+          f"'{plan_n.solve_pair}', residual {np.abs(res_n).max():.2e}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ D) x, and S - D writes only the interface lines, so GMRES runs on the
 coordinates of b and of T^{-1} W^T at each interface node, a basis of
 1 + |interface| vectors, each stored with its dual (`coordinates`).  An
 iteration expands two such vectors onto the eigenbasis, one for the
-operator and one for a dual, reads the arms' lines and sweeps nothing.
+operator and one for a dual and norm, reads the arms' lines (one stored
+product per line where every transform is dense) and sweeps nothing.
 """
 
 from __future__ import annotations
@@ -128,21 +129,22 @@ class SchurOperator:
             self.center_plan, f)).reshape(-1)
 
     @cached_property
-    def _fold_columns(self) -> np.ndarray:
-        """c_r = (T - D)^{-1} d_r w_r per fold row r, (rows, ms, nt), w_r =
-        W^T e_r, D = sum_r w_r w_r^T (x) diag(d_r): Woodbury from z_r =
-        T^{-1} d_r w_r and the capacitance I - G, G[i, j] = w_ri^T z_j."""
+    def _fold_columns(self) -> tuple:
+        """(w, c): w_r = W^T e_r and c_r = (T - D)^{-1} d_r w_r per fold row
+        r, (rows, ms) and (rows, ms, nt), D = sum_r w_r w_r^T (x) diag(d_r):
+        Woodbury from z_r = T^{-1} d_r w_r and the capacitance I - G,
+        G[i, j] = w_ri^T z_j."""
         W, _, r = self.eigenbasis
         w = W[self.fold_rows]
         z = r * w[:, :, None] * self.fold_d[:, None, :]
         cap = np.eye(len(w)) - np.einsum("ik,jkn->nij", w, z)
-        return np.einsum("imn,nij->jmn", z, np.linalg.inv(cap), order="C")
+        return w, np.einsum("imn,nij->jmn", z, np.linalg.inv(cap), order="C")
 
     def solution(self, y: np.ndarray) -> np.ndarray:
         """x = (T - D)^{-1} T y = y + sum_r c_r (w_r^T y), (ms, nt)."""
         y = np.reshape(y, self.center_plan.shape)
-        x = np.einsum("jmn,jn->mn", self._fold_columns,
-                      self.eigenbasis[0][self.fold_rows] @ y)
+        w, c = self._fold_columns
+        x = np.einsum("jmn,jn->mn", c, w @ y)
         x += y
         return x
 
@@ -160,31 +162,53 @@ class SchurOperator:
         return (R, I, np.eye(R.size)[a], np.eye(len(Qj))[b.ravel()], Qj,
                 W[R], W[I])
 
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """The flat interface coordinates (z, l) of (S - D) x: lines W[r] x
-        along the transform axis, in nodal values by one batch of line
-        transforms, and W (x across_q^T) across it; exact arms skipped."""
-        plan, rows, W = self.center_plan, self.along_rows, self.eigenbasis[0]
-        R, I, A, B = self._interface[:4]
-        xr = W[rows] @ x
-        lines = (transforms.apply_Q(plan.y_plan, xr) if rows.size else xr,
-                 (W @ (x @ self.across_q.T)).T)
+    def _line_maps(self, xr: np.ndarray, xq: np.ndarray) -> tuple:
+        """The along lines' (S - D) rows from their eigenbasis rows W[R] x,
+        and the across lines' nodal values from x Qj^T, (..., lines, n):
+        each arm's line transforms, summed onto its line."""
+        A, B = self._interface[2:4]
+        xr, y_plan = A @ xr, self.center_plan.y_plan
+        lines = (transforms.apply_Q(y_plan, xr) if A.size else xr,
+                 B @ xq @ self.eigenbasis[0].T)
         for batch, slots, line_plan, scale in self.groups:
-            v = lines[batch][slots]
-            lines[batch][slots] = transforms.apply_Q(
+            v = lines[batch][..., slots, :]
+            lines[batch][..., slots, :] = transforms.apply_Q(
                 line_plan, scale * transforms.apply_Qt(line_plan, v))
-        if rows.size:
-            xr = transforms.apply_Qt(plan.y_plan, lines[0]) - self.along_d * xr
-        return np.concatenate([
-            (A.T @ xr + lines[1][:, R].T @ self.across_q).ravel(),
-            (lines[1][:, I].T @ B).ravel()])
+        if A.size:
+            xr = transforms.apply_Qt(y_plan, lines[0]) - self.along_d * xr
+        return A.T @ xr, B.T @ lines[1]
+
+    @cached_property
+    def _dense_maps(self):
+        """`_line_maps` as one matrix per line, (lines, n, n), where every
+        line transform is a dense product, n no longer than a dense sine
+        transform's (a build costs n^3 per line); else None."""
+        plans = [self.center_plan.y_plan] + [g[2] for g in self.groups]
+        if any(plan.twiddles[0].ndim != 2 or plan.n > transforms._DENSE_DST
+               for plan in plans):
+            return None
+        (ms, nt), (R, *_, Qj) = self.center_plan.shape, self._interface[:5]
+        return [K.transpose(1, 0, 2).copy() for K in self._line_maps(*(
+            np.broadcast_to(np.eye(n)[:, None], (n, k, n))
+            for n, k in ((nt, len(R)), (ms, len(Qj)))))]
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """The coordinates (0, z, l) of T^{-1} (S - D) x: lines W[R] x
+        along the transform axis, and W (x Qj^T) across it, each through
+        its arms' maps (`_line_maps`); exact arms skipped."""
+        R, I, _, _, Qj, WR = self._interface[:6]
+        xs, maps = (WR @ x, (x @ Qj.T).T), self._dense_maps
+        z, lines = (np.matmul(v[:, None], K)[:, 0] for v, K in zip(
+            xs, maps)) if maps else self._line_maps(*xs)
+        return np.concatenate([[0.0], (z + lines[:, R].T @ Qj).ravel(),
+                               lines[:, I].T.ravel()])
 
     def _scatter(self, c: np.ndarray) -> np.ndarray:
-        """W^T G, (ms, nt), of flat interface coordinates c = (z, l): one
-        product [W[R]^T, W[I]^T l] [z; Qj]."""
+        """W^T G, (ms, nt), of flat coordinates c = (c_0, z, l), c_0 unread:
+        one product [W[R]^T, W[I]^T l] [z; Qj]."""
         Qj, WR, WI = self._interface[4:7]
-        z = c[:len(WR) * Qj.shape[1]].reshape(len(WR), Qj.shape[1])
-        l = c[z.size:].reshape(len(WI), len(Qj))
+        z = c[1:1 + len(WR) * Qj.shape[1]].reshape(len(WR), Qj.shape[1])
+        l = c[1 + z.size:].reshape(len(WI), len(Qj))
         return np.concatenate([WR.T, WI.T @ l], axis=1) \
             @ np.concatenate([z, Qj])
 
@@ -193,29 +217,26 @@ class SchurOperator:
         W^T G, b = T^{-1} (f - W^T G_f), G_f the interface part of flat
         eigenbasis coefficients f.  P y = y - T^{-1} (S - D) (T - D)^{-1} T y
         maps Phi's range into itself.  Returns (c -> the coordinates of
-        P Phi c, (1, G_f), c -> the dual Phi^T Phi c, c -> Phi c)."""
+        P Phi c, (1, G_f), c -> (the dual Phi^T Phi c, ||Phi c||), c ->
+        Phi c)."""
         Qj, WR, WI = self._interface[4:7]
         _, t, r = self.eigenbasis
 
-        def read(u):            # the interface coordinates of W u, u flat
-            u = u.reshape(t.shape)
-            return np.concatenate([(WR @ u).ravel(),
-                                   (WI @ (u @ Qj.T)).ravel()])
+        def read(u):            # the interface coordinates of W u, (ms, nt)
+            return [(WR @ u).ravel(), (WI @ (u @ Qj.T)).ravel()]
 
-        rhs = np.concatenate([[1.0], read(f)])
-        b = (r * (f.reshape(t.shape) - self._scatter(rhs[1:]))).ravel()
+        rhs = np.concatenate([[1.0], *read(f.reshape(t.shape))])
+        b = r * (f.reshape(t.shape) - self._scatter(rhs))
 
         def expand(c):
-            v = self._scatter(c[1:])
-            v *= r
-            return v.reshape(-1) + c[0] * b
+            return (r * self._scatter(c) + c[0] * b).reshape(-1)
 
-        def dual(c):            # Phi^T of the expanded vector
+        def dual(c):            # Phi^T of the expanded vector, and its norm
             v = expand(c)
-            return np.concatenate([[b @ v], read(r.ravel() * v)])
+            return np.concatenate([[b.ravel() @ v], *read(
+                r * v.reshape(t.shape))]), np.sqrt(v @ v)
 
-        return (lambda c: c - np.concatenate(
-                    [[0.0], self._gather(self.solution(expand(c)))]),
+        return (lambda c: c - self._gather(self.solution(expand(c))),
                 rhs, dual, expand)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:

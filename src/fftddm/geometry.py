@@ -104,20 +104,13 @@ class RectSubdomain:
 
         Returns 'DD', 'NN' or 'PP'; raises ValidationError on a mixed pair.
         """
-        kinds = []
-        for e in AXIS_EDGES[axis]:
-            k = self.edge_bc[e]
-            kinds.append(BoundaryKind.DIRICHLET if k is BoundaryKind.INTERFACE else k)
-        if kinds[0] is not kinds[1]:
-            raise ValidationError(
-                f"subdomain {self.id}: mixed {kinds[0].value}/{kinds[1].value} "
-                f"pair on the {axis} axis is not supported"
-            )
-        return {
-            BoundaryKind.DIRICHLET: "DD",
-            BoundaryKind.NEUMANN: "NN",
-            BoundaryKind.PERIODIC: "PP",
-        }[kinds[0]]
+        a, b = (BoundaryKind.DIRICHLET if k is BoundaryKind.INTERFACE else k
+                for k in (self.edge_bc[e] for e in AXIS_EDGES[axis]))
+        if a is not b:
+            raise ValidationError(f"subdomain {self.id}: mixed {a.value}/"
+                                  f"{b.value} pair on the {axis} axis is not "
+                                  f"supported")
+        return {"dirichlet": "DD", "neumann": "NN", "periodic": "PP"}[a.value]
 
     def end_modifier(self, edge: str) -> float:
         """Extra diagonal term (units of the axis delta) at the node line
@@ -286,8 +279,7 @@ def _check_subdomain(sub: RectSubdomain, report: ValidationReport):
         if pair == "PP" and sub.count(axis) % 2:
             report.violations.append(
                 f"subdomain {sub.id}: periodic {axis} axis needs an even "
-                f"node count, got {sub.count(axis)}"
-            )
+                f"node count, got {sub.count(axis)}")
 
 
 def _check_interface(comp: CompositeDomain, iface: Interface,
@@ -300,24 +292,21 @@ def _check_interface(comp: CompositeDomain, iface: Interface,
         return
     edge_a, edge_b = iface.side_a[1], iface.side_b[1]
     if OPPOSITE.get(edge_a) != edge_b:
-        report.violations.append(
-            f"interface {iface.id}: edges {edge_a}/{edge_b} do not face each other"
-        )
+        report.violations.append(f"interface {iface.id}: edges {edge_a}/"
+                                 f"{edge_b} do not face each other")
         return
     for sub, edge in ((sub_a, edge_a), (sub_b, edge_b)):
         if sub.edge_bc[edge] is not BoundaryKind.INTERFACE:
             report.violations.append(
                 f"interface {iface.id}: subdomain {sub.id} edge {edge} "
-                f"is {sub.edge_bc[edge].value}, not interface"
-            )
+                f"is {sub.edge_bc[edge].value}, not interface")
     line_a, tan_a, h_a = _edge_line_geometry(sub_a, edge_a)
     line_b, tan_b, h_b = _edge_line_geometry(sub_b, edge_b)
     tol = _GEOM_RTOL * max(h_a, h_b)
     if abs(line_a - line_b) > tol:
         report.violations.append(
             f"interface {iface.id}: edges are not coincident "
-            f"({line_a} vs {line_b})"
-        )
+            f"({line_a} vs {line_b})")
     if len(tan_a) != len(tan_b):
         report.violations.append(f"interface {iface.id}: interface node mismatch "
                                  f"({len(tan_a)} vs {len(tan_b)})")

@@ -93,7 +93,8 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     check of the solution that falls short.
 
     `dual`, if given, maps coordinates c of a vector to its dual d, so
-    that <c', c> = c' . d: GMRES then runs on coordinates, keeps each
+    that <c', c> = c' . d, and to the vector's own norm (c . d cancels
+    in a badly scaled basis): GMRES then runs on coordinates, keeps each
     basis vector with its dual and forms the dual of each new one after
     its Gram-Schmidt pass.  Without it vectors are their own duals.
     """
@@ -104,13 +105,13 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     start = time.perf_counter()
 
     def paired(c):              # (c, d) stacked, read as [:N] and [-N:]
-        return c if dual is None else np.concatenate([c, dual(c)])
+        if dual is None:        # and ||c||
+            return c, math.sqrt(c @ c)
+        d, c_norm = dual(c)
+        return np.concatenate([c, d]), c_norm
 
-    def norm(v) -> float:
-        return math.sqrt(max(v[:N] @ v[-N:], 0.0))
-
-    r = rhs = paired(rhs)       # r the residual of x, never written in place
-    r_norm = r0_norm = norm(r)
+    # r the residual of x, never written in place
+    r, r_norm = rhs, r0_norm = paired(rhs)
     history = [1.0 if r0_norm else 0.0]
     checks = []
     inner = cfg.tol
@@ -169,8 +170,7 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
                 h = basis[:, -N:] @ w
                 w -= np.matmul(h, basis[:, :N], out=tmp)
                 col[:k + 1] += h
-                w_pair = paired(w)          # w's dual formed once per pass
-                h_next = norm(w_pair)
+                w_pair, h_next = paired(w)  # w's dual formed once per pass
                 if h_next * h_next > h @ h:
                     break
             w_norm = math.sqrt(h_next * h_next + col @ col)  # ||A v_k||
@@ -204,8 +204,7 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
         # a check that failed at the cycle's last step is not repeated
         last_checked = checks and checks[-1][0] == len(history) - 1
         x = x + _update(V[:, :N], H, g, k + 1)
-        r = paired(rhs[:N] - operator(x))
-        r_norm = norm(r)
+        r, r_norm = paired(rhs[:N] - operator(x))
         if not math.isfinite(r_norm):   # never accept a non-finite iterate
             history[-1] = r_norm / r0_norm
             raise failure(x)

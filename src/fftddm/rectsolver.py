@@ -49,12 +49,6 @@ class RectPlan:
         """(ms, nt): sweep positions by transform modes."""
         return self.beta.shape
 
-    @property
-    def x_solver_kind(self) -> str:
-        if self.cyclic:
-            return "cyclic"
-        return "corner-modified" if self.solve_pair == "NN" else "standard-tridiagonal"
-
 
 def _fold(a: np.ndarray, unfold: bool = False) -> np.ndarray:
     """Rows 0, ms-1, 1, ms-2, ... of `a` as a new array, row i beside row

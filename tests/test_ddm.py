@@ -442,6 +442,7 @@ class TestLineOperators:
         assert slots == [(0, i) for i in range(op.along_rows.size)] \
             + [(1, i) for i in range(len(op.across_q))]
         op.solution(np.ones(op.size))   # D's columns, built on first use
+        dense = op._dense_maps          # and the arms' maps, if dense
         swept = []
         counting = recording(rectsolver.sweep, swept)
         monkeypatch.setattr(rectsolver, "sweep", counting)
@@ -454,7 +455,16 @@ class TestLineOperators:
             for name in ("apply_Q", "apply_Qt"):
                 monkeypatch.setattr(transforms, name, recording(
                     getattr(transforms, name), transformed))
-            apply(v)
+            fused = apply(v)
+            assert swept == []
+            # where every transform is a dense product, each arm's map is
+            # one product; past the dense cuts an apply takes the line
+            # transforms, forced here by dropping the maps
+            assert dense is None or transformed == []
+            monkeypatch.setitem(op.__dict__, "_dense_maps", None)
+            np.testing.assert_allclose(apply(v), fused, rtol=0,
+                                       atol=1e-13 * np.abs(fused).max())
+            monkeypatch.setitem(op.__dict__, "_dense_maps", dense)
             assert swept == []
             center_lines = transformed.count(op.center_plan.y_plan)
             assert center_lines == (2 if op.along_rows.size else 0)
@@ -500,8 +510,9 @@ class TestLineOperators:
 
     def test_shared_line_transforms_match_per_arm_blocks(self, monkeypatch):
         # on the cross the west/east and the south/north arms each share a
-        # line transform: an apply makes 6 line-transform calls, not the 10
-        # of one transform pair per arm, and solves as if it made them
+        # line transform: an apply on the line transforms (past the dense
+        # cuts; forced here) makes 6 calls, not the 10 of one transform pair
+        # per arm, and solves as if it made them
         case = bench.build_cross(k_n=8)
         op = ddm.build_schur_operator(case.composite)
         assert sorted(len(slots) for _, slots, *_ in op.groups) == [2, 2]
@@ -522,6 +533,7 @@ class TestLineOperators:
             for name in ("apply_Q", "apply_Qt"):
                 monkeypatch.setattr(transforms, name, recording(
                     getattr(transforms, name), transformed))
+            monkeypatch.setitem(o.__dict__, "_dense_maps", None)
             apply(rhs)
             monkeypatch.undo()
             assert len(transformed) == calls

@@ -517,6 +517,14 @@ def coordinate_cases():
         pytest.param(random_star(94), 10, id="one-row-three-arms"),
         pytest.param(random_star(112), 80, id="one-column-four-arms"),
         pytest.param(dirichlet_cross(8), 80, id="dirichlet-cross-k8"),
+        # weakly coupled arms (kappa -1e3 and -1e5 against couplings of
+        # 16 and 25): P is near the identity, and the first Arnoldi step's
+        # Gram-Schmidt pass cancels all but 2e-4 and 3e-8 of P v_0; what
+        # is left must not pass for a breakdown
+        *(pytest.param(star_composite(
+            {"west": (3, D, N, ()), "east": (2, D, N, ()),
+             "south": (2, D, D, ())}, m=5, n=7, kappa=kappa), 10,
+            id=f"weak-coupling-{-kappa:g}") for kappa in (-1e3, -1e5)),
         pytest.param(CompositeDomain(subdomains=[make_rect(
             4, 6, "NN", "PP", kappa=-1.0)], interfaces=[]), 10,
                      id="single-rectangle"),
@@ -552,7 +560,7 @@ class TestInterfaceCoordinates:
         _, rep = krylov.gmres(lambda c: applies.append(1) or operator(c),
                               rhs, dual=dual)
         assert rep.converged and rep.iterations == 0 and not applies
-        assert not expand(rhs).any() and not dual(rhs).any()
+        assert not expand(rhs).any() and not dual(rhs)[0].any()
 
     def test_convergence_error_matches_grid_gmres(self):
         case = bench.build_cross(k_n=8)
@@ -574,10 +582,13 @@ class TestInterfaceCoordinates:
         op = ddm.build_schur_operator(bench.build_cross(k_n=8).composite)
         _, rhs, dual, expand = op.coordinates(np.ones(op.size))
         assert rhs.size == 1 + 2 * 32 + 2 * 14
-        # the dual gives the grid inner products of the expanded vectors
+        # the dual gives the grid inner products of the expanded vectors,
+        # and the expanded vector's norm
         rng = np.random.default_rng(5)
         c, e = rng.standard_normal((2, rhs.size))
-        assert c @ dual(e) == pytest.approx(expand(c) @ expand(e), rel=1e-12)
+        d, e_norm = dual(e)
+        assert c @ d == pytest.approx(expand(c) @ expand(e), rel=1e-12)
+        assert e_norm == pytest.approx(np.linalg.norm(expand(e)), rel=1e-14)
 
     def test_peak_memory_is_a_few_center_fields(self):
         # the basis holds 81 vectors of about 2 |interface| numbers, not

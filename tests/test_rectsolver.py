@@ -48,11 +48,13 @@ class TestPlanRect:
     def test_arm_like_neumann_x(self):
         sub = make_rect(3, 4, x_pair="NN", y_pair="DD")
         plan = rectsolver.plan_rect(sub)
-        assert plan.x_solver_kind == "corner-modified"
+        # the sweep runs along x: Neumann ends modify its corner rows
+        assert (plan.transform_axis, plan.solve_pair) == ("y", "NN")
+        assert not plan.cyclic
 
     def test_periodic_x_is_cyclic(self):
         plan = rectsolver.plan_rect(make_rect(4, 3, x_pair="PP"))
-        assert plan.x_solver_kind == "cyclic"
+        assert plan.solve_pair == "PP" and plan.cyclic
 
     def test_nn_nn_kappa_zero_is_singular(self):
         with pytest.raises(SingularOperatorError):
