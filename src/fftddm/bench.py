@@ -180,9 +180,7 @@ def solve_case(case: CrossCase, cfg: krylov.GmresConfig | None = None):
 def error_norms(case: CrossCase, fields: dict) -> tuple:
     """(L-infinity, L2) node errors against the manufactured solution."""
     exact = exact_fields(case)
-    sup = 0.0
-    sq = 0.0
-    count = 0
+    sup, sq, count = 0.0, 0.0, 0
     for sid, fld in fields.items():
         diff = fld.values - exact[sid].values
         sup = max(sup, float(np.abs(diff).max(initial=0.0)))
@@ -304,9 +302,7 @@ def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5):
 # output
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value

@@ -9,43 +9,42 @@ gives a system on the center alone,
 with A_i q_i = f_i.  Each term R_{c,i} A_i^{-1} R_{i,c} only maps the
 center's node line at the interface to the same line, where it is weight
 Q diag(t) Q^T (`rectsolver.interface_operator`), Q a line transform
-shared by the arms whose lines take it.  Each arm takes two FFT rectangle
-solves per composite solve: A_i^{-1} f_i to reduce the center's
-right-hand side, and p_i = A_i^{-1}(f_i - R_{i,c} p_c) after.
+shared by the arms whose lines take it.  An arm's right-hand side is
+swept once, x_i = sweep(Q^T f_i); q_i is read on its line from x_i and
+p_i = Q (x_i - sweep(g_i)), g_i the line source R_{i,c} p_c in spectral
+rows: one full transform each way per arm.
 
 The center's system is solved on its eigenbasis coefficients p~ = (W (x)
-Q)^T p as (T - S) p~ = f~, T = diag(mu_k + lambda_n) (`sweep_basis`).
-The fft GMRES runs the paper's T^{-1} (T - S), right-preconditioned by
-(T - D)^{-1} T (Chan & Resasco's modified fast solver), D the arms'
-symbols folded onto their sweep rows.  That operator is y - T^{-1} (S -
-D) x, and S - D writes only the interface lines, so GMRES runs on the
-coordinates of b and of T^{-1} W^T at each interface node, a basis of
-1 + |interface| vectors, each stored with its dual (`coordinates`).  An
-iteration expands two such vectors onto the eigenbasis, one for the
-operator and one for a dual and norm, reads the arms' lines (one stored
-product per line where every transform is dense) and sweeps nothing.
+Q)^T p as (T - S) p~ = f~, T = diag(mu_k + lambda_n) (`sweep_basis`), so
+its plan has no sweep factors.  The fft GMRES runs the paper's T^{-1} (T
+- S), right-preconditioned by (T - D)^{-1} T (Chan & Resasco's modified
+fast solver), D the arms' symbols folded onto their sweep rows.  That
+operator is y - T^{-1} (S - D) x, and S - D writes only the interface
+lines, so GMRES runs on the coordinates of b and of T^{-1} W^T at each
+interface node, 1 + |interface| vectors, each stored with its dual
+(`coordinates`).  An iteration expands two such vectors onto the
+eigenbasis, reads the arms' lines (one stored product per line where
+every transform is dense) and sweeps nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import (CompositeDomain, GridField, Interface, edge_end,
-                       field_values, line_indices, validate)
-from .rectsolver import RectPlan, interface_operator, plan_rect, solve_rect
+from .geometry import (CompositeDomain, GridField, Interface, field_values,
+                       line_indices, validate)
+from .rectsolver import RectPlan, interface_operator, plan_rect
 from . import krylov, rectsolver, transforms
 
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Sparse interface map R taking a field on from_id into rows on to_id.
-
+    """Sparse interface map R taking a field on from_id into rows on to_id:
     from_idx[k] and to_idx[k] are paired flat node indices on the two
-    adjacent node lines; every carried weight is the same `coupling`.
-    """
+    adjacent node lines; every carried weight is the same `coupling`."""
 
     from_id: int
     to_id: int
@@ -75,6 +74,7 @@ def make_coupling(comp: CompositeDomain, iface: Interface,
 @dataclass(frozen=True)
 class _Neighbor:
     plan: RectPlan
+    edge: str                   # the neighbor's interface edge
     to_center: CouplingMap      # R_{c,i}: neighbor line -> center rows
     from_center: CouplingMap    # R_{i,c}: center line -> neighbor rows
 
@@ -84,8 +84,8 @@ class SchurOperator:
     """Matrix-free A_c - sum S in the center's eigenbasis, FFT-backed.
 
     Each interface line is a whole center edge: a sweep row along the
-    transform axis, else transform column j, read through row j of Q (a
-    row of `across_q`).  An arm on sweep row r adds d = weight * t_c
+    transform axis, else transform column j (`across_cols`), read through
+    row j of Q (`across_q`).  An arm on sweep row r adds d = weight * t_c
     (weight the product of its couplings) to the fold there (`fold_rows`,
     `fold_d`); unless the fold carries it exactly, it is applied per
     iteration on a row of `along_rows`, d in that row of `along_d`.
@@ -99,6 +99,7 @@ class SchurOperator:
     neighbors: tuple
     along_rows: np.ndarray
     along_d: np.ndarray
+    across_cols: np.ndarray
     across_q: np.ndarray
     fold_rows: np.ndarray
     fold_d: np.ndarray
@@ -133,12 +134,14 @@ class SchurOperator:
         """(w, c): w_r = W^T e_r and c_r = (T - D)^{-1} d_r w_r per fold row
         r, (rows, ms) and (rows, ms, nt), D = sum_r w_r w_r^T (x) diag(d_r):
         Woodbury from z_r = T^{-1} d_r w_r and the capacitance I - G,
-        G[i, j] = w_ri^T z_j."""
+        G[i, j] = w_ri^T z_j: per mode, one (rows^2, ms) @ (ms, nt) product
+        times d_j."""
         W, _, r = self.eigenbasis
-        w = W[self.fold_rows]
-        z = r * w[:, :, None] * self.fold_d[:, None, :]
-        cap = np.eye(len(w)) - np.einsum("ik,jkn->nij", w, z)
-        return w, np.einsum("imn,nij->jmn", z, np.linalg.inv(cap), order="C")
+        (ms, nt), w, d = r.shape, W[self.fold_rows], self.fold_d
+        F = len(w)
+        G = ((w[:, None] * w).reshape(F * F, ms) @ r).T.reshape(nt, F, F)
+        inv = np.linalg.inv(np.eye(F) - G * d.T[:, None])
+        return w, r * (w.T @ (d * inv.transpose(2, 1, 0)))
 
     def solution(self, y: np.ndarray) -> np.ndarray:
         """x = (T - D)^{-1} T y = y + sum_r c_r (w_r^T y), (ms, nt)."""
@@ -156,11 +159,12 @@ class SchurOperator:
         (z, l) stand for G (ms, nt) with rows z on R and l Qj on I: a basis
         of the interface nodes, whose corners go with R."""
         R, a = np.unique(self.along_rows, return_inverse=True)
-        Qj, b = np.unique(self.across_q, axis=0, return_inverse=True)
+        _, first, b = np.unique(self.across_cols, return_index=True,
+                                return_inverse=True)
         I = np.setdiff1d(np.arange(self.center_plan.shape[0]), R)
         W = self.eigenbasis[0]
-        return (R, I, np.eye(R.size)[a], np.eye(len(Qj))[b.ravel()], Qj,
-                W[R], W[I])
+        return (R, I, np.eye(R.size)[a], np.eye(first.size)[b.ravel()],
+                self.across_q[first], W[R], W[I])
 
     def _line_maps(self, xr: np.ndarray, xq: np.ndarray) -> tuple:
         """The along lines' (S - D) rows from their eigenbasis rows W[R] x,
@@ -255,81 +259,88 @@ def build_schur_operator(comp: CompositeDomain) -> SchurOperator:
     """The Schur operator on `comp.center`; a composite that is not a star
     raises ValidationError."""
     coupled_id = comp.center
-    center_plan = plan_rect(comp.subdomain(coupled_id))
-    ms, nt = center_plan.shape
-    neighbors, along, across_q, fold, groups = [], [], [], {}, {}
+    center_plan = rectsolver.plan_eigenbasis(comp.subdomain(coupled_id))
+    nt = center_plan.shape[1]
+    neighbors, along, across, fold, groups = [], [], [], {}, {}
     for iface in comp.interfaces_of(coupled_id):
         other, edge = iface.other_side(coupled_id)
         plan = plan_rect(comp.subdomain(other))
         to_c, from_c = (make_coupling(comp, iface, sid)
                         for sid in (other, coupled_id))
-        neighbors.append(_Neighbor(plan, to_c, from_c))
-        # the center's edge is sweep row 0 or ms - 1, or column 0 or nt - 1
-        axis, end = edge_end(iface.other_side(other)[1])
-        across = axis == center_plan.transform_axis
+        neighbors.append(_Neighbor(plan, edge, to_c, from_c))
+        j, q = rectsolver.line_place(center_plan, iface.other_side(other)[1])
         weight = to_c.coupling * from_c.coupling
         line_plan, t, t_c, exact = interface_operator(
-            plan, edge, None if across else center_plan)
-        row, d = end * (ms - 1), np.zeros(nt)
+            plan, edge, center_plan if q is None else None)
+        d = np.zeros(nt)
         if t_c is not None:
             d = weight * t_c
-            fold[row] = fold.get(row, 0.0) + d
+            fold[j] = fold.get(j, 0.0) + d
         if exact:
             continue
         # a transform is fixed by its kind, length and half-cell ends
-        key = (int(across), line_plan.bc, line_plan.n, line_plan.ends)
+        key = (int(q is not None), line_plan.bc, line_plan.n, line_plan.ends)
         group = groups.setdefault(key, ([], line_plan, []))
-        batch = across_q if across else along
+        batch = along if q is None else across
         group[0].append(len(batch))
         group[2].append(weight * t)
-        # across: row j of Q, Q^T e_j, reads the line's nodal values
-        batch.append(transforms.apply_Qt(center_plan.y_plan, np.eye(
-            1, nt, end * (nt - 1))[0]) if across else (row, d))
+        batch.append((j, d if q is None else q))
     return SchurOperator(
         coupled_id=coupled_id, center_plan=center_plan,
         neighbors=tuple(neighbors),
-        along_rows=np.array([r for r, _ in along], dtype=int),
+        along_rows=np.array([j for j, _ in along], dtype=int),
         along_d=np.reshape([d for _, d in along], (len(along), nt)),
-        across_q=np.reshape(across_q, (len(across_q), nt)),
+        across_cols=np.array([j for j, _ in across], dtype=int),
+        across_q=np.reshape([q for _, q in across], (len(across), nt)),
         fold_rows=np.array(list(fold), dtype=int),
         fold_d=np.reshape(list(fold.values()), (len(fold), nt)),
         groups=tuple((b, np.array(s), p, np.array(c))
                      for (b, *_), (s, p, c) in groups.items()))
 
 
-def eliminate_arms(op: SchurOperator, f: dict) -> GridField:
-    """The center's reduced right-hand side,
-    f' = f_c - sum_i R_{c,i} A_i^{-1} f_i.
+@dataclass
+class ReducedField(GridField):
+    """f' with each arm's sweep x_i = sweep(Q^T f_i), by subdomain id."""
 
-    `f` maps subdomain id to a GridField or flat array.
-    """
-    center = op.center_plan.subdomain
-    f_prime = field_values(center, f.get(center.id)).copy()
+    swept: dict = field(default_factory=dict)
+
+
+def eliminate_arms(op: SchurOperator, f: dict) -> ReducedField:
+    """The center's reduced right-hand side f' = f_c - sum_i R_{c,i}
+    A_i^{-1} f_i, each arm's term read from its sweep x_i; `f` maps
+    subdomain id to a GridField or flat array."""
+    out = ReducedField(op.coupled_id, field_values(
+        op.center_plan.subdomain, f.get(op.coupled_id)).copy())
     for nb in op.neighbors:
-        f_prime -= nb.to_center.apply(
-            solve_rect(nb.plan, f.get(nb.plan.subdomain.id)).values)
-    return GridField(op.coupled_id, f_prime)
+        plan, sid = nb.plan, nb.plan.subdomain.id
+        x = out.swept[sid] = rectsolver.sweep(plan, rectsolver.to_spectral(
+            plan, field_values(plan.subdomain, f.get(sid))))
+        out.values[nb.to_center.to_idx] -= nb.to_center.coupling \
+            * rectsolver.read_line(plan, nb.edge, x)
+    return out
 
 
 def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     """Solve the composite system; returns ({id: GridField}, SolveReport).
-
     `f` maps subdomain id to a GridField (or flat array) of right-hand
-    sides.  The coupled subdomain is the center; a single rectangle is a
-    center without neighbors: the fft-preconditioned GMRES sees the
-    identity and returns A_c^{-1} f after one step.
-    """
+    sides.  A single rectangle is a center without neighbors: the
+    fft-preconditioned GMRES sees the identity and returns A_c^{-1} f
+    after one step."""
     validate(comp).require()
 
     rhs = {sub.id: field_values(sub, f.get(sub.id))
            for sub in comp.subdomains}
     op = build_schur_operator(comp)
-    p_c, report = krylov.solve_coupled(op, eliminate_arms(op, rhs), gmres_cfg)
+    f_prime = eliminate_arms(op, rhs)
+    p_c, report = krylov.solve_coupled(op, f_prime, gmres_cfg)
 
     fields = {op.coupled_id: p_c}
     for nb in op.neighbors:
-        # back-substitution: p_i = A_i^{-1} (f_i - R_{i,c} p_c)
-        sid = nb.plan.subdomain.id
-        fields[sid] = solve_rect(
-            nb.plan, rhs[sid] - nb.from_center.apply(p_c.values))
+        # back-substitution: p_i = Q (x_i - sweep(g_i)), g_i = R_{i,c} p_c
+        sid, R = nb.plan.subdomain.id, nb.from_center
+        g = rectsolver.line_spectral(nb.plan, nb.edge,
+                                     R.coupling * p_c.values[R.from_idx])
+        x = f_prime.swept.pop(sid)      # each sweep freed once used
+        x -= rectsolver.sweep(nb.plan, g)
+        fields[sid] = GridField(sid, rectsolver.to_nodal(nb.plan, x))
     return fields, report

@@ -10,14 +10,11 @@ unknown on the interface line itself.
 Dirichlet edges come in two flavours:
 
 * ghost-node (default): the boundary value lives one full spacing outside
-  the first node line and the axis matrix is the plain Toeplitz form.
-  Interface edges behave identically (their "boundary value" is the
-  neighbouring subdomain's node line, moved into the coupling operator).
+  the first node line (the plain Toeplitz axis matrix).  Interface edges
+  behave identically, the neighbor's node line moved into the coupling.
 * half-cell (``half_cell_dirichlet``): the value is imposed on the cell
-  boundary half a spacing from the first node line; the diagonal of the
-  near-boundary row gains an extra -delta.  Composite benchmarks use this
-  flavour on exterior edges so the discrete boundary sits on the true
-  geometric boundary.
+  boundary half a spacing from the first node line, whose diagonal gains
+  an extra -delta; the benchmarks' exterior edges use it.
 """
 
 from __future__ import annotations

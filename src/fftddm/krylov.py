@@ -1,10 +1,5 @@
-"""Restarted GMRES and companions for the coupled interface system.
+"""Restarted GMRES (`gmres`) and the coupled interface system's solve.
 
-`gmres` is a restarted GMRES with Givens-rotation least squares; each
-Arnoldi step makes two local modified Gram-Schmidt steps and a classical
-pass over the basis, and a second pass on the DGKS test.  Given a `dual`
-it runs on coordinates c of vectors Phi c, each basis vector kept with
-its dual Phi^T Phi c, so that its inner products are the grid's.
 `solve_coupled` solves the center's system in the eigenbasis that makes
 A_c diagonal, with the true relative residual ||f' - (A_c - S) p|| /
 ||f'|| as `check`, under one of two preconditioners:
@@ -76,21 +71,21 @@ def _update(V: np.ndarray, H: np.ndarray, g: list, k: int):
 
 def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
           check=None, dual=None):
-    """Restarted GMRES from x = 0; returns (solution, SolveReport).
+    """Restarted GMRES from x = 0, with Givens-rotation least squares;
+    returns (solution, SolveReport).
 
     `operator` maps a length-N vector to a length-N vector; residuals in
     the report are 2-norms relative to the initial one.  `check`, if
     given, maps an iterate to its true relative residual.  Once GMRES's
     estimate meets its inner tolerance (first tol) it forms the iterate
-    and asks: a passing check returns it at once, sparing GMRES's own
-    residual; a failing one scales the inner tolerance by tol / check and
-    the cycle goes on.  At a cycle's end the explicit residual must meet
-    tol and the check pass, unless it failed on that very iterate.  A
-    breakdown or a non-finite estimate ends the restarts, a non-finite
-    check or explicit residual the solve.  Short of tol, raises
-    ConvergenceError carrying the report and the solution.  The report's
-    true relative residual is the passing check's value, or one more
-    check of the solution that falls short.
+    and asks: a passing check returns it at once; a failing one scales
+    the inner tolerance by tol / check and the cycle goes on.  At a
+    cycle's end the explicit residual must meet tol and the check pass,
+    unless it failed on that very iterate.  A breakdown or a non-finite
+    estimate ends the restarts, a non-finite check or explicit residual
+    the solve.  Short of tol, raises ConvergenceError carrying the report
+    and the solution.  The report's true relative residual is the
+    passing check's value, or one more check of a solution short of tol.
 
     `dual`, if given, maps coordinates c of a vector to its dual d, so
     that <c', c> = c' . d, and to the vector's own norm (c . d cancels
@@ -157,10 +152,9 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
 
         for k in range(m):
             w = np.array(operator(V[k, :N]), dtype=float)  # a copy, to update
-            # a near-symmetric operator's A v_k lies mostly along v_{k-1}
-            # and v_k: modified Gram-Schmidt takes those out, one classical
-            # pass the rest of the basis, a second only on the DGKS test,
-            # when the first leaves at most 1/sqrt(2): ||h|| >= ||w|| left
+            # A v_k lies mostly along v_{k-1} and v_k: modified Gram-Schmidt
+            # takes those out, one classical pass the rest of the basis, a
+            # second only when the first leaves at most 1/sqrt(2) (DGKS)
             col = np.zeros(k + 2)
             for i in range(max(k + 1 - _LOCAL, 0), k + 1):
                 col[i] = h = V[i, -N:] @ w
@@ -230,13 +224,18 @@ def solve_coupled(op, f_prime: GridField, cfg: GmresConfig | None = None):
         x_hat = lambda c: op.solution(expand(c))
     else:  # identity
         operator, rhs, dual, x_hat = op.spectral_apply, f_hat, None, np.asarray
+    last = [None, None]     # the last checked iterate and its x_hat
 
     def check(y):
-        return np.linalg.norm(f_hat - op.spectral_apply(x_hat(y))) / f_norm
+        last[:] = y, x_hat(y)
+        return np.linalg.norm(f_hat - op.spectral_apply(last[1])) / f_norm
+
+    def nodal(y):
+        return op.to_nodal(last[1] if y is last[0] else x_hat(y))
 
     try:
         y, report = gmres(operator, rhs, cfg=cfg, check=check, dual=dual)
     except ConvergenceError as err:
-        err.solution = op.to_nodal(x_hat(err.solution))
+        err.solution = nodal(err.solution)
         raise
-    return GridField(op.coupled_id, op.to_nodal(x_hat(y))), report
+    return GridField(op.coupled_id, nodal(y)), report

@@ -1,9 +1,6 @@
-"""Dense brute-force reference implementations.
-
-Everything here is assembled entrywise and solved with dense LAPACK
-routines, independently of the FFT fast path, so property tests can pit
-the two against each other.  Size guards keep these desk-scale only.
-"""
+"""Dense brute-force references, assembled entrywise and solved with dense
+LAPACK routines independently of the FFT fast path, for the tests to pit
+the two against each other.  Size guards keep these desk-scale only."""
 
 from __future__ import annotations
 
@@ -33,8 +30,8 @@ def assemble_axis_matrix(bc: str, n: int, delta_t: float, delta_o: float,
         A[0, 0] += delta_t
         A[-1, -1] += delta_t
     elif bc == "PP":
-        A[0, (0 - 1) % n] += delta_t
-        A[-1, (n) % n] += delta_t
+        A[0, -1] += delta_t
+        A[-1, 0] += delta_t
     elif bc != "DD":
         raise ValidationError(f"unknown BC pair {bc!r}")
     return A
@@ -70,10 +67,6 @@ def assemble_eigvector_matrix(bc: str, n: int) -> np.ndarray:
     raise ValidationError(f"unknown BC pair {bc!r}")
 
 
-def _x_end_mods(sub: RectSubdomain) -> tuple[float, float]:
-    return sub.end_modifier("west"), sub.end_modifier("east")
-
-
 def assemble_rect_matrix(sub: RectSubdomain) -> np.ndarray:
     """Dense m*n x m*n operator of one rectangle, x-line-major layout."""
     if sub.size > _RECT_GUARD:
@@ -91,8 +84,7 @@ def assemble_rect_matrix(sub: RectSubdomain) -> np.ndarray:
 
     A = np.kron(np.eye(m), Ay)
     off = sub.delta("x") * np.eye(n)
-    big = np.arange(m)
-    for i in big[:-1]:
+    for i in range(m - 1):
         A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] += off
         A[(i + 1) * n:(i + 2) * n, i * n:(i + 1) * n] += off
     pair_x = sub.axis_pair("x")
@@ -100,9 +92,8 @@ def assemble_rect_matrix(sub: RectSubdomain) -> np.ndarray:
         A[:n, (m - 1) * n:] += off
         A[(m - 1) * n:, :n] += off
     else:
-        w, e = _x_end_mods(sub)
-        A[:n, :n] += w * np.eye(n)
-        A[(m - 1) * n:, (m - 1) * n:] += e * np.eye(n)
+        A[:n, :n] += sub.end_modifier("west") * np.eye(n)
+        A[(m - 1) * n:, (m - 1) * n:] += sub.end_modifier("east") * np.eye(n)
     return A
 
 

@@ -1,14 +1,11 @@
 """Direct O(N log N) Helmholtz-Poisson solver on a single rectangle.
 
 Pipeline: eigenbasis transform along one axis, one tridiagonal solve per
-spectral mode along the other axis, inverse transform.  Every axis has a
-transform (`transforms.make_plan`), a shifted sine basis where a Dirichlet
-end is half-cell; y is transformed unless only y has half-cell ends, as a
-half-cell transform is a dense product.  The sweep axis takes its end
-modifiers (half-cell Dirichlet, Neumann corners) on the diagonal.  The
-tridiagonal solves are a twisted factorization, eliminated from both ends
-toward a middle row: a sweep takes ms / 2 sequential steps, each on every
-mode at once.
+spectral mode along the other axis (a twisted factorization: ms / 2
+sequential steps, each on every mode), inverse transform.  Every axis has
+a transform (`transforms.make_plan`), a shifted sine basis where a
+Dirichlet end is half-cell; y is transformed unless only y has half-cell
+ends.  The sweep axis takes its end modifiers on the diagonal.
 """
 
 from __future__ import annotations
@@ -32,7 +29,8 @@ def _half(sub: RectSubdomain, axis: str) -> tuple:
 
 @dataclass(frozen=True)
 class RectPlan:
-    """Prepared factorizations for one rectangle; immutable and shareable."""
+    """Prepared factorizations for one rectangle; immutable and shareable.
+    A plan from `plan_eigenbasis` holds no factors: beta, lower None."""
 
     subdomain: RectSubdomain
     transform_axis: str          # 'y' (default) or 'x' (field transposed)
@@ -47,7 +45,7 @@ class RectPlan:
     @property
     def shape(self) -> tuple:
         """(ms, nt): sweep positions by transform modes."""
-        return self.beta.shape
+        return self.subdomain.size // self.y_plan.n, self.y_plan.n
 
 
 def _fold(a: np.ndarray, unfold: bool = False) -> np.ndarray:
@@ -66,13 +64,9 @@ def _fold(a: np.ndarray, unfold: bool = False) -> np.ndarray:
 def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
     """Twisted factorization of tridiag(off, diag[i], off) per column:
     LU pivots for rows 0..h-1, UL pivots for rows ms-1..h+1 and the twist
-    pivot of row h = ms // 2, where both eliminations meet.
-
-    Returns (beta, lower, bad-column mask), beta the pivots and lower the
-    multipliers off / beta, both folded (_fold); a column is bad when one
-    of its pivots, the twist pivot included, is below tol.  Each step
-    eliminates rows i and ms-1-i together: two ufunc calls on one (2, nt)
-    block, with positional outputs; the multipliers follow in one call.
+    pivot of row h = ms // 2, where both eliminations meet.  Returns
+    (beta, lower, bad-column mask): the pivots and the multipliers off /
+    beta, both folded (_fold); a column is bad when a pivot is below tol.
     """
     ms, nt = diag.shape
     h = ms // 2
@@ -91,12 +85,8 @@ def _factor_tridiag(diag: np.ndarray, off: float, tol: float):
 
 def _tridiag_solve(beta, lower, rhs):
     """Solve with the folded factors from _factor_tridiag; rhs and the
-    result are (ms, nt) in natural row order.
-
-    Forward steps from both ends, the twist row, one division by the
-    pivots, then back steps toward both ends; each step is two ufunc
-    calls on a pair of rows, flat, with positional outputs.
-    """
+    result are (ms, nt) in natural row order.  Forward steps from both
+    ends, the twist row, then back steps toward both ends."""
     ms, nt = beta.shape
     h = ms // 2
     x = _fold(rhs)
@@ -117,12 +107,9 @@ def _tridiag_solve(beta, lower, rhs):
 def _factor(diag: np.ndarray, off: float, cyclic: bool, tol: float):
     """Per-column factors of tridiag(off, diag, off), with wrap-around
     corners `off` when cyclic; returns (beta, lower, off, sm, bad-column
-    mask), the first four for _factored_solve.
-
-    Two cyclic rows wrap onto each other, which doubles the coupling.
-    Past two rows the corners are a Sherman-Morrison rank-one correction,
-    sm = (q, denom, gamma); otherwise sm is None.
-    """
+    mask), the first four for _factored_solve.  Two cyclic rows double the
+    coupling; past two, the corners are a Sherman-Morrison correction sm =
+    (q, denom, gamma); otherwise sm is None."""
     if not cyclic or diag.shape[0] <= 2:
         off = 2.0 * off if cyclic else off
         beta, lower, bad = _factor_tridiag(diag, off, tol)
@@ -148,35 +135,31 @@ def _factored_solve(beta, lower, off, sm, rhs):
     return x
 
 
-def plan_rect(subdomain: RectSubdomain) -> RectPlan:
-    """Build the spectral plan and the per-mode tridiagonal factorizations.
-
-    Raises SingularOperatorError for a singular operator (e.g. an
-    all-Neumann rectangle with kappa = 0).
-    """
-    sub = subdomain
+def _plan(sub: RectSubdomain, factor: bool) -> RectPlan:
+    """The transforms, and with `factor` the sweep factors; without them the
+    operator is checked on T's eigenvalues mu_k + lambda_n (`sweep_basis`)."""
     axis, s_axis = ("x", "y") if any(_half(sub, "y")) and not any(
         _half(sub, "x")) else ("y", "x")
-    delta_s = sub.delta(s_axis)
-    s_pair = sub.axis_pair(s_axis)
+    off, s_pair, ms = sub.delta(s_axis), sub.axis_pair(s_axis), \
+        sub.count(s_axis)
     plan = transforms.make_plan(sub.axis_pair(axis), sub.count(axis),
-                                sub.delta(axis), delta_s, sub.kappa,
+                                sub.delta(axis), off, sub.kappa,
                                 _half(sub, axis))
-    lam = plan.eigenvalues
-
-    diag = np.tile(lam, (sub.count(s_axis), 1))
-    cyclic = s_pair == "PP"
-    if cyclic:
-        if len(diag) % 2:
-            raise ValidationError(
-                f"subdomain {sub.id}: periodic sweep axis needs an even count")
-    else:
-        for row, edge in zip((0, -1), AXIS_EDGES[s_axis]):
+    lam, cyclic = plan.eigenvalues, s_pair == "PP"
+    if cyclic and ms % 2:
+        raise ValidationError(
+            f"subdomain {sub.id}: periodic sweep axis needs an even count")
+    tol = _PIVOT_RTOL * max(np.abs(lam).max(), off)
+    beta = lower = sm = None
+    if factor:
+        diag = np.tile(lam, (ms, 1))
+        for row, edge in zip((0, -1), () if cyclic else AXIS_EDGES[s_axis]):
             diag[row] += sub.end_modifier(edge)
-
-    tol = _PIVOT_RTOL * max(np.abs(lam).max(), delta_s)
-    beta, lower, off, sm, bad = _factor(diag, delta_s, cyclic, tol)
-
+        beta, lower, off, sm, bad = _factor(diag, off, cyclic, tol)
+    else:
+        mu = transforms.eigenvalues(s_pair, ms, off, -off, 0.0,
+                                    _half(sub, s_axis))
+        bad = ~np.all(np.abs(np.add.outer(mu, lam)) >= tol, axis=0)
     if np.any(bad):
         raise SingularOperatorError(
             f"subdomain {sub.id}: operator singular in spectral modes "
@@ -185,6 +168,18 @@ def plan_rect(subdomain: RectSubdomain) -> RectPlan:
     return RectPlan(subdomain=sub, transform_axis=axis, y_plan=plan,
                     solve_pair=s_pair, off=off, beta=beta, lower=lower,
                     cyclic=cyclic, sm=sm)
+
+
+def plan_rect(subdomain: RectSubdomain) -> RectPlan:
+    """Build the spectral plan and the per-mode tridiagonal factorizations;
+    raises SingularOperatorError if singular (e.g. all-Neumann, kappa 0)."""
+    return _plan(subdomain, True)
+
+
+def plan_eigenbasis(subdomain: RectSubdomain) -> RectPlan:
+    """`plan_rect` without the factors, for a system solved in its 2D
+    eigenbasis (`sweep_basis`): `sweep` cannot run on it."""
+    return _plan(subdomain, False)
 
 
 def solve_rect(plan: RectPlan, f: GridField) -> GridField:
@@ -213,6 +208,31 @@ def to_nodal(plan: RectPlan, phat: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
+def line_place(plan: RectPlan, edge: str) -> tuple:
+    """(j, q) of the node line next to `edge`: sweep row j (q None), or
+    transform position j, read by q = Q^T e_j."""
+    normal, end = edge_end(edge)
+    if normal != plan.transform_axis:
+        return end * (plan.shape[0] - 1), None
+    j = end * (plan.y_plan.n - 1)
+    return j, transforms.apply_Qt(plan.y_plan, np.eye(1, plan.y_plan.n, j)[0])
+
+
+def read_line(plan: RectPlan, edge: str, phat: np.ndarray) -> np.ndarray:
+    """Nodal values on the line next to `edge` of spectral rows phat."""
+    j, q = line_place(plan, edge)
+    return transforms.apply_Q(plan.y_plan, phat[j]) if q is None else phat @ q
+
+
+def line_spectral(plan: RectPlan, edge: str, g: np.ndarray) -> np.ndarray:
+    """`to_spectral` of values g on the line next to `edge`, 0 elsewhere."""
+    j, q = line_place(plan, edge)
+    if q is None:       # Q^T g in sweep row j
+        return np.outer(np.eye(1, plan.shape[0], j),
+                        transforms.apply_Qt(plan.y_plan, g))
+    return np.outer(g, q)
+
+
 def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
     """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
     return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
@@ -221,14 +241,11 @@ def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
 def sweep_basis(plan: RectPlan) -> tuple:
     """(W, mu): orthonormal eigenvectors, as the columns of W (ms, ms), and
     eigenvalues of the sweep-axis matrix A_s, the per-mode tridiagonal less
-    its diagonal lambda_n: T_n = W diag(mu + lambda_n) W^T.
-
-    Both are the closed forms of the axis's own transform, planned with
-    the normal delta -delta_s, which cancels the diagonal -2 delta_s that
-    A_s lacks.  A DD axis's W is the cached `transforms.sine_matrix`,
-    shifted by half a spacing at a half-cell end.  A two-row cyclic axis
-    doubles the coupling, as its PP transform does.
-    """
+    its diagonal lambda_n: T_n = W diag(mu + lambda_n) W^T.  Both are the
+    closed forms of the axis's own transform (a DD axis's W the cached
+    `transforms.sine_matrix`, shifted at a half-cell end; two cyclic rows
+    double the coupling), planned with the normal delta -delta_s, which
+    cancels the diagonal -2 delta_s that A_s lacks."""
     sub = plan.subdomain
     axis = "x" if plan.transform_axis == "y" else "y"
     ms, off, ends = sub.count(axis), sub.delta(axis), _half(sub, axis)
@@ -243,19 +260,14 @@ def interface_operator(plan: RectPlan, edge: str,
 
     Returns (line_plan, t, t_c, exact).  A^{-1} takes values on that
     line, in tangential order, to the same line as Q diag(t) Q^T, Q the
-    transform of `line_plan`, with t_k = (T_k^{-1})_jj, T_k the mode-k
-    tridiagonal across the line and j the line's place on it.  Q is the
-    plan's own transform for a line along its transform axis (a sweep
-    row), else one made for the line's axis, half-cell ends included; t
-    is the last pivot of the pivot-only elimination run from the far edge.
-
-    Given the plan of a center whose sweep row is the facing line, t_c is
-    t at the center's line eigenvalues moved into this rectangle's frame
-    (normal-axis diagonal and kappa), from the same pivot loop: about the
-    diagonal of Q_c^T Q diag(t) Q^T Q_c, and exactly t when the line's
-    transform is the center's (`exact`: same pair and ends).  Else t_c
-    is None.  An interface's normal axis is never periodic, so no cyclic
-    correction enters.
+    transform of `line_plan` (the plan's own for a sweep row, else one
+    made for the line's axis), t_k = (T_k^{-1})_jj, T_k the mode-k
+    tridiagonal across the line (never periodic) and j the line's place on
+    it: the last pivot of the elimination run from the far edge.  Given
+    the plan of a center whose sweep row is the facing line, t_c is t at
+    the center's line eigenvalues moved into this rectangle's frame: about
+    the diagonal of Q_c^T Q diag(t) Q^T Q_c, and exactly t when the line's
+    transform is the center's (`exact`: same pair and ends); else None.
     """
     sub = plan.subdomain
     normal = edge_end(edge)[0]

@@ -2,27 +2,21 @@
 
 For each axis BC pair ('DD', 'NN', 'PP') the axis matrix A has a known
 orthonormal eigenvector matrix Q (sine, shifted-cosine and real Fourier
-bases respectively).  Applying Q and Q^T diagonalizes the axis
-operator:  Q^T A Q = diag(lambda).  Each kernel but the short sine
-transform runs one real FFT of about n points, at O(n log n): the sine
-transform (DST-I) one of length 2(n+1), the cosine transforms one of
-length n after Makhoul's reordering, and the real Fourier basis one of
-length n.  A DST-I of length n <= _DENSE_DST is one product with the
-cached sine matrix instead: its FFT runs on 2(n + 1) points, and these
-grids make n + 1 prime or nearly so (2k + 1, 4k + 1), so there the dense
-product is faster at every row count; so is one with (Q, Q^T) for the
-cosine and Fourier bases up to n = _DENSE_FFT.  A Dirichlet axis with half-cell
-ends (`ends`) takes the shifted sine basis of `sine_matrix`, which is not
-symmetric, as two dense products (Q^T and Q) at any length.  Twiddle
-factors are computed once per `SpectralPlan`.
+bases respectively): Q^T A Q = diag(lambda).  Each kernel runs one real
+FFT of about n points: the sine transform (DST-I) one of length 2(n+1),
+the cosine transforms one of length n after Makhoul's reordering, the
+real Fourier basis one of length n.  A DST-I of length n <= _DENSE_DST is
+one product with the cached sine matrix instead (these grids make n + 1
+prime or nearly so, 2k + 1 or 4k + 1), and so are the cosine and Fourier
+bases up to n = _DENSE_FFT.  A Dirichlet axis with half-cell ends
+(`ends`) takes the shifted sine basis of `sine_matrix`, not symmetric, as
+two dense products (Q^T and Q) at any length.  Twiddle factors are
+computed once per `SpectralPlan`.
 
 Sign and ordering conventions match `oracle.assemble_eigvector_matrix`
-column for column; the eigenvalue array from `eigenvalues` is ordered the
-same way.
-
-Note on the Neumann eigenvalues: the cosine denominator is n (not n - 1);
-the dense eigendecomposition of the Neumann axis matrix pins this down at
-n = 2 and 3, and the diagonalization property tests enforce it.
+column for column, as does the order of `eigenvalues`.  The Neumann
+cosine denominator is n (not n - 1): the dense eigendecomposition pins
+this down at n = 2 and 3, and the diagonalization tests enforce it.
 """
 
 from __future__ import annotations

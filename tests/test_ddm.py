@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fftddm import bench, ddm, krylov, oracle, rectsolver, transforms
-from fftddm.errors import ValidationError
+from fftddm.errors import SingularOperatorError, ValidationError
 from fftddm.geometry import (BoundaryKind, CompositeDomain, GridField,
                              RectSubdomain, edge_end, line_indices,
                              make_interface, validate)
@@ -212,6 +212,18 @@ class TestDdmSolve:
         assert report.true_relative_residual == pytest.approx(
             res / np.linalg.norm(f[0]), rel=1e-12)
         assert report.true_relative_residual <= 1e-12
+
+    @pytest.mark.parametrize("x_pair,y_pair", [("NN", "NN"), ("PP", "NN"),
+                                               ("PP", "PP")])
+    def test_singular_single_rectangle_rejected(self, x_pair, y_pair):
+        # the center is planned without sweep factors, and still checked:
+        # all-Neumann or periodic with kappa = 0 leaves mode (0, 0) at 0
+        sub = make_rect(4, 6, x_pair, y_pair, dx=0.2, dy=0.25)
+        comp = CompositeDomain(subdomains=[sub], interfaces=[])
+        with pytest.raises(SingularOperatorError, match=r"modes \[0\] "):
+            ddm.ddm_solve(comp, {0: np.ones(sub.size)})
+        with pytest.raises(SingularOperatorError):
+            ddm.build_schur_operator(comp)
 
     def test_single_rectangle_honours_the_preconditioner(self, rng):
         sub = make_rect(4, 4, dx=0.2, dy=0.2)
@@ -478,17 +490,25 @@ class TestLineOperators:
         pytest.param(bench.build_cross(k_n=8).composite, id="cross-k8"),
         pytest.param(star_mixed(8), id="star-k8"),
     ])
-    def test_two_rect_solves_per_arm(self, comp, rng, monkeypatch):
-        # the arms' reduction and back-substitution both go through
-        # solve_rect, the one checked rectangle solve
-        solved = []
-        counting = recording(rectsolver.solve_rect, solved)
-        monkeypatch.setattr(rectsolver, "solve_rect", counting)
-        monkeypatch.setattr(ddm, "solve_rect", counting)
+    def test_one_full_transform_each_way_per_arm(self, comp, rng,
+                                                  monkeypatch):
+        # each arm is swept once, read on its line and back-substituted
+        # from that sweep and a line source: one full forward and one full
+        # inverse transform per arm, beside the center's one of each
+        calls = {"to_spectral": [], "to_nodal": []}
+        for name, seen in calls.items():
+            def counting(plan, values, _seen=seen, _func=getattr(
+                    rectsolver, name)):
+                assert np.size(values) == plan.subdomain.size
+                _seen.append(plan.subdomain.id)
+                return _func(plan, values)
+            monkeypatch.setattr(rectsolver, name, counting)
+            monkeypatch.setattr(ddm, name, counting, raising=False)
         f = {s.id: rng.standard_normal(s.size) for s in comp.subdomains}
         ddm.ddm_solve(comp, f)
-        arms = [s.id for s in comp.subdomains if s.id != comp.center]
-        assert sorted(p.subdomain.id for p in solved) == sorted(2 * arms)
+        ids = sorted(s.id for s in comp.subdomains)
+        assert sorted(calls["to_spectral"]) == ids
+        assert sorted(calls["to_nodal"]) == ids
 
     @pytest.mark.parametrize("comp", [
         pytest.param(bench.build_cross(k_n=16).composite, id="cross-k16"),
@@ -694,7 +714,9 @@ class TestSpectralOperator:
         assert np.linalg.norm(p_hat) == pytest.approx(np.linalg.norm(p),
                                                       rel=1e-13)
         np.testing.assert_allclose(op.to_nodal(p_hat), p, rtol=0, atol=1e-13)
-        want = to_spectral(op, rectsolver.solve_rect(op.center_plan, p).values)
+        # the operator's center plan has no sweep factors: plan them here
+        center = rectsolver.plan_rect(op.center_plan.subdomain)
+        want = to_spectral(op, rectsolver.solve_rect(center, p).values)
         f_hat = op.spectral_rhs(p)
         np.testing.assert_array_equal(f_hat, p_hat)
         b_hat = op.eigenbasis[2].ravel() * f_hat     # T^{-1}: the center solve

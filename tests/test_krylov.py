@@ -576,6 +576,42 @@ class TestInterfaceCoordinates:
         assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
         assert got.value.report.iterations == want.value.report.iterations
 
+    @pytest.mark.parametrize("comp,m,checked", [
+        pytest.param(star_mixed(16), 10, [12, 13], id="star-k16-m10"),
+        pytest.param(bench.build_cross(k_n=8).composite, 80, None,
+                     id="cross-k8-m80")])
+    def test_one_solution_per_apply_and_check(self, comp, m, checked,
+                                              monkeypatch):
+        # (T - D)^{-1} T y is formed once per operator apply and once per
+        # check; the returned iterate is the one the passing check formed
+        op = ddm.build_schur_operator(comp)
+        f = np.random.default_rng(0).standard_normal(op.size)
+        counts = {"solution": 0, "operator": 0}
+        solution, gmres = op.solution, krylov.gmres
+
+        def counting_solution(y):
+            counts["solution"] += 1
+            return solution(y)
+
+        def counting_gmres(operator, *args, **kwargs):
+            def counted(c):
+                counts["operator"] += 1
+                return operator(c)
+            return gmres(counted, *args, **kwargs)
+
+        monkeypatch.setitem(op.__dict__, "solution", counting_solution)
+        monkeypatch.setattr(krylov, "gmres", counting_gmres)
+        cfg = krylov.GmresConfig(m=m, tol=1e-7)
+        p, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        assert rep.converged and rep.residual_checks
+        assert checked is None or [i for i, _ in rep.residual_checks] \
+            == checked
+        assert counts["solution"] == counts["operator"] \
+            + len(rep.residual_checks)
+        monkeypatch.undo()
+        want, _ = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        np.testing.assert_array_equal(p.values, want.values)
+
     def test_coordinates_are_the_interface_nodes(self):
         # 1 + the center's interface nodes, each corner once: on the cross
         # at k_n=8 two sweep rows of 32 and two columns of 16 - 2 rows
