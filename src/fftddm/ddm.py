@@ -22,7 +22,7 @@ fast solver), D the arms' symbols folded onto their sweep rows.  That
 operator is y - T^{-1} (S - D) x, and S - D writes only the interface
 lines, so GMRES runs on the coordinates of b and of T^{-1} W^T at each
 interface node, 1 + |interface| vectors, each stored with its dual
-(`coordinates`).  An iteration expands two such vectors onto the
+(`coordinates`).  An iteration expands one such vector onto the
 eigenbasis, reads the arms' lines (one stored product per line where
 every transform is dense) and sweeps nothing.
 """
@@ -220,9 +220,9 @@ class SchurOperator:
         """fft GMRES on coordinates c = (c_0, z, l) of Phi c = c_0 b + T^{-1}
         W^T G, b = T^{-1} (f - W^T G_f), G_f the interface part of flat
         eigenbasis coefficients f.  P y = y - T^{-1} (S - D) (T - D)^{-1} T y
-        maps Phi's range into itself.  Returns (c -> the coordinates of
-        P Phi c, (1, G_f), c -> (the dual Phi^T Phi c, ||Phi c||), c ->
-        Phi c)."""
+        maps Phi's range into itself.  Returns ((c, v, h) -> the
+        coordinates of P Phi c, v = h Phi c if given, (1, G_f), c -> (the
+        dual Phi^T Phi c, ||Phi c||, Phi c), c -> Phi c)."""
         Qj, WR, WI = self._interface[4:7]
         _, t, r = self.eigenbasis
 
@@ -235,13 +235,13 @@ class SchurOperator:
         def expand(c):
             return (r * self._scatter(c) + c[0] * b).reshape(-1)
 
-        def dual(c):            # Phi^T of the expanded vector, and its norm
+        def dual(c):            # Phi^T of v = Phi c, ||v|| and v
             v = expand(c)
             return np.concatenate([[b.ravel() @ v], *read(
-                r * v.reshape(t.shape))]), np.sqrt(v @ v)
+                r * v.reshape(t.shape))]), np.sqrt(v @ v), v
 
-        return (lambda c: c - self._gather(self.solution(expand(c))),
-                rhs, dual, expand)
+        return (lambda c, v=None, h=1.0: c - self._gather(self.solution(
+            expand(c) if v is None else v)) / h, rhs, dual, expand)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:
         """(T - S) x = (W (x) Q)^T (A_c - sum S) (W (x) Q) x on flat

@@ -130,20 +130,22 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValidationError(
+                f"values on subdomain {self.subdomain_id} are complex")
         self.values = np.asarray(self.values, dtype=float).ravel()
 
 
 def field_values(sub: RectSubdomain, f) -> np.ndarray:
     """The flat values of `f`, a GridField or array given for `sub` (None
     when missing); ValidationError names the subdomain if `f` is missing,
-    on another subdomain, of the wrong length or not finite."""
+    on another subdomain, complex, of the wrong length or not finite."""
     name = f"right-hand side for subdomain {sub.id}"
     if f is None:
         raise ValidationError(f"no {name}")
     if isinstance(f, GridField) and f.subdomain_id != sub.id:
         raise ValidationError(f"{name} is on subdomain {f.subdomain_id}")
-    values = np.asarray(f.values if isinstance(f, GridField) else f,
-                        dtype=float).ravel()
+    values = (f if isinstance(f, GridField) else GridField(sub.id, f)).values
     if values.size != sub.size:
         raise ValidationError(f"{name} has length {values.size}, expected "
                               f"{sub.m} x {sub.n}")
@@ -361,15 +363,9 @@ def validate(composite: CompositeDomain) -> ValidationReport:
 
 def make_interface(iface_id: int, sub_a: RectSubdomain, edge_a: str,
                    sub_b: RectSubdomain, edge_b: str) -> Interface:
-    """Build an Interface, checking that its two node lines pair up."""
-    _, tan_a, _ = _edge_line_geometry(sub_a, edge_a)
-    _, tan_b, _ = _edge_line_geometry(sub_b, edge_b)
-    if len(tan_a) != len(tan_b):
-        raise ValidationError(
-            f"interface {iface_id}: interface node mismatch "
-            f"({len(tan_a)} vs {len(tan_b)})")
-    return Interface(id=iface_id, side_a=(sub_a.id, edge_a),
-                     side_b=(sub_b.id, edge_b))
+    """An Interface of two named edges; `validate` checks their nodes."""
+    return Interface(id=iface_id, side_a=(sub_a.id, _edge(edge_a)),
+                     side_b=(sub_b.id, _edge(edge_b)))
 
 
 _BC_NAMES = {k.value: k for k in BoundaryKind}

@@ -88,10 +88,11 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     passing check's value, or one more check of a solution short of tol.
 
     `dual`, if given, maps coordinates c of a vector to its dual d, so
-    that <c', c> = c' . d, and to the vector's own norm (c . d cancels
-    in a badly scaled basis): GMRES then runs on coordinates, keeps each
-    basis vector with its dual and forms the dual of each new one after
-    its Gram-Schmidt pass.  Without it vectors are their own duals.
+    that <c', c> = c' . d, to its norm h (c . d cancels in a badly scaled
+    basis) and to the expanded vector v: GMRES then runs on coordinates,
+    keeps each basis vector c / h with its dual, formed after its
+    Gram-Schmidt pass, and applies operator(c / h, v, h), or operator(c /
+    h) after a check.  Else vectors are their own duals: operator(c).
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -99,14 +100,16 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     x = np.zeros(N)
     start = time.perf_counter()
 
-    def paired(c):              # (c, d) stacked, read as [:N] and [-N:]
-        if dual is None:        # and ||c||
-            return c, math.sqrt(c @ c)
-        d, c_norm = dual(c)
-        return np.concatenate([c, d]), c_norm
+    def paired(c):              # (c, d) stacked, read as [:N] and [-N:],
+        if dual is None:        # ||c||, and the operator's further
+            return c, math.sqrt(c @ c), ()      # arguments for c / ||c||
+        d, c_norm, v = dual(c)
+        return np.concatenate([c, d]), c_norm, (v, c_norm)
 
-    # r the residual of x, never written in place
-    r, r_norm = rhs, r0_norm = paired(rhs)
+    # r the residual of x, never written in place, and `ex` the operator's
+    # further arguments for the next basis vector, dropped before a check
+    r, r_norm, ex = paired(rhs)
+    r0_norm = r_norm
     history = [1.0 if r0_norm else 0.0]
     checks = []
     inner = cfg.tol
@@ -151,7 +154,7 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
         cs, sn = [0.0] * m, [0.0] * m
 
         for k in range(m):
-            w = np.array(operator(V[k, :N]), dtype=float)  # a copy, to update
+            w = np.array(operator(V[k, :N], *ex), dtype=float)  # a copy
             # A v_k lies mostly along v_{k-1} and v_k: modified Gram-Schmidt
             # takes those out, one classical pass the rest of the basis, a
             # second only when the first leaves at most 1/sqrt(2) (DGKS)
@@ -164,7 +167,8 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
                 h = basis[:, -N:] @ w
                 w -= np.matmul(h, basis[:, :N], out=tmp)
                 col[:k + 1] += h
-                w_pair, h_next = paired(w)  # w's dual formed once per pass
+                ex = ()         # dropped before the next expansion
+                w_pair, h_next, ex = paired(w)  # w's dual, once per pass
                 if h_next * h_next > h @ h:
                     break
             w_norm = math.sqrt(h_next * h_next + col @ col)  # ||A v_k||
@@ -191,14 +195,14 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
             if history[-1] <= inner:
                 if check is None:
                     break
-                x_k = x + _update(V[:, :N], H, g, k + 1)
+                x_k, ex = x + _update(V[:, :N], H, g, k + 1), ()
                 if checked(x_k):
                     return x_k, report(True, checks[-1][1])
 
         # a check that failed at the cycle's last step is not repeated
         last_checked = checks and checks[-1][0] == len(history) - 1
-        x = x + _update(V[:, :N], H, g, k + 1)
-        r, r_norm = paired(rhs[:N] - operator(x))
+        x, ex = x + _update(V[:, :N], H, g, k + 1), ()
+        r, r_norm, ex = paired(rhs - operator(x))
         if not math.isfinite(r_norm):   # never accept a non-finite iterate
             history[-1] = r_norm / r0_norm
             raise failure(x)

@@ -261,6 +261,20 @@ class TestDdmSolve:
         with pytest.raises(ValidationError, match=f"subdomain {sid} is not"):
             ddm.ddm_solve(case.composite, f)
 
+    @pytest.mark.parametrize("as_field", [False, True],
+                             ids=["array", "GridField"])
+    @pytest.mark.parametrize("sid", [bench.CENTER, bench.SOUTH],
+                             ids=["center", "arm"])
+    def test_complex_rhs_rejected(self, sid, as_field):
+        # the imaginary part was dropped with a warning, and the solve
+        # returned the real part's solution
+        case = bench.build_cross(k_n=2)
+        f = {s.id: np.ones(s.size) for s in case.composite.subdomains}
+        f[sid] = f[sid] + 1j
+        with pytest.raises(ValidationError, match=f"subdomain {sid} are co"):
+            ddm.ddm_solve(case.composite, {
+                k: GridField(k, v) if as_field else v for k, v in f.items()})
+
 
 def star_composite(arms, m=4, n=6, dx=0.25, dy=0.2, kappa=-3.0,
                    center_half=()):

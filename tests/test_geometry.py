@@ -65,10 +65,18 @@ class TestValidate:
         assert comp.coupled_ids == {bench.CENTER}
 
     def test_mismatched_interface_lines_rejected(self):
-        a = make_rect(2, 3, sid=0)
-        b = dataclasses.replace(make_rect(2, 4, sid=1), origin=(2.0, 0.0))
-        with pytest.raises(Exception):
-            make_interface(0, a, "east", b, "west")
+        # make_interface pairs the edges by name; validate checks the nodes
+        a = dataclasses.replace(
+            make_rect(2, 3, sid=0),
+            edge_bc={"west": D, "east": I, "south": D, "north": D})
+        b = dataclasses.replace(
+            make_rect(2, 4, sid=1), origin=(2.0, 0.0),
+            edge_bc={"west": I, "east": D, "south": D, "north": D})
+        comp = CompositeDomain(
+            subdomains=[a, b],
+            interfaces=[make_interface(0, a, "east", b, "west")])
+        assert validate(comp).violations == [
+            "interface 0: interface node mismatch (3 vs 4)"]
 
     def test_non_integer_node_counts_reported(self):
         sub = dataclasses.replace(make_rect(2, 2), n=2.5)

@@ -101,6 +101,26 @@ class TestGmres:
         assert rep.residual_checks == ()
         assert rep.true_relative_residual == check(excinfo.value.solution)
 
+    def test_operator_takes_one_argument_without_a_dual(self, rng):
+        # only the dual hands the operator an expansion; plain GMRES, with
+        # restarts and checks, calls it on the vector alone
+        A = rng.standard_normal((30, 30)) + 8 * np.eye(30)
+        b = rng.standard_normal(30)
+        arities = []
+
+        def operator(*args):
+            arities.append(len(args))
+            return A @ args[0]
+
+        def check(x):
+            return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+        cfg = krylov.GmresConfig(m=4, tol=1e-10)
+        _, rep = krylov.gmres(operator, b, cfg=cfg, check=check)
+        assert rep.converged and rep.iterations > cfg.m
+        assert arities == [1] * (rep.iterations
+                                 + (rep.iterations - 1) // cfg.m)
+
     @pytest.mark.parametrize("finite_applies", [0, 4])
     def test_nonfinite_residual_stops_at_once(self, finite_applies, rng):
         # an operator whose output turns NaN: the first step whose estimate
@@ -177,9 +197,9 @@ class TestOrthogonalization:
         the cycle cannot converge."""
         basis = []
 
-        def recorded(v):
+        def recorded(v, *expanded):
             basis.append(v.copy())
-            return operator(v)
+            return operator(v, *expanded)
 
         cfg = krylov.GmresConfig(m=m, tol=1e-15, max_restarts=1)
         with pytest.raises(ConvergenceError):
@@ -594,9 +614,9 @@ class TestInterfaceCoordinates:
             return solution(y)
 
         def counting_gmres(operator, *args, **kwargs):
-            def counted(c):
+            def counted(c, *expanded):
                 counts["operator"] += 1
-                return operator(c)
+                return operator(c, *expanded)
             return gmres(counted, *args, **kwargs)
 
         monkeypatch.setitem(op.__dict__, "solution", counting_solution)
@@ -612,19 +632,77 @@ class TestInterfaceCoordinates:
         want, _ = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
         np.testing.assert_array_equal(p.values, want.values)
 
+    @pytest.mark.parametrize("comp,m", [
+        pytest.param(star_mixed(16), 10, id="star-k16-m10"),
+        pytest.param(bench.build_cross(k_n=8).composite, 80,
+                     id="cross-k8-m80"),
+        pytest.param(bench.build_cross(k_n=8).composite, 4,
+                     id="cross-k8-m4")])
+    def test_one_expansion_per_arnoldi_step(self, comp, m, monkeypatch):
+        # each Krylov vector is expanded onto the eigenbasis once, by its
+        # dual, and the next apply takes that expansion: besides the duals
+        # only b, each cycle's residual and each check expand a vector, and
+        # the apply after a failed check, which dropped the expansion so
+        # that the check's fields do not come on top of it
+        op = ddm.build_schur_operator(comp)
+        f = np.random.default_rng(0).standard_normal(op.size)
+        counts = dict.fromkeys(
+            ("scatter", "residual", "dual", "plain", "reused"), 0)
+        scatter, residual, gmres = op._scatter, op.spectral_apply, krylov.gmres
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        def counting_gmres(operator, *args, dual, **kwargs):
+            def counted(c, *expanded):
+                counts["reused" if expanded else "plain"] += 1
+                return operator(c, *expanded)
+            return gmres(counted, *args, dual=counting("dual", dual), **kwargs)
+
+        monkeypatch.setitem(op.__dict__, "_scatter", counting("scatter",
+                                                              scatter))
+        monkeypatch.setitem(op.__dict__, "spectral_apply", counting(
+            "residual", residual))      # the check's, which scatters once
+        monkeypatch.setattr(krylov, "gmres", counting_gmres)
+        cfg = krylov.GmresConfig(m=m, tol=1e-7)
+        _, rep = krylov.solve_coupled(op, GridField(op.coupled_id, f), cfg)
+        checks = len(rep.residual_checks)
+        assert rep.converged and rep.residual_checks[-1][0] == rep.iterations
+        cycles = (rep.iterations - 1) // m      # residuals of ended cycles
+        refilled = sum(1 for i, v in rep.residual_checks  # failed mid-cycle
+                       if v > cfg.tol and i % m)
+        assert counts["reused"] == rep.iterations - refilled
+        assert counts["plain"] == cycles + refilled
+        assert counts["residual"] == checks
+        # a dual for r_0, for each cycle's residual and for each step's
+        # Gram-Schmidt pass, or two passes where the first cancels
+        passes = counts["dual"] - 1 - cycles
+        assert rep.iterations <= passes < 2 * rep.iterations
+        assert counts["scatter"] - counts["residual"] \
+            == 1 + counts["dual"] + counts["plain"] + checks
+
     def test_coordinates_are_the_interface_nodes(self):
         # 1 + the center's interface nodes, each corner once: on the cross
         # at k_n=8 two sweep rows of 32 and two columns of 16 - 2 rows
         op = ddm.build_schur_operator(bench.build_cross(k_n=8).composite)
-        _, rhs, dual, expand = op.coordinates(np.ones(op.size))
+        apply, rhs, dual, expand = op.coordinates(np.ones(op.size))
         assert rhs.size == 1 + 2 * 32 + 2 * 14
         # the dual gives the grid inner products of the expanded vectors,
         # and the expanded vector's norm
         rng = np.random.default_rng(5)
         c, e = rng.standard_normal((2, rhs.size))
-        d, e_norm = dual(e)
+        d, e_norm, v = dual(e)
         assert c @ d == pytest.approx(expand(c) @ expand(e), rel=1e-12)
         assert e_norm == pytest.approx(np.linalg.norm(expand(e)), rel=1e-14)
+        # and the expansion itself, which the operator then takes in place
+        # of its own: with it and the scale h, the coordinates of P Phi e / h
+        np.testing.assert_array_equal(v, expand(e))
+        want = apply(e / 4.0)
+        assert np.abs(apply(e / 4.0, v, 4.0) - want).max() \
+            <= 1e-14 * np.abs(want).max()
 
     def test_peak_memory_is_a_few_center_fields(self):
         # the basis holds 81 vectors of about 2 |interface| numbers, not
