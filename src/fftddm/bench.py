@@ -271,13 +271,9 @@ def run_scaling(kn_list, tol_list=(1e-7, 1e-10), m: int = 80):
 
 
 def run_timing(kn_list, tol: float = 1e-7, m: int = 80, repeats: int = 5):
-    """Rows of (k_n, iterations, seconds_per_iteration) of the
-    fft-preconditioned cross solve; median of repeats.
-
-    Plans are built (and one solve run) before timing so FFT sizes are
-    warm; the per-iteration cost is total GMRES wall time over total
-    inner iterations.
-    """
+    """Rows of (k_n, iterations, seconds_per_iteration) of the fft cross
+    solve: over `repeats`, the median of `solve_coupled`'s time over its
+    iterations, after one warm-up solve on the operator built once."""
     rows = []
     for kn in kn_list:
         case = build_cross(k_n=kn)

@@ -22,9 +22,9 @@ fast solver), D the arms' symbols folded onto their sweep rows.  That
 operator is y - T^{-1} (S - D) x, and S - D writes only the interface
 lines, so GMRES runs on the coordinates of b and of T^{-1} W^T at each
 interface node, 1 + |interface| vectors, each stored with its dual
-(`coordinates`).  An iteration expands one such vector onto the
-eigenbasis, reads the arms' lines (one stored product per line where
-every transform is dense) and sweeps nothing.
+(`coordinates`).  An iteration expands one such vector v, reads x = (T
+- D)^{-1} T v's interface lines from v's reads and one product with 1 / t
+(`_reads`), never forming x, and sweeps nothing.
 """
 
 from __future__ import annotations
@@ -130,41 +130,49 @@ class SchurOperator:
             self.center_plan, f)).reshape(-1)
 
     @cached_property
-    def _fold_columns(self) -> tuple:
-        """(w, c): w_r = W^T e_r and c_r = (T - D)^{-1} d_r w_r per fold row
-        r, (rows, ms) and (rows, ms, nt), D = sum_r w_r w_r^T (x) diag(d_r):
-        Woodbury from z_r = T^{-1} d_r w_r and the capacitance I - G,
-        G[i, j] = w_ri^T z_j: per mode, one (rows^2, ms) @ (ms, nt) product
-        times d_j."""
-        W, _, r = self.eigenbasis
-        (ms, nt), w, d = r.shape, W[self.fold_rows], self.fold_d
-        F = len(w)
-        G = ((w[:, None] * w).reshape(F * F, ms) @ r).T.reshape(nt, F, F)
-        inv = np.linalg.inv(np.eye(F) - G * d.T[:, None])
-        return w, r * (w.T @ (d * inv.transpose(2, 1, 0)))
+    def _fold_columns(self) -> np.ndarray:
+        """K = [M X; X] per mode, (|S|, rows, nt), for S = [W[R]; w], w_r = W^T
+        e_r per fold row: M = W[R] diag(r) w^T, X = diag(d) (I - w diag(r) w^T
+        diag(d))^{-1}, so (T - D)^{-1} T y = y + r w^T X w y (Woodbury)."""
+        (ms, nt), d = self.center_plan.shape, self.fold_d
+        (R, *_, S, _), r = self._interface, self.eigenbasis[2]
+        MG = ((S[:, None] * S[R.size:]).reshape(-1, ms) @ r).reshape(
+            len(S), len(d), nt)
+        X = d[:, None] * np.linalg.inv(np.eye(len(d)) - (
+            MG[R.size:] * d).transpose(2, 0, 1)).transpose(1, 2, 0)
+        return np.concatenate([(MG[:R.size, :, None] * X).sum(1), X])
 
     def solution(self, y: np.ndarray) -> np.ndarray:
-        """x = (T - D)^{-1} T y = y + sum_r c_r (w_r^T y), (ms, nt)."""
+        """x = (T - D)^{-1} T y, (ms, nt), formed for the checks only."""
         y = np.reshape(y, self.center_plan.shape)
-        w, c = self._fold_columns
-        x = np.einsum("jmn,jn->mn", c, w @ y)
-        x += y
-        return x
+        n = self._interface[0].size
+        w, K = self._interface[5][n:], self._fold_columns[n:]
+        return y + self.eigenbasis[2] * (w.T @ np.add.reduce(K * (w @ y), 1))
+
+    def _reads(self, e: tuple) -> tuple:
+        """(W[R] x, (x Qj^T)^T) of x = solution(v) from e = (S v, v Qj^T),
+        without forming x: W[R] v + M s, v Qj^T + r (s (x) Qj); s = X w v."""
+        (R, *_, Qj, S, _), K = self._interface, self._fold_columns
+        (ms, nt), n = self.center_plan.shape, R.size
+        xs = np.add.reduce(K * e[0][n:], 1)
+        p = (Qj[:, None] * xs[n:]).reshape(-1, nt) @ self.eigenbasis[2].T
+        return e[0][:n] + xs[:n], e[1].T + np.add.reduce(p.reshape(
+            len(Qj), len(S) - n, ms) * S[n:], 1)
 
     @cached_property
     def _interface(self) -> tuple:
-        """(R, I, A, B, Qj, W[R], W[I]): the along arms' distinct rows R,
-        the other rows I, A and B summing each along and across arm onto
-        its line, and the across arms' distinct rows Qj of Q.  Coordinates
-        (z, l) stand for G (ms, nt) with rows z on R and l Qj on I: a basis
-        of the interface nodes, whose corners go with R."""
+        """(R, I, A, B, Qj, S, W[I]): the along arms' distinct rows R, the
+        other rows I, A and B summing each along and across arm onto its
+        line, the across arms' distinct rows Qj of Q, and S = W[R + fold
+        rows].  Coordinates (z, l) stand for G (ms, nt) with rows z on R and
+        l Qj on I: a basis of the interface nodes, whose corners go with R."""
         R, a = np.unique(self.along_rows, return_inverse=True)
         _, first, b = np.unique(self.across_cols, return_index=True,
                                 return_inverse=True)
         I = np.setdiff1d(np.arange(self.center_plan.shape[0]), R)
         W = self.eigenbasis[0]
         return (R, I, np.eye(R.size)[a], np.eye(first.size)[b.ravel()],
-                self.across_q[first], W[R], W[I])
+                self.across_q[first], W[np.r_[R, self.fold_rows]], W[I])
 
     def _line_maps(self, xr: np.ndarray, xq: np.ndarray) -> tuple:
         """The along lines' (S - D) rows from their eigenbasis rows W[R] x,
@@ -196,12 +204,11 @@ class SchurOperator:
             np.broadcast_to(np.eye(n)[:, None], (n, k, n))
             for n, k in ((nt, len(R)), (ms, len(Qj)))))]
 
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """The coordinates (0, z, l) of T^{-1} (S - D) x: lines W[R] x
-        along the transform axis, and W (x Qj^T) across it, each through
-        its arms' maps (`_line_maps`); exact arms skipped."""
-        R, I, _, _, Qj, WR = self._interface[:6]
-        xs, maps = (WR @ x, (x @ Qj.T).T), self._dense_maps
+    def _gather(self, xs: tuple) -> np.ndarray:
+        """The coordinates (0, z, l) of T^{-1} (S - D) x from its reads xs =
+        (W[R] x, (x Qj^T)^T): lines along the transform axis and across it,
+        each through its arms' maps (`_line_maps`); exact arms skipped."""
+        (R, I, _, _, Qj), maps = self._interface[:5], self._dense_maps
         z, lines = (np.matmul(v[:, None], K)[:, 0] for v, K in zip(
             xs, maps)) if maps else self._line_maps(*xs)
         return np.concatenate([[0.0], (z + lines[:, R].T @ Qj).ravel(),
@@ -210,48 +217,49 @@ class SchurOperator:
     def _scatter(self, c: np.ndarray) -> np.ndarray:
         """W^T G, (ms, nt), of flat coordinates c = (c_0, z, l), c_0 unread:
         one product [W[R]^T, W[I]^T l] [z; Qj]."""
-        Qj, WR, WI = self._interface[4:7]
-        z = c[1:1 + len(WR) * Qj.shape[1]].reshape(len(WR), Qj.shape[1])
+        R, *_, Qj, S, WI = self._interface
+        z = c[1:1 + R.size * Qj.shape[1]].reshape(R.size, Qj.shape[1])
         l = c[1 + z.size:].reshape(len(WI), len(Qj))
-        return np.concatenate([WR.T, WI.T @ l], axis=1) \
+        return np.concatenate([S[:R.size].T, WI.T @ l], axis=1) \
             @ np.concatenate([z, Qj])
 
     def coordinates(self, f: np.ndarray) -> tuple:
         """fft GMRES on coordinates c = (c_0, z, l) of Phi c = c_0 b + T^{-1}
         W^T G, b = T^{-1} (f - W^T G_f), G_f the interface part of flat
         eigenbasis coefficients f.  P y = y - T^{-1} (S - D) (T - D)^{-1} T y
-        maps Phi's range into itself.  Returns ((c, v, h) -> the
-        coordinates of P Phi c, v = h Phi c if given, (1, G_f), c -> (the
-        dual Phi^T Phi c, ||Phi c||, Phi c), c -> Phi c)."""
-        Qj, WR, WI = self._interface[4:7]
-        _, t, r = self.eigenbasis
-
-        def read(u):            # the interface coordinates of W u, (ms, nt)
-            return [(WR @ u).ravel(), (WI @ (u @ Qj.T)).ravel()]
-
-        rhs = np.concatenate([[1.0], *read(f.reshape(t.shape))])
-        b = r * (f.reshape(t.shape) - self._scatter(rhs))
+        maps Phi's range into itself.  Returns ((c, e, h) -> the coordinates
+        of P Phi c, e the dual's (S v, v Qj^T) of v = h Phi c if given, (1,
+        G_f), c -> (the dual Phi^T Phi c, ||Phi c||, e), c -> Phi c)."""
+        (R, *_, Qj, S, WI), (_, t, r) = self._interface, self.eigenbasis
+        f, Z = f.reshape(t.shape), np.empty((2,) + t.shape)  # v and r v
+        rhs = np.concatenate([[1.0], (S[:R.size] @ f).ravel(), (WI @ (
+            f @ Qj.T)).ravel()])
+        b = r * (f - self._scatter(rhs))
 
         def expand(c):
             return (r * self._scatter(c) + c[0] * b).reshape(-1)
 
-        def dual(c):            # Phi^T of v = Phi c, ||v|| and v
-            v = expand(c)
-            return np.concatenate([[b.ravel() @ v], *read(
-                r * v.reshape(t.shape))]), np.sqrt(v @ v), v
+        def dual(c):            # Phi^T of v = Phi c, ||v|| and e
+            v = np.multiply(self._scatter(c), r, out=Z[0])
+            v += c[0] * b
+            np.multiply(v, r, out=Z[1])
+            u, q, v = S @ Z, Z @ Qj.T, v.ravel()
+            return np.concatenate([[b.ravel() @ v], u[1, :R.size].ravel(), (
+                WI @ q[1]).ravel()]), np.sqrt(v @ v), (u[0], q[0])
 
-        return (lambda c, v=None, h=1.0: c - self._gather(self.solution(
-            expand(c) if v is None else v)) / h, rhs, dual, expand)
+        return (lambda c, e=None, h=1.0: c - self._gather(self._reads(
+            dual(c)[2] if e is None else e)) / h, rhs, dual, expand)
 
     def spectral_apply(self, x: np.ndarray) -> np.ndarray:
         """(T - S) x = (W (x) Q)^T (A_c - sum S) (W (x) Q) x on flat
         eigenbasis coefficients: the coupled system in the center's
         basis, with no full transform."""
         x = np.reshape(x, self.center_plan.shape)
-        W, t, _ = self.eigenbasis
-        w = W[self.fold_rows]
-        out = t * x - self._scatter(self._gather(x))
-        out -= w.T @ (self.fold_d * (w @ x))
+        R, *_, Qj, S, _ = self._interface
+        u = S @ x
+        out = self.eigenbasis[1] * x - self._scatter(self._gather(
+            (u[:R.size], (x @ Qj.T).T)))
+        out -= S[R.size:].T @ (self.fold_d * u[R.size:])
         return out.reshape(-1)
 
 

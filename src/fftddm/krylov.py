@@ -24,7 +24,6 @@ from .geometry import GridField, field_values
 PRECONDITIONERS = ("identity", "fft")
 
 _BREAKDOWN = 1e-14
-_LOCAL = 2                      # modified Gram-Schmidt steps per Arnoldi step
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
 
     `dual`, if given, maps coordinates c of a vector to its dual d, so
     that <c', c> = c' . d, to its norm h (c . d cancels in a badly scaled
-    basis) and to the expanded vector v: GMRES then runs on coordinates,
-    keeps each basis vector c / h with its dual, formed after its
-    Gram-Schmidt pass, and applies operator(c / h, v, h), or operator(c /
-    h) after a check.  Else vectors are their own duals: operator(c).
+    basis) and to what the operator reads of the expanded vector, e: GMRES
+    then runs on coordinates, keeps each basis vector c / h with its dual,
+    formed after its Gram-Schmidt pass, and applies operator(c / h, e, h).
+    Else vectors are their own duals.
     """
     cfg = cfg or GmresConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -103,11 +102,11 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
     def paired(c):              # (c, d) stacked, read as [:N] and [-N:],
         if dual is None:        # ||c||, and the operator's further
             return c, math.sqrt(c @ c), ()      # arguments for c / ||c||
-        d, c_norm, v = dual(c)
-        return np.concatenate([c, d]), c_norm, (v, c_norm)
+        d, c_norm, e = dual(c)
+        return np.concatenate([c, d]), c_norm, (e, c_norm)
 
     # r the residual of x, never written in place, and `ex` the operator's
-    # further arguments for the next basis vector, dropped before a check
+    # further arguments for the next basis vector
     r, r_norm, ex = paired(rhs)
     r0_norm = r_norm
     history = [1.0 if r0_norm else 0.0]
@@ -155,19 +154,16 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
 
         for k in range(m):
             w = np.array(operator(V[k, :N], *ex), dtype=float)  # a copy
-            # A v_k lies mostly along v_{k-1} and v_k: modified Gram-Schmidt
-            # takes those out, one classical pass the rest of the basis, a
-            # second only when the first leaves at most 1/sqrt(2) (DGKS)
-            col = np.zeros(k + 2)
-            for i in range(max(k + 1 - _LOCAL, 0), k + 1):
-                col[i] = h = V[i, -N:] @ w
-                w -= np.multiply(V[i, :N], h, out=tmp)
-            basis = V[:k + 1]
+            # A v_k lies mostly along v_{k-1} and v_k: one product takes those
+            # out, one classical pass the rest of the basis, a second only
+            # when the first leaves at most 1/sqrt(2) (DGKS)
+            col, i = np.zeros(k + 2), max(k - 1, 0)
+            col[i:k + 1] = h = V[i:k + 1, -N:] @ w
+            w -= np.matmul(h, V[i:k + 1, :N], out=tmp)
             for _ in range(2):
-                h = basis[:, -N:] @ w
-                w -= np.matmul(h, basis[:, :N], out=tmp)
+                h = V[:k + 1, -N:] @ w
+                w -= np.matmul(h, V[:k + 1, :N], out=tmp)
                 col[:k + 1] += h
-                ex = ()         # dropped before the next expansion
                 w_pair, h_next, ex = paired(w)  # w's dual, once per pass
                 if h_next * h_next > h @ h:
                     break
@@ -195,13 +191,13 @@ def gmres(operator, rhs: np.ndarray, cfg: GmresConfig | None = None,
             if history[-1] <= inner:
                 if check is None:
                     break
-                x_k, ex = x + _update(V[:, :N], H, g, k + 1), ()
+                x_k = x + _update(V[:, :N], H, g, k + 1)
                 if checked(x_k):
                     return x_k, report(True, checks[-1][1])
 
         # a check that failed at the cycle's last step is not repeated
         last_checked = checks and checks[-1][0] == len(history) - 1
-        x, ex = x + _update(V[:, :N], H, g, k + 1), ()
+        x = x + _update(V[:, :N], H, g, k + 1)
         r, r_norm, ex = paired(rhs - operator(x))
         if not math.isfinite(r_norm):   # never accept a non-finite iterate
             history[-1] = r_norm / r0_norm

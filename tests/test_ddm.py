@@ -699,6 +699,46 @@ def arm_symbols(comp, op):
             yield weight * t_c, weight * Qc.T @ B @ Qc, exact
 
 
+def reads_cases():
+    """Every line-operator composite, a lone rectangle (no fold rows, no
+    interface) and a star whose only arms fold exactly onto a sweep row
+    that is not an along row."""
+    cases = [pytest.param(star_composite(arms, **kw), id=name)
+             for name, (arms, kw) in sorted(LINE_OPERATOR_CASES.items())]
+    cases.append(pytest.param(CompositeDomain(subdomains=[make_rect(
+        4, 6, "NN", "PP", kappa=-1.0)], interfaces=[]), id="single-rectangle"))
+    cases.append(pytest.param(star_composite(
+        {"west": (2, D, D, ()), "east": (3, D, D, ())}, m=1, n=4),
+        id="exact-folds"))
+    return cases
+
+
+class TestReads:
+    @pytest.mark.parametrize("comp", reads_cases())
+    def test_reads_match_the_formed_solution(self, comp, rng):
+        # an apply reads x = (T - D)^{-1} T y's interface lines without
+        # forming x: W[R] x along the transform axis, x Qj^T across it
+        op = ddm.build_schur_operator(comp)
+        R, *_, Qj, S, _ = op._interface
+        W = op.eigenbasis[0]
+        for _ in range(3):
+            y = rng.standard_normal(op.center_plan.shape)
+            x = op.solution(y)
+            for got, want in zip(op._reads((S @ y, y @ Qj.T)),
+                                 (W[R] @ x, (x @ Qj.T).T)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-13 * max(
+                    np.abs(want).max(initial=0.0), np.abs(x).max())
+
+    def test_cases_cover_folds_off_the_along_rows(self):
+        comp = reads_cases()[-1].values[0]
+        op = ddm.build_schur_operator(comp)
+        assert op.fold_rows.size and not np.isin(
+            op.fold_rows, op.along_rows).any()
+        op = ddm.build_schur_operator(reads_cases()[-2].values[0])
+        assert op.fold_rows.size == 0 and not op.neighbors
+
+
 class TestSpectralOperator:
     @pytest.mark.parametrize("comp", spectral_cases())
     def test_matches_dense_reference(self, comp, rng):
