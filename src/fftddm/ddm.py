@@ -336,10 +336,8 @@ def ddm_solve(comp: CompositeDomain, f, gmres_cfg=None):
     after one step."""
     validate(comp).require()
 
-    rhs = {sub.id: field_values(sub, f.get(sub.id))
-           for sub in comp.subdomains}
     op = build_schur_operator(comp)
-    f_prime = eliminate_arms(op, rhs)
+    f_prime = eliminate_arms(op, f)
     p_c, report = krylov.solve_coupled(op, f_prime, gmres_cfg)
 
     fields = {op.coupled_id: p_c}

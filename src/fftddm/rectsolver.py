@@ -5,7 +5,9 @@ spectral mode along the other axis (a twisted factorization: ms / 2
 sequential steps, each on every mode), inverse transform.  Every axis has
 a transform (`transforms.make_plan`), a shifted sine basis where a
 Dirichlet end is half-cell; y is transformed unless only y has half-cell
-ends.  The sweep axis takes its end modifiers on the diagonal.
+ends or only x is periodic.  The sweep axis takes its end modifiers on
+the diagonal.  A torus, the one rectangle that sweeps a periodic axis,
+is solved through that axis's transform instead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .errors import SingularOperatorError, ValidationError
+from .errors import SingularOperatorError
 from .geometry import (AXIS_EDGES, OPPOSITE, GridField, RectSubdomain,
                        edge_end, field_values)
 
@@ -30,17 +32,15 @@ def _half(sub: RectSubdomain, axis: str) -> tuple:
 @dataclass(frozen=True)
 class RectPlan:
     """Prepared factorizations for one rectangle; immutable and shareable.
-    A plan from `plan_eigenbasis` holds no factors: beta, lower None."""
+    A torus, and any plan from `plan_eigenbasis`, holds no factors (beta,
+    lower None): `sweep` solves it through its sweep axis's transform."""
 
     subdomain: RectSubdomain
     transform_axis: str          # 'y' (default) or 'x' (field transposed)
     y_plan: transforms.SpectralPlan
     solve_pair: str              # BC pair along the sweep axis
-    off: float                   # off-diagonal of the per-mode tridiagonal
     beta: np.ndarray             # (ms, nt) twisted pivots, folded
     lower: np.ndarray            # (ms, nt) multipliers off / beta, folded
-    cyclic: bool
-    sm: tuple | None             # cyclic wrap correction, see _factor
 
     @property
     def shape(self) -> tuple:
@@ -104,61 +104,39 @@ def _tridiag_solve(beta, lower, rhs):
     return _fold(x, unfold=True)
 
 
-def _factor(diag: np.ndarray, off: float, cyclic: bool, tol: float):
-    """Per-column factors of tridiag(off, diag, off), with wrap-around
-    corners `off` when cyclic; returns (beta, lower, off, sm, bad-column
-    mask), the first four for _factored_solve.  Two cyclic rows double the
-    coupling; past two, the corners are a Sherman-Morrison correction sm =
-    (q, denom, gamma); otherwise sm is None."""
-    if not cyclic or diag.shape[0] <= 2:
-        off = 2.0 * off if cyclic else off
-        beta, lower, bad = _factor_tridiag(diag, off, tol)
-        return beta, lower, off, None, bad
-    gamma = np.where(np.abs(diag[0]) > tol, -diag[0], off)
-    bdiag = diag.copy()
-    bdiag[0] -= gamma
-    bdiag[-1] -= off * off / gamma
-    beta, lower, bad = _factor_tridiag(bdiag, off, tol)
-    u = np.zeros_like(diag)
-    u[0], u[-1] = gamma, off
-    q = _tridiag_solve(beta, lower, u)
-    denom = 1.0 + q[0] + (off / gamma) * q[-1]
-    return beta, lower, off, (q, denom, gamma), bad | (np.abs(denom) < 1e-12)
-
-
-def _factored_solve(beta, lower, off, sm, rhs):
-    """Solve with the factors from _factor; rhs is (ms, nt)."""
-    x = _tridiag_solve(beta, lower, rhs)
-    if sm is not None:
-        q, denom, gamma = sm
-        x = x - q * ((x[0] + (off / gamma) * x[-1]) / denom)
-    return x
+def _sweep_plan(sub: RectSubdomain, transform_axis: str):
+    """The transform of the other axis, the sweep axis, planned with the
+    normal delta -delta_s: its eigenvalues are those of A_s, the per-mode
+    tridiagonal less its diagonal lambda_n (`sweep_basis`)."""
+    axis = "x" if transform_axis == "y" else "y"
+    off = sub.delta(axis)
+    return transforms.make_plan(sub.axis_pair(axis), sub.count(axis), off,
+                                -off, 0.0, _half(sub, axis))
 
 
 def _plan(sub: RectSubdomain, factor: bool) -> RectPlan:
-    """The transforms, and with `factor` the sweep factors; without them the
-    operator is checked on T's eigenvalues mu_k + lambda_n (`sweep_basis`)."""
-    axis, s_axis = ("x", "y") if any(_half(sub, "y")) and not any(
-        _half(sub, "x")) else ("y", "x")
+    """The transforms, and with `factor` the sweep factors unless the sweep
+    axis is periodic (a torus); without them the operator is checked on T's
+    eigenvalues mu_k + lambda_n (`sweep_basis`)."""
+    # transform x where only y has half-cell ends, or only x is periodic
+    axis, s_axis = ("x", "y") if (
+        any(_half(sub, "y")) and not any(_half(sub, "x"))
+        or sub.axis_pair("x") == "PP" != sub.axis_pair("y")) else ("y", "x")
     off, s_pair, ms = sub.delta(s_axis), sub.axis_pair(s_axis), \
         sub.count(s_axis)
     plan = transforms.make_plan(sub.axis_pair(axis), sub.count(axis),
                                 sub.delta(axis), off, sub.kappa,
                                 _half(sub, axis))
-    lam, cyclic = plan.eigenvalues, s_pair == "PP"
-    if cyclic and ms % 2:
-        raise ValidationError(
-            f"subdomain {sub.id}: periodic sweep axis needs an even count")
+    lam = plan.eigenvalues
     tol = _PIVOT_RTOL * max(np.abs(lam).max(), off)
-    beta = lower = sm = None
-    if factor:
+    beta = lower = None
+    if factor and s_pair != "PP":
         diag = np.tile(lam, (ms, 1))
-        for row, edge in zip((0, -1), () if cyclic else AXIS_EDGES[s_axis]):
+        for row, edge in zip((0, -1), AXIS_EDGES[s_axis]):
             diag[row] += sub.end_modifier(edge)
-        beta, lower, off, sm, bad = _factor(diag, off, cyclic, tol)
+        beta, lower, bad = _factor_tridiag(diag, off, tol)
     else:
-        mu = transforms.eigenvalues(s_pair, ms, off, -off, 0.0,
-                                    _half(sub, s_axis))
+        mu = _sweep_plan(sub, axis).eigenvalues
         bad = ~np.all(np.abs(np.add.outer(mu, lam)) >= tol, axis=0)
     if np.any(bad):
         raise SingularOperatorError(
@@ -166,8 +144,7 @@ def _plan(sub: RectSubdomain, factor: bool) -> RectPlan:
             f"{np.nonzero(bad)[0].tolist()} (all-Neumann/periodic with "
             f"kappa = 0?)")
     return RectPlan(subdomain=sub, transform_axis=axis, y_plan=plan,
-                    solve_pair=s_pair, off=off, beta=beta, lower=lower,
-                    cyclic=cyclic, sm=sm)
+                    solve_pair=s_pair, beta=beta, lower=lower)
 
 
 def plan_rect(subdomain: RectSubdomain) -> RectPlan:
@@ -178,7 +155,7 @@ def plan_rect(subdomain: RectSubdomain) -> RectPlan:
 
 def plan_eigenbasis(subdomain: RectSubdomain) -> RectPlan:
     """`plan_rect` without the factors, for a system solved in its 2D
-    eigenbasis (`sweep_basis`): `sweep` cannot run on it."""
+    eigenbasis (`sweep_basis`): `sweep` solves it in that basis."""
     return _plan(subdomain, False)
 
 
@@ -234,8 +211,13 @@ def line_spectral(plan: RectPlan, edge: str, g: np.ndarray) -> np.ndarray:
 
 
 def sweep(plan: RectPlan, fhat: np.ndarray) -> np.ndarray:
-    """Per-mode tridiagonal (or cyclic) solve of spectral rows (ms, nt)."""
-    return _factored_solve(plan.beta, plan.lower, plan.off, plan.sm, fhat)
+    """Per-mode tridiagonal solve of spectral rows (ms, nt); a plan without
+    factors divides by T's eigenvalues in its sweep axis's transform."""
+    if plan.beta is not None:
+        return _tridiag_solve(plan.beta, plan.lower, fhat)
+    s = _sweep_plan(plan.subdomain, plan.transform_axis)
+    t = np.add.outer(plan.y_plan.eigenvalues, s.eigenvalues)
+    return transforms.apply_Q(s, transforms.apply_Qt(s, fhat.T) / t).T
 
 
 def sweep_basis(plan: RectPlan) -> tuple:
@@ -243,15 +225,12 @@ def sweep_basis(plan: RectPlan) -> tuple:
     eigenvalues of the sweep-axis matrix A_s, the per-mode tridiagonal less
     its diagonal lambda_n: T_n = W diag(mu + lambda_n) W^T.  Both are the
     closed forms of the axis's own transform (a DD axis's W the cached
-    `transforms.sine_matrix`, shifted at a half-cell end; two cyclic rows
-    double the coupling), planned with the normal delta -delta_s, which
-    cancels the diagonal -2 delta_s that A_s lacks."""
-    sub = plan.subdomain
-    axis = "x" if plan.transform_axis == "y" else "y"
-    ms, off, ends = sub.count(axis), sub.delta(axis), _half(sub, axis)
-    s_plan = transforms.make_plan(plan.solve_pair, ms, off, -off, 0.0, ends)
-    return (transforms.sine_matrix(ms, *ends) if plan.solve_pair == "DD"
-            else transforms.apply_Qt(s_plan, np.eye(ms)), s_plan.eigenvalues)
+    `transforms.sine_matrix`, shifted at a half-cell end), planned with the
+    normal delta -delta_s, which cancels the diagonal -2 delta_s that A_s
+    lacks."""
+    s = _sweep_plan(plan.subdomain, plan.transform_axis)
+    return (transforms.sine_matrix(s.n, *s.ends) if s.bc == "DD"
+            else transforms.apply_Qt(s, np.eye(s.n)), s.eigenvalues)
 
 
 def interface_operator(plan: RectPlan, edge: str,

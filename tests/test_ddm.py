@@ -335,9 +335,10 @@ LINE_OPERATOR_CASES = {
     "x-transform": ({"south": (3, D, N, ("south",)),
                      "north": (2, D, N, ("north",)),
                      "east": (3, D, D, ("south", "north"))}, {}),
-    # periodic flanks: a cyclic sweep along the south line, and a PP
-    # transform along the west line
-    "cyclic-sweep": ({"south": (3, D, P, ()), "west": (2, D, P, ())}, {}),
+    # periodic flanks: the south arm transforms x, its periodic axis, and
+    # its line is its last sweep row; the west line has a PP transform
+    "periodic-transform": ({"south": (3, D, P, ()),
+                            "west": (2, D, P, ())}, {}),
     # an isotropic grid without shift, center transformed along x
     "x-center": ({"west": (2, D, N, ()), "east": (2, D, N, ()),
                   "south": (2, D, N, ())},
@@ -429,11 +430,12 @@ class TestLineOperators:
                     plan.transform_axis == "x")
                 row = "first" if edge in ("west", "south") else "last"
                 kinds.add((plan.transform_axis,
-                           "across" if across else row, plan.cyclic))
+                           "across" if across else row,
+                           plan.y_plan.bc == "PP"))
         assert kinds >= {("y", "first", False), ("y", "last", False),
                          ("x", "first", False), ("x", "last", False),
                          ("y", "across", False), ("x", "across", False),
-                         ("y", "across", True)}
+                         ("x", "last", True)}
 
     def test_cases_cover_every_block_kind(self):
         kinds = set()
@@ -599,7 +601,7 @@ class TestLineOperators:
         with pytest.raises(ValidationError, match=f"subdomain {sid}"):
             ddm.eliminate_arms(op, f)
 
-    @pytest.mark.parametrize("name", ["perpendicular", "cyclic-sweep",
+    @pytest.mark.parametrize("name", ["perpendicular", "periodic-transform",
                                       "one-row-two-arms"])
     def test_ddm_solve_matches_global_dense_lu(self, name, rng):
         arms, kw = LINE_OPERATOR_CASES[name]

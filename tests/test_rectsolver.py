@@ -50,11 +50,17 @@ class TestPlanRect:
         plan = rectsolver.plan_rect(sub)
         # the sweep runs along x: Neumann ends modify its corner rows
         assert (plan.transform_axis, plan.solve_pair) == ("y", "NN")
-        assert not plan.cyclic
+        assert plan.beta is not None
 
-    def test_periodic_x_is_cyclic(self):
-        plan = rectsolver.plan_rect(make_rect(4, 3, x_pair="PP"))
-        assert plan.solve_pair == "PP" and plan.cyclic
+    def test_only_a_torus_sweeps_a_periodic_axis(self):
+        # a plan holds sweep factors exactly when its sweep axis is not
+        # periodic; a periodic axis is transformed unless both are
+        for x_pair, y_pair, m, n, kappa in pair_cases(4):
+            plan = rectsolver.plan_rect(make_rect(m, n, x_pair, y_pair,
+                                                  kappa=kappa))
+            periodic = plan.solve_pair == "PP"
+            assert (plan.beta is None) == periodic
+            assert periodic == (x_pair == y_pair == "PP")
 
     def test_nn_nn_kappa_zero_is_singular(self):
         with pytest.raises(SingularOperatorError):
@@ -63,8 +69,8 @@ class TestPlanRect:
     @pytest.mark.parametrize("x_pair,y_pair,m", [
         ("PP", "PP", 2), ("PP", "PP", 4), ("PP", "NN", 4)])
     def test_periodic_sweep_kappa_zero_is_singular(self, x_pair, y_pair, m):
-        # the constant mode of a periodic sweep: a doubled wrap at m = 2,
-        # the Sherman-Morrison denominator past that
+        # the constant mode of a periodic axis: on T's eigenvalues for a
+        # torus, at the twisted pivot of the NN sweep when only x is periodic
         with pytest.raises(SingularOperatorError):
             rectsolver.plan_rect(make_rect(m, 4, x_pair, y_pair))
 
@@ -95,13 +101,16 @@ class TestSolveRect:
     @pytest.mark.parametrize("x_pair,y_pair,m,n,kappa",
                              [c for c in pair_cases(5)])
     def test_oracle_equivalence_sweep(self, x_pair, y_pair, m, n, kappa, rng):
+        # every plan can sweep: by its factors, or in its sweep axis's
+        # transform (a torus, and every plan_eigenbasis plan)
         sub = make_rect(m, n, x_pair, y_pair, dx=0.5, dy=0.25, kappa=kappa)
         A = oracle.assemble_rect_matrix(sub)
         f = rng.standard_normal(sub.size)
         want = oracle.dense_lu_solve(A, f)
-        got = rectsolver.solve_rect(rectsolver.plan_rect(sub), f).values
         scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(got - want).max() <= 1e-10 * scale
+        for planner in (rectsolver.plan_rect, rectsolver.plan_eigenbasis):
+            got = rectsolver.solve_rect(planner(sub), f).values
+            assert np.abs(got - want).max() <= 1e-10 * scale
 
     def test_half_cell_dirichlet_edges(self, rng):
         # half-cell ends sit on the sweep axis; y stays pure for the transform
@@ -212,8 +221,9 @@ class TestSweepBasis:
         (pair, half, ms) for pair, half in SWEEP_AXES
         for ms in (1, 2, 3, 8, 9) if pair != "PP" or ms % 2 == 0])
     def test_diagonalizes_the_sweep_axis(self, pair, half, ms):
-        # y stays pure, so x is the sweep axis
-        sub = make_rect(ms, 3, pair, "DD", dx=0.3, dy=0.2, kappa=-1.0,
+        # y stays pure, so x is the sweep axis; only a torus sweeps PP
+        y_pair, n = ("PP", 4) if pair == "PP" else ("DD", 3)
+        sub = make_rect(ms, n, pair, y_pair, dx=0.3, dy=0.2, kappa=-1.0,
                         half=half)
         plan = rectsolver.plan_rect(sub)
         assert plan.transform_axis == "y"
@@ -258,30 +268,27 @@ class TestFactorTridiag:
         np.testing.assert_array_equal(lower[:, 0], [-0.5, 1.0 / -1.5])
 
 
-def column_factors(diag, off, cyclic=False):
-    """_factor of one column; returns (beta, lower, off, sm, bad)."""
-    return rectsolver._factor(np.asarray(diag, dtype=float)[:, None], off,
-                              cyclic, 1e-13)
+def column_factors(diag, off):
+    """_factor_tridiag of one column; returns (beta, lower, bad)."""
+    return rectsolver._factor_tridiag(np.asarray(diag, dtype=float)[:, None],
+                                      off, 1e-13)
 
 
-def factored(diag, off, rhs, cyclic=False):
-    """One-column solve through _factor and _factored_solve, the path
-    every sweep takes."""
-    beta, lower, off, sm, bad = column_factors(diag, off, cyclic)
+def factored(diag, off, rhs):
+    """One-column solve through _factor_tridiag and _tridiag_solve, the
+    path every factored sweep takes."""
+    beta, lower, bad = column_factors(diag, off)
     assert not bad.any()
-    x = rectsolver._factored_solve(beta, lower, off, sm,
-                                   np.asarray(rhs, dtype=float)[:, None])
+    x = rectsolver._tridiag_solve(beta, lower,
+                                  np.asarray(rhs, dtype=float)[:, None])
     return x[:, 0]
 
 
-def dense_tridiag(diag, off, cyclic):
+def dense_tridiag(diag, off):
     m = len(diag)
     M = np.diag(np.asarray(diag, dtype=float))
-    for i in range(m):
-        if cyclic or i > 0:
-            M[i, (i - 1) % m] += off
-        if cyclic or i < m - 1:
-            M[i, (i + 1) % m] += off
+    M[np.arange(1, m), np.arange(m - 1)] = off
+    M[np.arange(m - 1), np.arange(1, m)] = off
     return M
 
 
@@ -301,23 +308,13 @@ class TestTwistedFactorization:
         diag = np.tile([-2.1, -3.0, -4.5], (ms, 1))  # nt = 3 modes
         diag[0] += off * END_KINDS[ends][0]
         diag[-1] += off * END_KINDS[ends][1]
-        self.check(diag, off, False, rng)
-
-    @pytest.mark.parametrize("ms", [2, 4, 8])
-    def test_cyclic_matches_dense(self, ms, rng):
-        self.check(np.tile([-2.1, -3.0, -4.5], (ms, 1)), 0.7, True, rng)
-
-    @staticmethod
-    def check(diag, off, cyclic, rng):
         rhs = rng.standard_normal(diag.shape)
-        beta, lower, off2, sm, bad = rectsolver._factor(diag, off, cyclic,
-                                                        1e-13)
+        beta, lower, bad = rectsolver._factor_tridiag(diag, off, 1e-13)
         assert not bad.any()
-        np.testing.assert_array_equal(lower, off2 / beta)
-        x = rectsolver._factored_solve(beta, lower, off2, sm, rhs)
+        np.testing.assert_array_equal(lower, off / beta)
+        x = rectsolver._tridiag_solve(beta, lower, rhs)
         for k in range(diag.shape[1]):
-            want = np.linalg.solve(dense_tridiag(diag[:, k], off, cyclic),
-                                   rhs[:, k])
+            want = np.linalg.solve(dense_tridiag(diag[:, k], off), rhs[:, k])
             np.testing.assert_allclose(x[:, k], want, rtol=1e-12,
                                        atol=1e-13)
 
@@ -342,15 +339,13 @@ class TestTwistedFactorization:
         ("DD", "DD", 5, 4), ("NN", "DD", 4, 3), ("PP", "DD", 6, 3),
         ("DD", "PP", 3, 4), ("DD", "DD", 1, 2)])
     def test_plan_holds_one_factor_set(self, x_pair, y_pair, m, n):
-        # pivots and multipliers, 2 ms nt floats; a cyclic plan adds q
+        # pivots and multipliers, 2 ms nt floats
         plan = rectsolver.plan_rect(make_rect(m, n, x_pair, y_pair,
                                               kappa=-1.0))
         ms, nt = plan.shape
         arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
         assert sum(a.size for a in arrays
                    if isinstance(a, np.ndarray)) == 2 * ms * nt
-        big = [a for a in plan.sm or () if np.size(a) >= ms * nt]
-        assert len(big) == (1 if plan.cyclic and ms > 2 else 0)
 
 
 class TestFactoredSolve:
@@ -362,45 +357,24 @@ class TestFactoredSolve:
         x = factored(np.full(6, -2.0), 1.0, np.zeros(6))
         assert not x.any()
 
-    def test_cyclic_m4(self):
-        x = factored(np.full(4, -3.0), 1.0, np.ones(4), cyclic=True)
-        np.testing.assert_allclose(x, [-1.0, -1.0, -1.0, -1.0])
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
-    def test_cyclic_matches_dense(self, m, rng):
-        # m = 2 wraps both corners onto the single off-diagonal pair
-        diag = -3.0 + 0.1 * rng.standard_normal(m)
-        rhs = rng.standard_normal(m)
-        x = factored(diag, 1.0, rhs, cyclic=True)
-        np.testing.assert_allclose(
-            x, np.linalg.solve(dense_tridiag(diag, 1.0, True), rhs),
-            atol=1e-11)
-
     def test_corner_modified_ends(self):
         # a Neumann sweep axis adds +off at both diagonal ends
         x = factored([-3.0, -4.0, -3.0], 1.0, np.ones(3))
         M = np.array([[-3.0, 1, 0], [1, -4.0, 1], [0, 1, -3.0]])
         np.testing.assert_allclose(x, np.linalg.solve(M, np.ones(3)))
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-    def test_singular_cyclic_flagged(self, m):
-        # the periodic second difference has the constant null vector
-        assert column_factors(np.full(m, -2.0), 1.0, cyclic=True)[-1].all()
-
     def test_zero_pivot_flagged(self):
         assert column_factors([1.0, 1.0], 1.0)[-1].all()
 
-    @pytest.mark.parametrize("cyclic", [False, True])
-    def test_columns_solve_independently(self, cyclic, rng):
+    def test_columns_solve_independently(self, rng):
         m, nt = 6, 5
         diag = -3.0 + 0.2 * rng.standard_normal((m, nt))
         rhs = rng.standard_normal((m, nt))
-        beta, lower, off, sm, bad = rectsolver._factor(diag, 0.7, cyclic,
-                                                       1e-13)
+        beta, lower, bad = rectsolver._factor_tridiag(diag, 0.7, 1e-13)
         assert not bad.any()
-        x = rectsolver._factored_solve(beta, lower, off, sm, rhs)
+        x = rectsolver._tridiag_solve(beta, lower, rhs)
         for k in range(nt):
-            M = dense_tridiag(diag[:, k], 0.7, cyclic)
+            M = dense_tridiag(diag[:, k], 0.7)
             np.testing.assert_allclose(x[:, k],
                                        np.linalg.solve(M, rhs[:, k]),
                                        atol=1e-12)

@@ -13,9 +13,11 @@ against [0.5, 2.0]; the summary gives each side's per-size median ratio
 and seconds per iteration, and its rounds outside the bounds.
 
     OMP_NUM_THREADS=1 python tools/interleave_timing.py \\
-        OLD_CHECKOUT/src/fftddm src/fftddm --rounds 12
+        OLD_CHECKOUT/src/fftddm src/fftddm --rounds 12 --json PATH
 
-Only the standard library and numpy are used.
+With `--json PATH` each round's ratios and seconds per iteration and each
+side's summary go to PATH, under "gate6_interleaved", beside what the file
+already holds.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import statistics
 import sys
 from pathlib import Path
@@ -59,10 +62,13 @@ def main(argv=None) -> int:
     parser.add_argument("first", help="package directory, e.g. src/fftddm")
     parser.add_argument("second", help="the other package directory")
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the figures to PATH as JSON")
     args = parser.parse_args(argv)
     labels = ("first", "second")
+    paths = dict(zip(labels, (args.first, args.second)))
     benches = {label: load_bench(path, f"fftddm_{label}")
-               for label, path in zip(labels, (args.first, args.second))}
+               for label, path in paths.items()}
     results = {label: [] for label in labels}
     width = max(map(len, labels))
     print("round side".ljust(7 + width),
@@ -75,15 +81,30 @@ def main(argv=None) -> int:
             print(f"{i:5d} {label:{width}}",
                   "  ".join(f"{r:8.3f}" for r in ratios), "yes" if ok else "NO")
     print()
+    summary = {}
     for label, runs in results.items():
         t, ratios = (np.array([run[j] for run in runs]) for j in (0, 1))
         failing = sum(not (LOW <= r.min() and r.max() <= HIGH)
                       for r in ratios)
+        medians = [statistics.median(col) for col in ratios.T]
+        seconds = [statistics.median(col) for col in t.T]
+        summary[label] = {"package": paths[label], "failing_rounds": failing,
+                          "rounds": len(runs), "median_ratios": medians,
+                          "median_seconds_per_iteration": seconds}
         print(f"{label}: median ratio",
-              " ".join(f"{statistics.median(col):.3f}" for col in ratios.T),
+              " ".join(f"{m:.3f}" for m in medians),
               "| median ms/iteration",
-              " ".join(f"{1e3 * statistics.median(col):.3f}" for col in t.T),
+              " ".join(f"{1e3 * s:.3f}" for s in seconds),
               f"| failing rounds {failing} of {len(runs)}")
+    if args.json:
+        doc = json.loads(args.json.read_text()) if args.json.exists() \
+            else {}
+        doc["gate6_interleaved"] = {
+            "k_n": list(KNS), "bounds": [LOW, HIGH], "summary": summary,
+            "rounds": {label: [{"ratios": r.tolist(), "seconds": t.tolist()}
+                               for t, r in runs]
+                       for label, runs in results.items()}}
+        args.json.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
