@@ -257,6 +257,66 @@ class TestSweepBasis:
         assert np.abs(got - np.diag(t)).max() <= 1e-12 * np.abs(t).max()
 
 
+class TestTransformSweep:
+    """`sweep` of a plan without factors (a torus, or any `plan_eigenbasis`
+    plan): per mode, a division by mu_k + lambda_n in the sweep axis's own
+    transform."""
+
+    @pytest.mark.parametrize("ms", [2, 4, 6, 8])
+    def test_torus_matches_dense_cyclic(self, ms, rng):
+        # each mode's periodic tridiagonal; at ms = 2 its two rows couple
+        # twice, once directly and once across the wrap
+        sub = make_rect(ms, 4, "PP", "PP", dx=0.3, dy=0.2, kappa=-1.0)
+        plan = rectsolver.plan_rect(sub)
+        assert plan.beta is None and plan.transform_axis == "y"
+        eye = np.eye(ms)
+        wrap = sub.delta("x") * (np.roll(eye, 1, 0) + np.roll(eye, -1, 0))
+        fhat = rng.standard_normal(plan.shape)
+        x = rectsolver.sweep(plan, fhat)
+        for k, lam in enumerate(plan.y_plan.eigenvalues):
+            want = np.linalg.solve(lam * eye + wrap, fhat[:, k])
+            np.testing.assert_allclose(x[:, k], want, rtol=1e-12, atol=1e-13)
+
+    def test_modes_solve_independently(self, rng):
+        plan = rectsolver.plan_rect(make_rect(6, 4, "PP", "PP", kappa=-1.0))
+        fhat = rng.standard_normal(plan.shape)
+        x = rectsolver.sweep(plan, fhat)
+        for k in range(plan.shape[1]):
+            one = np.zeros(plan.shape)
+            one[:, k] = fhat[:, k]
+            got = rectsolver.sweep(plan, one)
+            assert not np.delete(got, k, axis=1).any()
+            np.testing.assert_allclose(got[:, k], x[:, k], rtol=1e-13,
+                                       atol=1e-15)
+
+    @pytest.mark.parametrize("x_pair,y_pair,half", [
+        ("DD", "DD", ()), ("NN", "DD", ()), ("DD", "NN", ()),
+        ("NN", "NN", ()), ("DD", "DD", ("west",)), ("DD", "DD", ("south",)),
+        ("DD", "DD", ("west", "east")), ("PP", "DD", ()), ("PP", "NN", ()),
+        ("NN", "PP", ())],
+        ids=lambda v: "-".join(v) or "none" if isinstance(v, tuple) else v)
+    def test_matches_the_factored_sweep(self, x_pair, y_pair, half, rng):
+        # either axis transformed, end modifiers on the sweep axis included
+        sub = make_rect(7 if x_pair != "PP" else 6, 5 if y_pair != "PP"
+                        else 4, x_pair, y_pair, dx=0.3, dy=0.2, kappa=-1.0,
+                        half=half)
+        factored = rectsolver.plan_rect(sub)
+        free = rectsolver.plan_eigenbasis(sub)
+        assert factored.beta is not None and free.beta is None
+        assert free.transform_axis == factored.transform_axis
+        fhat = rng.standard_normal(factored.shape)
+        want = rectsolver.sweep(factored, fhat)
+        got = rectsolver.sweep(free, fhat)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("x_pair,y_pair", [
+        ("NN", "NN"), ("NN", "PP"), ("PP", "NN"), ("PP", "PP")])
+    def test_eigenbasis_kappa_zero_is_singular(self, x_pair, y_pair):
+        # checked on T's eigenvalues, which hold mu_0 + lambda_0 = 0
+        with pytest.raises(SingularOperatorError):
+            rectsolver.plan_eigenbasis(make_rect(4, 6, x_pair, y_pair))
+
+
 class TestFactorTridiag:
     def test_flags_only_the_bad_column(self):
         # at n = 2 the folded order is the natural one: the LU pivot of
